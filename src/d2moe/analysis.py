@@ -12,7 +12,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .graph import Graph
 from .moe_core import ModelConfig, RoutingTrace, evaluate, predictive_entropy
@@ -122,6 +121,8 @@ def activation_stats(trace: RoutingTrace, entropy: np.ndarray,
 def decile_activation_spearman(stats: ActivationStats) -> float:
     """Rank correlation between decile index and mean activation count; the
     difficulty-aware router should make this positive."""
+    from scipy.stats import spearmanr  # deferred: scipy.stats dominates import time
+
     rho, _ = spearmanr(np.arange(10), np.asarray(stats.decile_mean_active))
     return float(rho)
 

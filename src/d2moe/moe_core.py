@@ -7,6 +7,11 @@ descending scores), the surviving scores are renormalized, and the selected
 expert outputs are fused into a residual update. A linear head with a row
 softmax produces class probabilities.
 
+Within a layer the experts share their neighbourhood aggregation: A_sym·h and,
+for SAGE experts, mean_adj·h are computed once per layer, and each expert
+applies its own weights to the shared aggregate ((A·h)·W rather than
+A·(h·W)). Only the second hop of a two-hop expert is aggregated per expert.
+
 Per-node budgets come from the normalized entropy of an earlier prediction:
 high-entropy (hard) nodes get budgets near 1 and activate many experts,
 low-entropy (easy) nodes get small budgets and activate few.
@@ -60,6 +65,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.experts < 1 or self.layers < 1:
             raise ValueError("need at least one expert and one layer")
+        if self.hidden < 1:
+            raise ValueError(f"hidden width must be >= 1, got {self.hidden}")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
         if self.classes < 2:
             raise ValueError("need at least two classes")
         if not 0.0 <= self.dropout < 1.0:
@@ -349,16 +358,32 @@ class ForwardResult:
     leaf_vars: dict[str, Var]  # parameter name -> tape leaf
 
 
+def _layer_aggregates(tape: Tape, h: Var, g: Graph,
+                      kinds: list[ExpertKind]) -> dict[str, Var]:
+    """Each distinct neighbourhood aggregate of ``h`` the layer's experts read,
+    computed once: ``"sym"`` is A_sym·h (every GCN expert's first hop) and
+    ``"mean"`` is mean_adj·h (every SAGE expert's neighbour term)."""
+    agg = {}
+    if any(k is not ExpertKind.SAGE_MEAN_ONE_HOP for k in kinds):
+        agg["sym"] = tape.spmm(g.adj, g.adj_t, h)
+    if ExpertKind.SAGE_MEAN_ONE_HOP in kinds:
+        agg["mean"] = tape.spmm(g.mean_adj, g.mean_adj_t, h)
+    return agg
+
+
 def _expert_output(tape: Tape, expert: ExpertParams, lv: dict[str, Var],
-                   prefix: str, h: Var, g: Graph) -> Var:
+                   prefix: str, h: Var, agg: dict[str, Var], g: Graph) -> Var:
+    """One expert's output from the layer input ``h`` and the shared
+    aggregates ``agg`` of ``_layer_aggregates``. A GCN hop is written
+    (A·h)·W, which equals A·(h·W) up to float reassociation."""
     t = {suffix: lv[f"{prefix}.{suffix}"] for suffix in expert.tensors}
     if expert.kind is ExpertKind.GCN_ONE_HOP:
-        return tape.add_bias(tape.spmm(g.adj, g.adj_t, tape.matmul(h, t["w"])), t["b"])
+        return tape.add_bias(tape.matmul(agg["sym"], t["w"]), t["b"])
     if expert.kind is ExpertKind.GCN_TWO_HOP:
-        inner = tape.relu(tape.spmm(g.adj, g.adj_t, tape.matmul(h, t["wa"])))
+        inner = tape.relu(tape.matmul(agg["sym"], t["wa"]))
         return tape.add_bias(tape.matmul(tape.spmm(g.adj, g.adj_t, inner), t["wb"]), t["b"])
     self_term = tape.matmul(h, t["w_self"])
-    nbr_term = tape.matmul(tape.spmm(g.mean_adj, g.mean_adj_t, h), t["w_nbr"])
+    nbr_term = tape.matmul(agg["mean"], t["w_nbr"])
     return tape.add_bias(tape.add(self_term, nbr_term), t["b"])
 
 
@@ -403,7 +428,8 @@ def forward(params: ModelParams, g: Graph, budget, mode: str = "train",
     layer_pis: list[Var] = []
     traces: list[LayerTrace] = []
     for l, layer in enumerate(params.layers):
-        zs = [_expert_output(tape, e, lv, f"layer{l}.expert{i}", h, g)
+        agg = _layer_aggregates(tape, h, g, [e.kind for e in layer.experts])
+        zs = [_expert_output(tape, e, lv, f"layer{l}.expert{i}", h, agg, g)
               for i, e in enumerate(layer.experts)]
         r1 = tape.relu(tape.add_bias(tape.matmul(h, lv[f"layer{l}.router.w1"]),
                                      lv[f"layer{l}.router.b1"]))

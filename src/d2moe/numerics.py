@@ -2,8 +2,10 @@
 
 Values are numpy float64 arrays of shape (rows, cols); scalars travel as (1, 1).
 Sparse adjacencies are scipy CSR and are never differentiated through. A Tape
-records one forward pass; ``backward`` zeroes every gradient it owns and replays
-the recorded steps in reverse, so running it twice gives bit-identical results.
+records one forward pass; ``backward`` replays the recorded steps in reverse,
+allocating each gradient at its first contribution and skipping steps whose
+output the seed never reached. Vars left without a gradient get exact zeros, and
+running it twice gives bit-identical results.
 
 Parameters live in float32 elsewhere in the package; ``Tape.leaf`` upcasts to
 float64 so finite-difference probes at step 1e-4 are not quantized away.
@@ -68,16 +70,27 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
+def _accum(v: Var, g: np.ndarray, owned: bool = True) -> None:
+    """Add a gradient contribution to ``v``. The first contribution becomes
+    the buffer itself; pass ``owned=False`` when ``g`` is another Var's
+    gradient (or a view of one), so it is copied rather than aliased."""
+    if v.grad is None:
+        v.grad = g if owned else g.copy()
+    else:
+        v.grad += g
+
+
 class Tape:
     """Single-owner record of one differentiable forward pass.
 
-    Every Var created through a Tape method belongs to that tape. Backward
-    seeds the chosen scalar with 1 and accumulates into ``.grad`` in reverse
-    recording order; leaves the pass never touched keep exact-zero gradients.
+    Every Var created through a Tape method belongs to that tape, and every
+    step records the Var it produced. Backward seeds the chosen scalar with 1
+    and accumulates into ``.grad`` in reverse recording order; Vars the seed
+    never reaches get exact-zero gradients.
     """
 
     def __init__(self):
-        self._steps: list[Callable[[], None]] = []
+        self._steps: list[tuple[Var, Callable[[], None]]] = []
         self._vars: list[Var] = []
 
     def _track(self, value: np.ndarray) -> Var:
@@ -97,19 +110,19 @@ class Tape:
         out = self._track(a.value @ b.value)
 
         def back():
-            a.grad += out.grad @ b.value.T
-            b.grad += a.value.T @ out.grad
+            _accum(a, out.grad @ b.value.T)
+            _accum(b, a.value.T @ out.grad)
 
-        self._steps.append(back)
+        self._steps.append((out, back))
         return out
 
     def transpose(self, a: Var) -> Var:
         out = self._track(np.ascontiguousarray(a.value.T))
 
         def back():
-            a.grad += out.grad.T
+            _accum(a, out.grad.T, owned=False)
 
-        self._steps.append(back)
+        self._steps.append((out, back))
         return out
 
     def spmm(self, adj, adj_t, x: Var) -> Var:
@@ -120,9 +133,9 @@ class Tape:
         out = self._track(np.asarray(adj @ x.value))
 
         def back():
-            x.grad += adj_t @ out.grad
+            _accum(x, adj_t @ out.grad)
 
-        self._steps.append(back)
+        self._steps.append((out, back))
         return out
 
     def add(self, a: Var, b: Var) -> Var:
@@ -131,10 +144,10 @@ class Tape:
         out = self._track(a.value + b.value)
 
         def back():
-            a.grad += out.grad
-            b.grad += out.grad
+            _accum(a, out.grad, owned=False)
+            _accum(b, out.grad, owned=False)
 
-        self._steps.append(back)
+        self._steps.append((out, back))
         return out
 
     def add_bias(self, m: Var, b: Var) -> Var:
@@ -144,19 +157,19 @@ class Tape:
         out = self._track(m.value + b.value)
 
         def back():
-            m.grad += out.grad
-            b.grad += out.grad.sum(axis=0, keepdims=True)
+            _accum(m, out.grad, owned=False)
+            _accum(b, out.grad.sum(axis=0, keepdims=True))
 
-        self._steps.append(back)
+        self._steps.append((out, back))
         return out
 
     def scale(self, a: Var, c: float) -> Var:
         out = self._track(a.value * c)
 
         def back():
-            a.grad += out.grad * c
+            _accum(a, out.grad * c)
 
-        self._steps.append(back)
+        self._steps.append((out, back))
         return out
 
     def relu(self, a: Var) -> Var:
@@ -164,9 +177,9 @@ class Tape:
         out = self._track(np.where(keep, a.value, 0.0))
 
         def back():
-            a.grad += np.where(keep, out.grad, 0.0)
+            _accum(a, np.where(keep, out.grad, 0.0))
 
-        self._steps.append(back)
+        self._steps.append((out, back))
         return out
 
     def sigmoid(self, a: Var) -> Var:
@@ -174,9 +187,9 @@ class Tape:
         out = self._track(s)
 
         def back():
-            a.grad += out.grad * s * (1.0 - s)
+            _accum(a, out.grad * s * (1.0 - s))
 
-        self._steps.append(back)
+        self._steps.append((out, back))
         return out
 
     def dropout(self, a: Var, keep: float, rng: np.random.Generator) -> Var:
@@ -188,9 +201,9 @@ class Tape:
         out = self._track(a.value * mask)
 
         def back():
-            a.grad += out.grad * mask
+            _accum(a, out.grad * mask)
 
-        self._steps.append(back)
+        self._steps.append((out, back))
         return out
 
     def softmax_rows(self, m: Var) -> Var:
@@ -201,9 +214,9 @@ class Tape:
 
         def back():
             g = out.grad
-            m.grad += p * (g - (g * p).sum(axis=1, keepdims=True))
+            _accum(m, p * (g - (g * p).sum(axis=1, keepdims=True)))
 
-        self._steps.append(back)
+        self._steps.append((out, back))
         return out
 
     def row_norm(self, m: Var) -> Var:
@@ -218,9 +231,9 @@ class Tape:
             g = out.grad
             dots = (g * m.value).sum(axis=1, keepdims=True)
             full = g / d - m.value * dots / d ** 3
-            m.grad += np.where(live, full, g / ROWNORM_EPS)
+            _accum(m, np.where(live, full, g / ROWNORM_EPS))
 
-        self._steps.append(back)
+        self._steps.append((out, back))
         return out
 
     def renorm_masked(self, pi: Var, mask: np.ndarray) -> Var:
@@ -237,9 +250,9 @@ class Tape:
 
         def back():
             g = out.grad
-            pi.grad += (m / s) * (g - (g * p).sum(axis=1, keepdims=True))
+            _accum(pi, (m / s) * (g - (g * p).sum(axis=1, keepdims=True)))
 
-        self._steps.append(back)
+        self._steps.append((out, back))
         return out
 
     def mix(self, parts: Sequence[Var], w: Var) -> Var:
@@ -256,11 +269,11 @@ class Tape:
             g = out.grad
             gw = np.empty_like(w.value)
             for i, part in enumerate(parts):
-                part.grad += g * w.value[:, i : i + 1]
+                _accum(part, g * w.value[:, i : i + 1])
                 gw[:, i] = (g * part.value).sum(axis=1)
-            w.grad += gw
+            _accum(w, gw)
 
-        self._steps.append(back)
+        self._steps.append((out, back))
         return out
 
     def batchnorm_train(self, x: Var, gamma: Var, beta: Var,
@@ -284,13 +297,13 @@ class Tape:
 
         def back():
             g = out.grad
-            gamma.grad += (g * xhat).sum(axis=0, keepdims=True)
-            beta.grad += g.sum(axis=0, keepdims=True)
+            _accum(gamma, (g * xhat).sum(axis=0, keepdims=True))
+            _accum(beta, g.sum(axis=0, keepdims=True))
             gx = g * gamma.value
-            x.grad += inv * (gx - gx.mean(axis=0, keepdims=True)
-                             - xhat * (gx * xhat).mean(axis=0, keepdims=True))
+            _accum(x, inv * (gx - gx.mean(axis=0, keepdims=True)
+                             - xhat * (gx * xhat).mean(axis=0, keepdims=True)))
 
-        self._steps.append(back)
+        self._steps.append((out, back))
         return out
 
     def batchnorm_eval(self, x: Var, gamma: Var, beta: Var,
@@ -303,11 +316,11 @@ class Tape:
 
         def back():
             g = out.grad
-            gamma.grad += (g * xhat).sum(axis=0, keepdims=True)
-            beta.grad += g.sum(axis=0, keepdims=True)
-            x.grad += g * gamma.value * inv
+            _accum(gamma, (g * xhat).sum(axis=0, keepdims=True))
+            _accum(beta, g.sum(axis=0, keepdims=True))
+            _accum(x, g * gamma.value * inv)
 
-        self._steps.append(back)
+        self._steps.append((out, back))
         return out
 
     # ---- scalar reductions ----------------------------------------------
@@ -321,9 +334,9 @@ class Tape:
 
         def back():
             g = out.grad[0, 0]
-            m.grad += g * (logc + np.where(m.value >= LOG_EPS, 1.0, 0.0))
+            _accum(m, g * (logc + np.where(m.value >= LOG_EPS, 1.0, 0.0)))
 
-        self._steps.append(back)
+        self._steps.append((out, back))
         return out
 
     def weighted_colsum(self, m: Var, w: np.ndarray) -> Var:
@@ -333,9 +346,9 @@ class Tape:
         out = self._track(np.array([[(m.value.sum(axis=0) * w).sum()]]))
 
         def back():
-            m.grad += out.grad[0, 0] * w[None, :]
+            _accum(m, np.broadcast_to(out.grad[0, 0] * w[None, :], m.shape), owned=False)
 
-        self._steps.append(back)
+        self._steps.append((out, back))
         return out
 
     def masked_nll(self, probs: Var, labels: np.ndarray, idx: np.ndarray) -> Var:
@@ -350,24 +363,34 @@ class Tape:
         def back():
             g = out.grad[0, 0]
             contrib = np.where(picked >= LOG_EPS, -1.0 / (idx.size * clamped), 0.0)
+            if probs.grad is None:
+                probs.grad = np.zeros_like(probs.value)
             np.add.at(probs.grad, (idx, labels[idx]), g * contrib)
 
-        self._steps.append(back)
+        self._steps.append((out, back))
         return out
 
     # ---- reverse pass ----------------------------------------------------
 
     def backward(self, out: Var) -> None:
         """Populate ``.grad`` for every Var on this tape, seeding ``out``
-        (a (1,1) scalar) with 1. Safe to call repeatedly; each call starts
-        from zeroed gradients and replays identically."""
+        (a (1,1) scalar) with 1. Safe to call repeatedly; each call discards
+        the previous gradients and replays identically.
+
+        Gradient buffers are allocated lazily: a step runs only if the Var it
+        produced received a gradient, and a Var's first contribution becomes
+        its buffer. Vars the seed does not reach get exact zeros at the end."""
         if out.shape != (1, 1):
             raise ShapeError(f"backward seed must be a (1,1) scalar, got {out.shape}")
         for v in self._vars:
-            v.grad = np.zeros_like(v.value)
+            v.grad = None
         out.grad = np.ones_like(out.value)
-        for step in reversed(self._steps):
-            step()
+        for produced, back in reversed(self._steps):
+            if produced.grad is not None:
+                back()
+        for v in self._vars:
+            if v.grad is None:
+                v.grad = np.zeros_like(v.value)
 
 
 # ---- finite-difference checking -----------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -129,6 +130,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_epochs < 1 or self.patience < 1:
             raise ValueError("max_epochs and patience must be >= 1")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
         if self.lambda_re < 0 or self.lambda_lb < 0:
             raise ValueError("loss weights must be nonnegative")
 
@@ -405,14 +408,9 @@ def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
         clip_global_norm(grads, config.grad_clip)
         adamw_step(params, grads, adam, config)
 
-        if config.strict_proxy:
-            probs_for_proxy = forward(params, g, budget, mode="eval").probs.value
-        else:
-            probs_for_proxy = fw.probs.value
-        entropy = predictive_entropy(probs_for_proxy)
-
-        ev = forward(params, g, budget, mode="eval")
-        preds = predict(ev.probs.value)
+        ev_probs = forward(params, g, budget, mode="eval").probs.value
+        entropy = predictive_entropy(ev_probs if config.strict_proxy else fw.probs.value)
+        preds = predict(ev_probs)
         report = EpochReport(
             epoch=epoch,
             loss_task=breakdown.task,

@@ -2,6 +2,10 @@
 selection patterns; ablation plumbing checked for determinism and the
 full-budget equivalence case."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -265,3 +269,16 @@ def test_run_ablation_single_seed_zero_std():
     assert res.std == 0.0
     with pytest.raises(ValueError):
         run_ablation(g, mcfg, tcfg, Full(), seeds=())
+
+
+def test_import_d2moe_does_not_load_scipy_stats():
+    """scipy.stats is only needed for the decile Spearman rho, and importing
+    it costs most of the package's import time."""
+    import d2moe
+
+    src = str(Path(d2moe.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import d2moe; " \
+           "print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

@@ -127,6 +127,20 @@ def test_train_requires_data_source(tmp_path, capsys):
     assert "--graph-dir or --sbm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value,word", [
+    ("--hidden", "0", "hidden"),
+    ("--gamma", "nan", "gamma"),
+    ("--lr", "-1", "learning rate"),
+])
+def test_train_rejects_bad_input_with_one_line_error(tmp_path, capsys, flag, value, word):
+    rc = main(["train", "--sbm", SBM_SMALL, "--epochs", "1", flag, value,
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and word in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exits_nonzero(tmp_path, capsys):
     rc = main(["train", "--sbm", SBM_SMALL, "--seed", "0", "--epochs", "5",

@@ -223,12 +223,14 @@ def test_route_scores_rows_sum_to_one():
 
 
 def _expert_via_tape(kind, tensors, h, g):
-    from d2moe.moe_core import _expert_output
+    from d2moe.moe_core import _expert_output, _layer_aggregates
 
     tape = Tape()
     expert = ExpertParams(kind, tensors)
     lv = {f"e.{k}": tape.leaf(v.astype(np.float64)) for k, v in tensors.items()}
-    return _expert_output(tape, expert, lv, "e", tape.leaf(h), g).value
+    hv = tape.leaf(h)
+    agg = _layer_aggregates(tape, hv, g, [kind])
+    return _expert_output(tape, expert, lv, "e", hv, agg, g).value
 
 
 def test_gcn_one_hop_identity_graph():
@@ -273,6 +275,30 @@ def test_experts_match_dense_oracles():
                            {"w_self": w["w_self"], "w_nbr": w["w_nbr"], "b": b}, h, g)
     expect = h @ w["w_self"].astype(np.float64) + (mean @ h) @ w["w_nbr"].astype(np.float64) + b
     np.testing.assert_allclose(out, expect, atol=1e-9)
+
+
+@pytest.mark.parametrize("backbone,layout,experts,per_layer", [
+    ("gcn", "all_1hop", 4, 1),
+    ("sage", "all_1hop", 4, 1),
+    ("gcn", "half_half", 4, 1 + 4 // 2),
+    ("gcn", "half_half", 5, 1 + 5 // 2),
+])
+def test_forward_aggregates_once_per_layer(monkeypatch, backbone, layout, experts, per_layer):
+    """Experts share their layer's aggregation: one sparse product per layer,
+    plus one per two-hop expert for its second hop."""
+    calls = []
+    real_spmm = Tape.spmm
+
+    def counting_spmm(self, adj, adj_t, x):
+        calls.append(adj.shape)
+        return real_spmm(self, adj, adj_t, x)
+
+    monkeypatch.setattr(Tape, "spmm", counting_spmm)
+    g = small_graph()
+    params = small_params(g, experts=experts, layers=3, backbone=backbone,
+                          expert_layout=layout)
+    forward(params, g, np.ones(g.n), mode="eval")
+    assert len(calls) == 3 * per_layer
 
 
 def test_sage_isolated_node_is_self_plus_own_mean():

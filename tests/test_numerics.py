@@ -442,24 +442,67 @@ def test_masked_nll_through_softmax_fd():
 
 
 def test_backward_replay_bit_identical():
-    m = RNG(42).uniform(-2, 2, size=(4, 3))
-
     t = Tape()
-    vm = t.leaf(m)
-    out = t.masked_nll(t.softmax_rows(t.relu(vm)), np.array([0, 1, 2, 0]), np.arange(4))
+    x = t.leaf(RNG(5).normal(size=(5, 3)))
+    w = t.leaf(RNG(6).normal(size=(3, 4)))
+    h = t.relu(t.matmul(x, w))
+    p = t.softmax_rows(t.add(h, t.scale(h, 0.5)))
+    out = t.add(t.masked_nll(p, np.array([0, 1, 2, 3, 0]), np.arange(5)), t.plogp_sum(p))
     t.backward(out)
-    first = vm.grad.copy()
+    first = [v.grad.copy() for v in (x, w, h, p)]
     t.backward(out)
-    np.testing.assert_array_equal(first, vm.grad)
+    for before, v in zip(first, (x, w, h, p)):
+        assert before.tobytes() == v.grad.tobytes()
 
 
 def test_untouched_leaf_gets_exact_zero_grad():
     t = Tape()
-    used = t.leaf(np.ones((2, 2)))
+    used = t.leaf(RNG(1).normal(size=(4, 3)))
     unused = t.leaf(np.ones((3, 3)))
-    out = t.weighted_colsum(used, np.ones(2))
+    side = t.relu(t.matmul(used, t.leaf(np.ones((3, 5)))))  # recorded, never reaches the seed
+    out = t.weighted_colsum(used, np.array([1.0, -2.0, 0.5]))
     t.backward(out)
     assert np.all(unused.grad == 0.0)
+    assert side.grad.shape == (4, 5)
+    assert side.grad.dtype == np.float64
+    assert np.all(side.grad == 0.0)
+    np.testing.assert_array_equal(used.grad, np.tile([1.0, -2.0, 0.5], (4, 1)))
+
+
+def test_pass_through_gradients_do_not_alias():
+    t = Tape()
+    a = t.leaf(RNG(2).normal(size=(3, 2)))
+    b = t.leaf(RNG(3).normal(size=(3, 2)))
+    bias = t.leaf(RNG(4).normal(size=(1, 2)))
+    s = t.add(a, b)
+    out = t.weighted_colsum(t.add(t.add_bias(s, bias), t.scale(a, 3.0)), np.array([1.0, 2.0]))
+    t.backward(out)
+    grads = [a.grad, b.grad, s.grad]
+    for i, gi in enumerate(grads):
+        for gj in grads[i + 1:]:
+            assert not np.shares_memory(gi, gj)
+    np.testing.assert_array_equal(b.grad, np.tile([1.0, 2.0], (3, 1)))
+    np.testing.assert_array_equal(a.grad, np.tile([4.0, 8.0], (3, 1)))
+
+    t = Tape()
+    c = t.leaf(np.ones((2, 2)))
+    doubled = t.add(c, c)
+    t.backward(t.weighted_colsum(doubled, np.array([1.0, 3.0])))
+    np.testing.assert_array_equal(doubled.grad, np.tile([1.0, 3.0], (2, 1)))
+    np.testing.assert_array_equal(c.grad, np.tile([2.0, 6.0], (2, 1)))
+
+
+def test_seed_recorded_before_later_steps():
+    t = Tape()
+    x = t.leaf(RNG(7).normal(size=(4, 2)))
+    first = t.weighted_colsum(x, np.array([1.0, 1.0]))
+    later = t.weighted_colsum(t.scale(x, 2.0), np.array([3.0, 0.0]))
+    t.backward(first)
+    np.testing.assert_array_equal(x.grad, np.ones((4, 2)))
+    assert later.grad.shape == (1, 1) and later.grad[0, 0] == 0.0
+    t.backward(later)
+    np.testing.assert_array_equal(x.grad, np.tile([6.0, 0.0], (4, 1)))
+    assert first.grad[0, 0] == 0.0
 
 
 def test_backward_requires_scalar_seed():

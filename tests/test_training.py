@@ -356,6 +356,19 @@ def test_train_config_validation():
         TrainConfig(patience=0)
     with pytest.raises(ValueError):
         TrainConfig(lambda_re=-1e-6)
+    for lr in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning rate"):
+            TrainConfig(lr=lr)
+
+
+def test_model_config_validation():
+    base = dict(in_dim=4, hidden=8, classes=2, experts=2, layers=1)
+    with pytest.raises(ValueError, match="hidden"):
+        ModelConfig(**{**base, "hidden": 0})
+    for gamma in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="gamma"):
+            ModelConfig(**{**base, "gamma": gamma})
+    ModelConfig(**{**base, "hidden": 1, "gamma": 0.0})
 
 
 # ---- fit -----------------------------------------------------------------
@@ -464,6 +477,50 @@ def test_fit_strict_proxy_uses_post_update_eval_entropy():
 
     fit(g, mcfg, TrainConfig(max_epochs=2, seed=9, strict_proxy=True), epoch_hook=hook)
     assert np.array_equal(seen[1], expected)
+
+
+def test_fit_strict_proxy_runs_one_eval_forward_per_epoch(monkeypatch):
+    import d2moe.training as training
+
+    modes = []
+    real_forward = training.forward
+
+    def counting_forward(*args, **kwargs):
+        modes.append(kwargs.get("mode", "train"))
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward", counting_forward)
+    fit(_sbm_graph(), _model_cfg(), TrainConfig(max_epochs=1, seed=9, strict_proxy=True))
+    assert modes == ["train", "eval"]
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+@pytest.mark.parametrize("layout", ["all_1hop", "half_half"])
+@pytest.mark.parametrize("batch_norm", [False, True])
+def test_lazy_backward_matches_zero_filled_replay(backbone, layout, batch_norm):
+    """Lazily allocated gradients against the zero-fill-then-replay-every-step
+    reference: leaf gradients bit-identical, every other gradient equal in
+    value (only the sign of an exact zero may differ)."""
+    g = _sbm_graph(n=60, classes=3, dim=5, p_in=0.2, p_out=0.05, signal=2.0, seed=1)
+    cfg = ModelConfig(in_dim=5, hidden=8, classes=3, experts=4, layers=2, dropout=0.3,
+                      use_batch_norm=batch_norm, expert_layout=layout, backbone=backbone)
+    params = init_params(cfg, np.random.default_rng(0))
+    fw = forward(params, g, np.full(g.n, 0.7), mode="train", rng=np.random.default_rng(1))
+    _, total, _ = losses_on_tape(fw, g, lam1=1e-3, lam2=1e-2)
+    tape = fw.tape
+    tape.backward(total)
+    lazy = [v.grad.copy() for v in tape._vars]
+
+    for v in tape._vars:
+        v.grad = np.zeros_like(v.value)
+    total.grad = np.ones_like(total.value)
+    for _, back in reversed(tape._steps):
+        back()
+
+    for before, v in zip(lazy, tape._vars):
+        np.testing.assert_array_equal(before, v.grad)
+    for name, leaf in fw.leaf_vars.items():
+        assert lazy[tape._vars.index(leaf)].tobytes() == leaf.grad.tobytes(), name
 
 
 def test_fit_fixed_topp_constant_after_cold_start():
