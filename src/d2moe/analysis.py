@@ -79,7 +79,7 @@ def stratify_by_entropy(proxy_probs: np.ndarray, eval_mask: np.ndarray,
         raise ValueError(f"need at least 10 nodes to form deciles, got {idx.size}")
     entropy = predictive_entropy(proxy_probs)
     order = idx[np.argsort(entropy[idx], kind="stable")]
-    active = np.stack([lt.selected.sum(axis=1) for lt in trace.layers])  # (L, n)
+    active = trace.active_counts()  # (L, n)
 
     buckets = []
     for members in _bucket_slices(order, 10):
@@ -109,7 +109,7 @@ def activation_stats(trace: RoutingTrace, entropy: np.ndarray,
         raise ValueError(f"need at least 10 nodes for decile statistics, got {idx.size}")
     order = idx[np.argsort(entropy[idx], kind="stable")]
 
-    active = np.stack([lt.selected.sum(axis=1) for lt in trace.layers]).mean(axis=0)
+    active = trace.active_counts().mean(axis=0)
     deciles = tuple(float(active[members].mean()) for members in _bucket_slices(order, 10))
 
     pi = np.mean([lt.pi for lt in trace.layers], axis=0)  # (n, K), rows sum to 1

@@ -273,8 +273,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
     out = _out_dir(ns)
     nodes_path = out / "nodes.csv"
-    mean_active = np.stack([lt.selected.sum(axis=1)
-                            for lt in report.trace.layers]).mean(axis=0)
+    mean_active = report.trace.active_counts().mean(axis=0)
     with open(nodes_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node", "entropy", "threshold", "mean_active",

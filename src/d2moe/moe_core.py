@@ -15,6 +15,10 @@ A·(h·W)). Only the second hop of a two-hop expert is aggregated per expert.
 Per-node budgets come from the normalized entropy of an earlier prediction:
 high-entropy (hard) nodes get budgets near 1 and activate many experts,
 low-entropy (easy) nodes get small budgets and activate few.
+
+All parameters live in one ordered name -> float32 array store
+(``ModelParams.tensors``); the config says which expert kinds and norm
+tensors a layer has, and the store's order is the checkpoint layout.
 """
 
 from __future__ import annotations
@@ -99,130 +103,50 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(rows, cols)).astype(np.float32)
 
 
-@dataclass
-class ExpertParams:
-    kind: ExpertKind
-    tensors: dict[str, np.ndarray]  # insertion order is the serialization order
-
-    @staticmethod
-    def create(kind: ExpertKind, hidden: int, rng: np.random.Generator) -> "ExpertParams":
-        zeros = np.zeros((1, hidden), dtype=np.float32)
-        if kind is ExpertKind.GCN_ONE_HOP:
-            t = {"w": _glorot(rng, hidden, hidden), "b": zeros}
-        elif kind is ExpertKind.GCN_TWO_HOP:
-            t = {"wa": _glorot(rng, hidden, hidden), "wb": _glorot(rng, hidden, hidden),
-                 "b": zeros}
-        else:
-            t = {"w_self": _glorot(rng, hidden, hidden),
-                 "w_nbr": _glorot(rng, hidden, hidden), "b": zeros}
-        return ExpertParams(kind, t)
-
-    def copy(self) -> "ExpertParams":
-        return ExpertParams(self.kind, {k: v.copy() for k, v in self.tensors.items()})
-
-
-@dataclass
-class RouterParams:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    def copy(self) -> "RouterParams":
-        return RouterParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
-
-
-@dataclass
-class NormParams:
-    gamma: np.ndarray         # (1, h) float32
-    beta: np.ndarray
-    running_mean: np.ndarray  # (1, h) float32, updated during training forwards
-    running_var: np.ndarray
-
-    def copy(self) -> "NormParams":
-        return NormParams(self.gamma.copy(), self.beta.copy(),
-                          self.running_mean.copy(), self.running_var.copy())
-
-
-@dataclass
-class LayerParams:
-    experts: list[ExpertParams]
-    router: RouterParams
-    norm: NormParams | None
-
-    def copy(self) -> "LayerParams":
-        return LayerParams([e.copy() for e in self.experts], self.router.copy(),
-                           self.norm.copy() if self.norm else None)
+_EXPERT_WEIGHTS = {
+    ExpertKind.GCN_ONE_HOP: ("w",),
+    ExpertKind.GCN_TWO_HOP: ("wa", "wb"),
+    ExpertKind.SAGE_MEAN_ONE_HOP: ("w_self", "w_nbr"),
+}
 
 
 @dataclass
 class ModelParams:
+    """Every float32 (rows, cols) tensor of a model by name: ``embed.*``,
+    ``layer{l}.expert{i}.*``, ``layer{l}.router.*``, ``layer{l}.norm.*`` (batch
+    norm only) and ``head.*``. Insertion order is the draw order of
+    ``init_params``, the checkpoint layout and the optimizer state order."""
+
     config: ModelConfig
-    embed_w: np.ndarray
-    embed_b: np.ndarray
-    layers: list[LayerParams]
-    head_w: np.ndarray
-    head_b: np.ndarray
+    tensors: dict[str, np.ndarray]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.config, self.embed_w.copy(), self.embed_b.copy(),
-                           [l.copy() for l in self.layers],
-                           self.head_w.copy(), self.head_b.copy())
+        return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
     def named_tensors(self):
-        """Stable (name, array) iteration; the order defines the checkpoint
-        layout and the optimizer state keys."""
-        yield "embed.w", self.embed_w
-        yield "embed.b", self.embed_b
-        for l, layer in enumerate(self.layers):
-            for i, expert in enumerate(layer.experts):
-                for suffix, arr in expert.tensors.items():
-                    yield f"layer{l}.expert{i}.{suffix}", arr
-            r = layer.router
-            yield f"layer{l}.router.w1", r.w1
-            yield f"layer{l}.router.b1", r.b1
-            yield f"layer{l}.router.w2", r.w2
-            yield f"layer{l}.router.b2", r.b2
-            if layer.norm is not None:
-                yield f"layer{l}.norm.gamma", layer.norm.gamma
-                yield f"layer{l}.norm.beta", layer.norm.beta
-                yield f"layer{l}.norm.running_mean", layer.norm.running_mean
-                yield f"layer{l}.norm.running_var", layer.norm.running_var
-        yield "head.w", self.head_w
-        yield "head.b", self.head_b
-
-    def set_tensor(self, name: str, value: np.ndarray) -> None:
-        for tname, arr in self.named_tensors():
-            if tname == name:
-                if arr.shape != value.shape:
-                    raise CheckpointError(
-                        f"tensor {name}: expected shape {arr.shape}, got {value.shape}")
-                arr[...] = value
-                return
-        raise CheckpointError(f"unknown tensor name {name!r}")
+        return iter(self.tensors.items())
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
-    h, c = config.hidden, config.classes
-    embed_w = _glorot(rng, config.in_dim, h)
-    embed_b = np.zeros((1, h), dtype=np.float32)
-    layers = []
-    for _ in range(config.layers):
-        experts = [ExpertParams.create(kind, h, rng) for kind in config.expert_kinds()]
-        r = config.router_width
-        router = RouterParams(_glorot(rng, h, r), np.zeros((1, r), dtype=np.float32),
-                              _glorot(rng, r, config.experts),
-                              np.zeros((1, config.experts), dtype=np.float32))
-        norm = None
+    h, r, k, c = config.hidden, config.router_width, config.experts, config.classes
+    t = {"embed.w": _glorot(rng, config.in_dim, h), "embed.b": np.zeros((1, h), np.float32)}
+    for l in range(config.layers):
+        for i, kind in enumerate(config.expert_kinds()):
+            for suffix in _EXPERT_WEIGHTS[kind]:
+                t[f"layer{l}.expert{i}.{suffix}"] = _glorot(rng, h, h)
+            t[f"layer{l}.expert{i}.b"] = np.zeros((1, h), np.float32)
+        t[f"layer{l}.router.w1"] = _glorot(rng, h, r)
+        t[f"layer{l}.router.b1"] = np.zeros((1, r), np.float32)
+        t[f"layer{l}.router.w2"] = _glorot(rng, r, k)
+        t[f"layer{l}.router.b2"] = np.zeros((1, k), np.float32)
         if config.use_batch_norm:
-            norm = NormParams(np.ones((1, h), dtype=np.float32),
-                              np.zeros((1, h), dtype=np.float32),
-                              np.zeros((1, h), dtype=np.float32),
-                              np.ones((1, h), dtype=np.float32))
-        layers.append(LayerParams(experts, router, norm))
-    head_w = _glorot(rng, h, c)
-    head_b = np.zeros((1, c), dtype=np.float32)
-    return ModelParams(config, embed_w, embed_b, layers, head_w, head_b)
+            t[f"layer{l}.norm.gamma"] = np.ones((1, h), np.float32)
+            t[f"layer{l}.norm.beta"] = np.zeros((1, h), np.float32)
+            t[f"layer{l}.norm.running_mean"] = np.zeros((1, h), np.float32)
+            t[f"layer{l}.norm.running_var"] = np.ones((1, h), np.float32)
+    t["head.w"] = _glorot(rng, h, c)
+    t["head.b"] = np.zeros((1, c), np.float32)
+    return ModelParams(config, t)
 
 
 # ---- difficulty -> budget ------------------------------------------------
@@ -252,20 +176,11 @@ def map_budget(entropy: np.ndarray, gamma: float, epoch: int) -> np.ndarray:
     return sigmoid(gamma * (entropy - entropy.mean()))
 
 
-def select_top_p(pi: np.ndarray, p: float) -> np.ndarray:
-    """Minimal prefix of the descending-score order whose cumulative mass
-    reaches p (small slack absorbs float summation error). Ties keep the
-    lower index first; at least one expert is always selected. Returns the
-    selected indices in selection order."""
-    pi = np.asarray(pi, dtype=np.float64)
-    order = np.argsort(-pi, kind="stable")
-    csum = np.cumsum(pi[order])
-    m = min(pi.size, int((csum < p - TOP_P_SLACK).sum()) + 1)
-    return order[:m]
-
-
 def select_top_p_batch(pi: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Vectorized top-p over rows; returns a boolean selection mask."""
+    """Top-p per row: the minimal prefix of the descending-score order whose
+    cumulative mass reaches the row's threshold (small slack absorbs float
+    summation error). Ties keep the lower index first; at least one expert is
+    always selected. Returns a boolean selection mask."""
     order = np.argsort(-pi, axis=1, kind="stable")
     csum = np.cumsum(np.take_along_axis(pi, order, axis=1), axis=1)
     m = np.minimum(pi.shape[1], (csum < thresholds[:, None] - TOP_P_SLACK).sum(axis=1) + 1)
@@ -283,26 +198,6 @@ def top_k_mask(pi: np.ndarray, k: int) -> np.ndarray:
     mask = np.zeros(pi.shape, dtype=bool)
     np.put_along_axis(mask, order[:, :k], True, axis=1)
     return mask
-
-
-def renormalize(pi: np.ndarray, selected: np.ndarray) -> np.ndarray:
-    """Rescale the selected entries of a score vector to sum to 1."""
-    selected = np.asarray(selected)
-    out = np.zeros_like(pi, dtype=np.float64)
-    mass = pi[selected].sum()
-    if mass <= 0.0:
-        raise ValueError("renormalize: selected mass is zero")
-    out[selected] = pi[selected] / mass
-    return out
-
-
-def route_scores(h: np.ndarray, router: RouterParams) -> np.ndarray:
-    """Router distribution over experts for each row of h (plain numpy)."""
-    hidden = np.maximum(h @ router.w1.astype(np.float64) + router.b1.astype(np.float64), 0.0)
-    logits = hidden @ router.w2.astype(np.float64) + router.b2.astype(np.float64)
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -336,20 +231,6 @@ class RoutingTrace:
 
 
 @dataclass
-class RoutingState:
-    """Bootstrap memory between epochs: entropies from the previous epoch and
-    the thresholds derived from them for the current one."""
-
-    epoch: int = 0
-    entropy: np.ndarray | None = None
-    threshold: np.ndarray | None = None
-
-    @property
-    def mean_entropy(self) -> float | None:
-        return None if self.entropy is None else float(self.entropy.mean())
-
-
-@dataclass
 class ForwardResult:
     probs: Var                 # (n, C) on tape
     layer_pis: list[Var]       # router distributions on tape, one per layer
@@ -371,15 +252,15 @@ def _layer_aggregates(tape: Tape, h: Var, g: Graph,
     return agg
 
 
-def _expert_output(tape: Tape, expert: ExpertParams, lv: dict[str, Var],
+def _expert_output(tape: Tape, kind: ExpertKind, lv: dict[str, Var],
                    prefix: str, h: Var, agg: dict[str, Var], g: Graph) -> Var:
     """One expert's output from the layer input ``h`` and the shared
     aggregates ``agg`` of ``_layer_aggregates``. A GCN hop is written
     (A·h)·W, which equals A·(h·W) up to float reassociation."""
-    t = {suffix: lv[f"{prefix}.{suffix}"] for suffix in expert.tensors}
-    if expert.kind is ExpertKind.GCN_ONE_HOP:
+    t = {suffix: lv[f"{prefix}.{suffix}"] for suffix in (*_EXPERT_WEIGHTS[kind], "b")}
+    if kind is ExpertKind.GCN_ONE_HOP:
         return tape.add_bias(tape.matmul(agg["sym"], t["w"]), t["b"])
-    if expert.kind is ExpertKind.GCN_TWO_HOP:
+    if kind is ExpertKind.GCN_TWO_HOP:
         inner = tape.relu(tape.matmul(agg["sym"], t["wa"]))
         return tape.add_bias(tape.matmul(tape.spmm(g.adj, g.adj_t, inner), t["wb"]), t["b"])
     self_term = tape.matmul(h, t["w_self"])
@@ -427,10 +308,11 @@ def forward(params: ModelParams, g: Graph, budget, mode: str = "train",
 
     layer_pis: list[Var] = []
     traces: list[LayerTrace] = []
-    for l, layer in enumerate(params.layers):
-        agg = _layer_aggregates(tape, h, g, [e.kind for e in layer.experts])
-        zs = [_expert_output(tape, e, lv, f"layer{l}.expert{i}", h, agg, g)
-              for i, e in enumerate(layer.experts)]
+    kinds = cfg.expert_kinds()
+    for l in range(cfg.layers):
+        agg = _layer_aggregates(tape, h, g, kinds)
+        zs = [_expert_output(tape, kind, lv, f"layer{l}.expert{i}", h, agg, g)
+              for i, kind in enumerate(kinds)]
         r1 = tape.relu(tape.add_bias(tape.matmul(h, lv[f"layer{l}.router.w1"]),
                                      lv[f"layer{l}.router.b1"]))
         logits = tape.add_bias(tape.matmul(r1, lv[f"layer{l}.router.w2"]),
@@ -442,17 +324,15 @@ def forward(params: ModelParams, g: Graph, budget, mode: str = "train",
             mask = select_top_p_batch(pi.value, budget)
         pibar = tape.renorm_masked(pi, mask)
         h = tape.add(h, tape.mix(zs, pibar))
-        if layer.norm is not None:
+        if cfg.use_batch_norm:
             gamma, beta = lv[f"layer{l}.norm.gamma"], lv[f"layer{l}.norm.beta"]
+            running_mean = params.tensors[f"layer{l}.norm.running_mean"][0]
+            running_var = params.tensors[f"layer{l}.norm.running_var"][0]
             if train:
-                h = tape.batchnorm_train(h, gamma, beta,
-                                         layer.norm.running_mean[0],
-                                         layer.norm.running_var[0],
+                h = tape.batchnorm_train(h, gamma, beta, running_mean, running_var,
                                          update_running=update_norm_stats)
             else:
-                h = tape.batchnorm_eval(h, gamma, beta,
-                                        layer.norm.running_mean[0],
-                                        layer.norm.running_var[0])
+                h = tape.batchnorm_eval(h, gamma, beta, running_mean, running_var)
         h = tape.relu(h)
         if use_dropout:
             h = tape.dropout(h, keep, rng)
@@ -584,16 +464,23 @@ def load_checkpoint(path) -> ModelParams:
                           gamma=gamma, use_batch_norm=bool(use_norm),
                           expert_layout=layout, backbone=backbone)
         params = init_params(cfg, np.random.default_rng(0))
-        expected = {name for name, _ in params.named_tensors()}
+        expected = set(params.tensors)
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
         if count != len(expected):
             raise CheckpointError(f"{path}: expected {len(expected)} tensors, found {count}")
         for _ in range(count):
             name = _read_str(fh)
             rows, cols = struct.unpack("<2I", _read_exact(fh, 8))
+            if name not in params.tensors:
+                raise CheckpointError(f"unknown tensor name {name!r}")
+            arr = params.tensors[name]
+            if arr.shape != (rows, cols):  # checked before the read it sizes
+                raise CheckpointError(
+                    f"tensor {name}: expected shape {arr.shape}, got {(rows, cols)}")
             raw = _read_exact(fh, rows * cols * 4)
-            value = np.frombuffer(raw, dtype="<f4").reshape(rows, cols).astype(np.float32)
-            params.set_tensor(name, value)
+            arr[...] = np.frombuffer(raw, dtype="<f4").reshape(rows, cols)
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: tensor {name} has non-finite values")
             expected.discard(name)
         if expected:
             raise CheckpointError(f"{path}: checkpoint missing tensors {sorted(expected)}")

@@ -20,7 +20,6 @@ import numpy as np
 
 LOG_EPS = 1e-12      # floor inside log() calls
 BN_EPS = 1e-5        # batch-norm variance floor
-ROWNORM_EPS = 1e-12  # row_norm zero-row floor
 
 
 class ShapeError(ValueError):
@@ -66,10 +65,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def _accum(v: Var, g: np.ndarray, owned: bool = True) -> None:
     """Add a gradient contribution to ``v``. The first contribution becomes
     the buffer itself; pass ``owned=False`` when ``g`` is another Var's
@@ -112,15 +107,6 @@ class Tape:
         def back():
             _accum(a, out.grad @ b.value.T)
             _accum(b, a.value.T @ out.grad)
-
-        self._steps.append((out, back))
-        return out
-
-    def transpose(self, a: Var) -> Var:
-        out = self._track(np.ascontiguousarray(a.value.T))
-
-        def back():
-            _accum(a, out.grad.T, owned=False)
 
         self._steps.append((out, back))
         return out
@@ -182,16 +168,6 @@ class Tape:
         self._steps.append((out, back))
         return out
 
-    def sigmoid(self, a: Var) -> Var:
-        s = sigmoid(a.value)
-        out = self._track(s)
-
-        def back():
-            _accum(a, out.grad * s * (1.0 - s))
-
-        self._steps.append((out, back))
-        return out
-
     def dropout(self, a: Var, keep: float, rng: np.random.Generator) -> Var:
         """Inverted dropout: survivors scaled by 1/keep, so evaluation mode is
         a pure identity (callers simply skip the op)."""
@@ -215,23 +191,6 @@ class Tape:
         def back():
             g = out.grad
             _accum(m, p * (g - (g * p).sum(axis=1, keepdims=True)))
-
-        self._steps.append((out, back))
-        return out
-
-    def row_norm(self, m: Var) -> Var:
-        """L2-normalize each row; rows with norm below a floor are scaled by
-        1/floor instead of being divided by ~0."""
-        n = np.sqrt((m.value ** 2).sum(axis=1, keepdims=True))
-        d = np.maximum(n, ROWNORM_EPS)
-        out = self._track(m.value / d)
-        live = n > ROWNORM_EPS
-
-        def back():
-            g = out.grad
-            dots = (g * m.value).sum(axis=1, keepdims=True)
-            full = g / d - m.value * dots / d ** 3
-            _accum(m, np.where(live, full, g / ROWNORM_EPS))
 
         self._steps.append((out, back))
         return out

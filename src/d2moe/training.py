@@ -22,8 +22,6 @@ from .moe_core import (
     ForwardResult,
     ModelConfig,
     ModelParams,
-    RoutingState,
-    RoutingTrace,
     TopK,
     accuracy,
     forward,
@@ -132,8 +130,16 @@ class TrainConfig:
             raise ValueError("max_epochs and patience must be >= 1")
         if not 0 < self.lr < math.inf:
             raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
-        if self.lambda_re < 0 or self.lambda_lb < 0:
-            raise ValueError("loss weights must be nonnegative")
+        for name in ("lambda_re", "lambda_lb", "weight_decay", "grad_clip"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0 <= value < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {value}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
 
 
 # ---- losses --------------------------------------------------------------
@@ -145,59 +151,17 @@ class LossBreakdown:
     routing_entropy: float
     load_balance: float
     total: float
-    lam1: float
-    lam2: float
-
-
-def task_loss(trace_probs: np.ndarray, labels: np.ndarray, train_mask: np.ndarray) -> float:
-    """Mean negative log-probability of the true class over training nodes
-    (plain-value counterpart of the tape op)."""
-    idx = np.flatnonzero(train_mask)
-    if idx.size == 0:
-        raise ValueError("task_loss: empty training mask")
-    picked = np.maximum(trace_probs[idx, labels[idx]], 1e-12)
-    return float(-np.log(picked).mean())
-
-
-def routing_entropy_loss(trace: RoutingTrace) -> float:
-    """Mean Shannon entropy (natural log) of the router distributions over all
-    nodes and layers; zero when every row is one-hot, ln K when uniform."""
-    n = trace.layers[0].pi.shape[0]
-    total = 0.0
-    for lt in trace.layers:
-        p = lt.pi
-        total += float(np.where(p > 0, p * np.log(np.maximum(p, 1e-12)), 0.0).sum())
-    return -total / (n * len(trace.layers))
-
-
-def load_balance_loss(trace: RoutingTrace) -> float:
-    """Per layer: K * sum_i f_i * Q_i where f_i is the fraction of nodes that
-    selected expert i (a constant) and Q_i the mean routing probability.
-    Balanced one-expert routing gives exactly 1.0 per layer; total collapse
-    onto one expert gives K."""
-    total = 0.0
-    for lt in trace.layers:
-        k = lt.pi.shape[1]
-        f = lt.selected.mean(axis=0)
-        q = lt.pi.mean(axis=0)
-        total += float(k * (f * q).sum())
-    return total
-
-
-def total_loss(task: float, routing_entropy: float, load_balance: float,
-               lam1: float, lam2: float) -> LossBreakdown:
-    return LossBreakdown(task=task, routing_entropy=routing_entropy,
-                         load_balance=load_balance,
-                         total=task + lam1 * routing_entropy + lam2 * load_balance,
-                         lam1=lam1, lam2=lam2)
 
 
 def losses_on_tape(fw: ForwardResult, g: Graph, lam1: float, lam2: float
                    ) -> tuple[LossBreakdown, Var, Var]:
-    """Build the regularized objective on the forward tape. Returns the value
-    breakdown, the total scalar Var, and the task scalar Var. The selection
-    frequencies inside the balance term are frozen constants: its gradient
-    reaches parameters only through the mean routing probabilities."""
+    """Build the regularized objective on the forward tape: the mean true-class
+    NLL over training nodes, plus lam1 times the mean router entropy (natural
+    log) over nodes and layers, plus lam2 times the balance term, per layer
+    K * sum_i f_i * Q_i (f_i the fraction of nodes selecting expert i, Q_i its
+    mean routing probability). Returns the value breakdown, the total scalar
+    Var, and the task scalar Var. The selection frequencies f_i are frozen
+    constants: the balance gradient reaches parameters only through Q_i."""
     tape = fw.tape
     n = fw.probs.shape[0]
     n_layers = len(fw.layer_pis)
@@ -218,8 +182,7 @@ def losses_on_tape(fw: ForwardResult, g: Graph, lam1: float, lam2: float
 
     total = tape.add(task, tape.add(tape.scale(ent, lam1), tape.scale(lb, lam2)))
     breakdown = LossBreakdown(task=task.item(), routing_entropy=ent.item(),
-                              load_balance=lb.item(), total=total.item(),
-                              lam1=lam1, lam2=lam2)
+                              load_balance=lb.item(), total=total.item())
     return breakdown, total, task
 
 
@@ -319,7 +282,6 @@ class TrainState:
     best_epoch: int
     best_val_acc: float
     history: list[EpochReport]
-    routing: RoutingState
     stopped_early: bool
 
 
@@ -380,7 +342,6 @@ def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
     lam1, lam2 = _effective_lambdas(variant, config)
 
     entropy: np.ndarray | None = None
-    routing_state = RoutingState()
     history: list[EpochReport] = []
     best_params = params.copy()
     best_val = -np.inf
@@ -391,9 +352,7 @@ def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
     for epoch in range(config.max_epochs):
         budget = _epoch_budget(variant, epoch, entropy, model_config, g.n,
                                routing_rng, threshold_override)
-        routing_state = RoutingState(
-            epoch=epoch, entropy=entropy,
-            threshold=None if isinstance(budget, TopK) else budget)
+        prev_entropy = entropy
 
         fw = forward(params, g, budget, mode="train", rng=dropout_rng)
         breakdown, total_var, _ = losses_on_tape(fw, g, lam1, lam2)
@@ -425,7 +384,7 @@ def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
         )
         history.append(report)
         if epoch_hook is not None:
-            epoch_hook(epoch=epoch, budget=budget, prev_entropy=routing_state.entropy,
+            epoch_hook(epoch=epoch, budget=budget, prev_entropy=prev_entropy,
                        report=report, params=params)
 
         if report.acc_val > best_val:
@@ -443,7 +402,7 @@ def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
 
     return TrainState(params=best_params, final_params=params, best_epoch=best_epoch,
                       best_val_acc=float(best_val), history=history,
-                      routing=routing_state, stopped_early=stopped_early)
+                      stopped_early=stopped_early)
 
 
 def write_metrics(history: list[EpochReport], path) -> None:

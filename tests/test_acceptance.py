@@ -30,16 +30,15 @@ from d2moe.analysis import (
 from d2moe.graph import SbmSpec, generate_sbm, split_nodes
 from d2moe.moe_core import (
     TOP_P_SLACK,
-    LayerTrace,
     ModelConfig,
-    RoutingTrace,
+    ModelParams,
     evaluate,
     forward,
     init_params,
     load_checkpoint,
     predictive_entropy,
     save_checkpoint,
-    select_top_p,
+    select_top_p_batch,
 )
 from d2moe.numerics import grad_check
 from d2moe.theory import ScalingParams, fit_scaling_exponent, optimal_k_bruteforce, \
@@ -47,7 +46,6 @@ from d2moe.theory import ScalingParams, fit_scaling_exponent, optimal_k_brutefor
 from d2moe.training import (
     TrainConfig,
     fit,
-    load_balance_loss,
     losses_on_tape,
     write_metrics,
 )
@@ -101,19 +99,11 @@ def test_gradient_fidelity(verdict):
                       expert_layout="half_half", backbone="gcn")
     params = init_params(cfg, np.random.default_rng(8))
     params64 = {name: arr.astype(np.float64) for name, arr in params.named_tensors()}
-
-    class P:
-        config = cfg
-        layers = params.layers
-
-        @staticmethod
-        def named_tensors():
-            return iter(params64.items())
-
     thresholds = np.full(g.n, 0.8)
 
     def build():
-        fw = forward(P, g, thresholds, mode="train", update_norm_stats=False)
+        fw = forward(ModelParams(cfg, params64), g, thresholds, mode="train",
+                     update_norm_stats=False)
         _, total, _ = losses_on_tape(fw, g, lam1=1e-4, lam2=1e-3)
         return fw.tape, total, fw.leaf_vars
 
@@ -146,6 +136,14 @@ def _minimal_subset_size(pi: np.ndarray, p: float) -> int:
             if pi[list(combo)].sum() >= p - TOP_P_SLACK:
                 return m
     return pi.size
+
+
+def select_top_p(pi: np.ndarray, p: float) -> np.ndarray:
+    """The model's selector on one score row: the selected indices in
+    descending-score order (stable ties)."""
+    mask = select_top_p_batch(pi[None, :], np.array([p]))[0]
+    order = np.argsort(-pi, kind="stable")
+    return order[mask[order]]
 
 
 def test_top_p_minimality_and_nesting(verdict):
@@ -181,16 +179,19 @@ def test_cold_start_full_activation(verdict, hetero_graph):
     assert ok
 
 
+def load_balance_loss(pi: np.ndarray, selected: np.ndarray) -> float:
+    """Reference balance term of one layer: K * sum_i f_i * Q_i, with f_i the
+    fraction of nodes selecting expert i and Q_i its mean routing probability."""
+    return float(pi.shape[1] * (selected.mean(axis=0) * pi.mean(axis=0)).sum())
+
+
 def test_load_balance_calibration(verdict):
     """Exact values on hand-built routings, and gradient flow only through
     the mean routing probability."""
     assign = np.eye(4)[np.array([0, 1, 2, 3] * 2)]
-    balanced = load_balance_loss(
-        RoutingTrace([LayerTrace(pi=assign, selected=assign > 0, renorm=assign)]))
+    balanced = load_balance_loss(assign, assign > 0)
     collapse_pi = np.eye(4)[np.zeros(8, int)]
-    collapsed = load_balance_loss(
-        RoutingTrace([LayerTrace(pi=collapse_pi, selected=collapse_pi > 0,
-                                 renorm=collapse_pi)]))
+    collapsed = load_balance_loss(collapse_pi, collapse_pi > 0)
 
     g = _small_split_graph(n=24, dim=6, seed=5)
     cfg = ModelConfig(in_dim=6, hidden=8, classes=4, experts=3, layers=2, dropout=0.0)

@@ -282,3 +282,11 @@ def test_import_d2moe_does_not_load_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_public_names_resolve_once():
+    import d2moe
+
+    assert len(d2moe.__all__) == len(set(d2moe.__all__))
+    for name in d2moe.__all__:
+        assert getattr(d2moe, name) is not None, name

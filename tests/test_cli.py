@@ -3,6 +3,7 @@ temporary directories, with determinism and chance-level sanity checks."""
 
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -131,6 +132,8 @@ def test_train_requires_data_source(tmp_path, capsys):
     ("--hidden", "0", "hidden"),
     ("--gamma", "nan", "gamma"),
     ("--lr", "-1", "learning rate"),
+    ("--weight-decay", "-1", "weight_decay"),
+    ("--lambda-re", "nan", "lambda_re"),
 ])
 def test_train_rejects_bad_input_with_one_line_error(tmp_path, capsys, flag, value, word):
     rc = main(["train", "--sbm", SBM_SMALL, "--epochs", "1", flag, value,
@@ -210,6 +213,20 @@ def test_eval_rejects_dimension_mismatch(tmp_path, capsys):
                "--out-dir", str(tmp_path / "ev")])
     assert rc == 1
     assert "checkpoint expects" in capsys.readouterr().err
+
+
+def test_eval_rejects_non_finite_checkpoint(tmp_path, capsys):
+    cfg = ModelConfig(in_dim=8, hidden=16, classes=4, experts=3, layers=2)
+    ckpt = tmp_path / "nan.bin"
+    save_checkpoint(init_params(cfg, np.random.default_rng(0)), ckpt)
+    raw = ckpt.read_bytes()
+    ckpt.write_bytes(raw[:-4] + struct.pack("<f", float("nan")))  # last float of head.b
+    rc = main(["eval", "--checkpoint", str(ckpt), "--sbm", SBM_SMALL,
+               "--out-dir", str(tmp_path / "ev")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "head.b" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 # ---- stratify ------------------------------------------------------------

@@ -2,6 +2,9 @@
 numpy reimplementation; checkpoint round trips."""
 
 import itertools
+import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +15,8 @@ from d2moe.graph import SbmSpec, build_graph, generate_sbm, split_nodes
 from d2moe.moe_core import (
     CheckpointError,
     ExpertKind,
-    ExpertParams,
     ModelConfig,
+    ModelParams,
     TopK,
     accuracy,
     evaluate,
@@ -23,16 +26,14 @@ from d2moe.moe_core import (
     map_budget,
     predict,
     predictive_entropy,
-    renormalize,
-    route_scores,
     save_checkpoint,
-    select_top_p,
     select_top_p_batch,
     top_k_mask,
 )
 from d2moe.numerics import Tape, grad_check
 
 RNG = np.random.default_rng
+V1_CHECKPOINT = Path(__file__).parent / "data" / "v1_sage_half_half_bn.bin"
 
 
 def small_graph(n=20, seed=0, classes=3):
@@ -123,6 +124,14 @@ def brute_force_min_cardinality(pi, p):
     return k
 
 
+def select_top_p(pi, p):
+    """The model's selector on one score row: the selected indices in
+    descending-score order (stable ties)."""
+    mask = select_top_p_batch(pi[None, :], np.array([p]))[0]
+    order = np.argsort(-pi, kind="stable")
+    return order[mask[order]]
+
+
 def test_select_examples():
     assert set(select_top_p(np.array([0.6, 0.3, 0.1]), 0.5)) == {0}
     assert set(select_top_p(np.array([0.2, 0.5, 0.3]), 1.0)) == {0, 1, 2}
@@ -165,6 +174,7 @@ def test_select_monotone_nesting():
 
 
 def test_select_batch_matches_scalar():
+    """Each row of a batch is selected as if alone, with its own threshold."""
     rng = RNG(11)
     pi = rng.dirichlet(np.ones(5), size=40)
     thr = rng.uniform(0, 1, size=40)
@@ -172,6 +182,7 @@ def test_select_batch_matches_scalar():
     for v in range(40):
         np.testing.assert_array_equal(np.flatnonzero(mask[v]),
                                       np.sort(select_top_p(pi[v], thr[v])))
+        assert mask[v].sum() == brute_force_min_cardinality(pi[v], thr[v])
 
 
 def test_top_k_mask_stable_ties():
@@ -181,42 +192,33 @@ def test_top_k_mask_stable_ties():
         top_k_mask(np.ones((1, 3)), k=4)
 
 
-# ---- renormalize ---------------------------------------------------------
-
-
-def test_renormalize_examples():
-    np.testing.assert_allclose(
-        renormalize(np.array([0.6, 0.3, 0.1]), np.array([True, False, False])),
-        [1.0, 0.0, 0.0])
-    pi = np.array([0.5, 0.3, 0.2])
-    np.testing.assert_allclose(
-        renormalize(pi, np.array([True, True, False])), [0.625, 0.375, 0.0])
-    np.testing.assert_allclose(renormalize(pi, np.ones(3, dtype=bool)), pi)
-
-
-def test_renormalize_zero_mass_guard():
-    with pytest.raises(ValueError):
-        renormalize(np.array([0.0, 1.0]), np.array([True, False]))
-
-
 # ---- router --------------------------------------------------------------
+
+
+def route_scores(h, t, l):
+    """Dense reference router of layer ``l`` over the float32 tensors ``t``."""
+    f64 = lambda name: t[f"layer{l}.router.{name}"].astype(np.float64)
+    hidden = np.maximum(h @ f64("w1") + f64("b1"), 0.0)
+    logits = hidden @ f64("w2") + f64("b2")
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def test_route_scores_zero_weights_uniform():
     g = small_graph()
     params = small_params(g, experts=4)
-    r = params.layers[0].router
-    r.w1[...] = 0
-    r.w2[...] = 0
-    pi = route_scores(RNG(0).normal(size=(6, 8)), r)
-    np.testing.assert_allclose(pi, 0.25, atol=1e-12)
+    params.tensors["layer0.router.w1"][...] = 0
+    params.tensors["layer0.router.w2"][...] = 0
+    fw = forward(params, g, np.ones(g.n), mode="eval")
+    np.testing.assert_allclose(fw.trace.layers[0].pi, 0.25, atol=1e-12)
 
 
 def test_route_scores_rows_sum_to_one():
     g = small_graph()
     params = small_params(g, experts=5)
-    pi = route_scores(RNG(1).normal(size=(10, 8)), params.layers[0].router)
-    np.testing.assert_allclose(pi.sum(axis=1), 1.0, atol=1e-6)
+    fw = forward(params, g, np.full(g.n, 0.5), mode="eval")
+    for lt in fw.trace.layers:
+        np.testing.assert_allclose(lt.pi.sum(axis=1), 1.0, atol=1e-12)
 
 
 # ---- experts vs dense oracles -------------------------------------------
@@ -226,11 +228,10 @@ def _expert_via_tape(kind, tensors, h, g):
     from d2moe.moe_core import _expert_output, _layer_aggregates
 
     tape = Tape()
-    expert = ExpertParams(kind, tensors)
     lv = {f"e.{k}": tape.leaf(v.astype(np.float64)) for k, v in tensors.items()}
     hv = tape.leaf(h)
     agg = _layer_aggregates(tape, hv, g, [kind])
-    return _expert_output(tape, expert, lv, "e", hv, agg, g).value
+    return _expert_output(tape, kind, lv, "e", hv, agg, g).value
 
 
 def test_gcn_one_hop_identity_graph():
@@ -360,15 +361,17 @@ def test_forward_full_activation_matches_dense_mixture_oracle():
     fw = forward(params, g, np.ones(g.n), mode="eval")
 
     adj = g.adj.toarray()
-    f64 = lambda a: a.astype(np.float64)
-    h = np.maximum(g.features @ f64(params.embed_w) + f64(params.embed_b), 0.0)
-    for layer in params.layers:
-        zs = [adj @ (h @ f64(e.tensors["w"])) + f64(e.tensors["b"]) for e in layer.experts]
-        pi = route_scores(h, layer.router)
+    t = params.tensors
+    f64 = lambda name: t[name].astype(np.float64)
+    h = np.maximum(g.features @ f64("embed.w") + f64("embed.b"), 0.0)
+    for l in range(2):
+        zs = [adj @ (h @ f64(f"layer{l}.expert{i}.w")) + f64(f"layer{l}.expert{i}.b")
+              for i in range(3)]
+        pi = route_scores(h, t, l)
         pi = pi / pi.sum(axis=1, keepdims=True)  # renormalization over the full set
         h = h + sum(pi[:, i : i + 1] * zs[i] for i in range(3))
         h = np.maximum(h, 0.0)
-    logits = h @ f64(params.head_w) + f64(params.head_b)
+    logits = h @ f64("head.w") + f64("head.b")
     z = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
 
@@ -394,12 +397,12 @@ def test_forward_train_needs_rng_with_dropout():
 def test_forward_train_updates_running_stats_eval_does_not():
     g = small_graph()
     params = small_params(g, use_batch_norm=True, dropout=0.0)
-    norm = params.layers[0].norm
-    before = norm.running_mean.copy()
+    running_mean = params.tensors["layer0.norm.running_mean"]
+    before = running_mean.copy()
     forward(params, g, np.ones(g.n), mode="eval")
-    np.testing.assert_array_equal(norm.running_mean, before)
+    np.testing.assert_array_equal(running_mean, before)
     forward(params, g, np.ones(g.n), mode="train")
-    assert not np.array_equal(norm.running_mean, before)
+    assert not np.array_equal(running_mean, before)
 
 
 def test_predict_tie_rules():
@@ -424,20 +427,11 @@ def test_full_model_grad_check_all_expert_kinds_norm_dropout():
                       expert_layout="half_half", backbone="sage")
     params = init_params(cfg, RNG(5))
     params64 = {name: arr.astype(np.float64) for name, arr in params.named_tensors()}
-
-    class P:
-        config = cfg
-        layers = params.layers
-
-        @staticmethod
-        def named_tensors():
-            return iter(params64.items())
-
     thresholds = np.full(g.n, 0.8)
     train_idx = g.mask_idx("train")
 
     def build():
-        fw = forward(P, g, thresholds, mode="train", rng=RNG(77),
+        fw = forward(ModelParams(cfg, params64), g, thresholds, mode="train", rng=RNG(77),
                      update_norm_stats=False)
         loss = fw.tape.masked_nll(fw.probs, g.labels, train_idx)
         return fw.tape, loss, fw.leaf_vars
@@ -533,3 +527,51 @@ def test_checkpoint_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"x")
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(path)
+
+
+def _saved(tmp_path, **kw):
+    path = tmp_path / "model.bin"
+    save_checkpoint(small_params(small_graph(), **kw), path)
+    return path
+
+
+def test_checkpoint_rejects_non_finite_tensor(tmp_path):
+    path = _saved(tmp_path)
+    raw = path.read_bytes()
+    for bad in (math.nan, math.inf):
+        # the last four bytes are the final float of head.b
+        path.write_bytes(raw[:-4] + struct.pack("<f", bad))
+        with pytest.raises(CheckpointError, match="head.b"):
+            load_checkpoint(path)
+
+
+def test_checkpoint_unknown_name_and_bad_shape(tmp_path):
+    path = _saved(tmp_path)
+    raw = path.read_bytes()
+    at = raw.index(b"head.b") + len(b"head.b")
+    path.write_bytes(raw.replace(b"head.b", b"head.c"))
+    with pytest.raises(CheckpointError, match="unknown tensor name 'head.c'"):
+        load_checkpoint(path)
+    rows, cols = struct.unpack("<2I", raw[at:at + 8])
+    # a swapped shape, and one whose data would not fit in memory
+    for shape in ((cols, rows), (2**31, 2**31)):
+        path.write_bytes(raw[:at] + struct.pack("<2I", *shape) + raw[at + 8:])
+        with pytest.raises(CheckpointError, match="expected shape"):
+            load_checkpoint(path)
+
+
+def test_v1_checkpoint_loads_and_round_trips(tmp_path):
+    """A v1 file (sage, half_half, batch norm, running stats moved by a
+    training forward) loads, keeps its tensor order and re-saves to the same
+    bytes."""
+    params = load_checkpoint(V1_CHECKPOINT)
+    cfg = params.config
+    assert (cfg.backbone, cfg.expert_layout, cfg.use_batch_norm) == ("sage", "half_half", True)
+    names = [name for name, _ in params.named_tensors()]
+    assert names == [name for name, _ in init_params(cfg, RNG(0)).named_tensors()]
+    for l in range(cfg.layers):
+        assert np.all(params.tensors[f"layer{l}.norm.running_mean"] != 0.0)
+        assert np.all(params.tensors[f"layer{l}.norm.running_var"] != 1.0)
+    path = tmp_path / "again.bin"
+    save_checkpoint(params, path)
+    assert path.read_bytes() == V1_CHECKPOINT.read_bytes()

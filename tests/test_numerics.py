@@ -11,7 +11,6 @@ from d2moe.numerics import (
     ShapeError,
     Tape,
     grad_check,
-    relu,
     sigmoid,
 )
 
@@ -177,7 +176,8 @@ def test_softmax_fd():
 
 def test_pointwise_trivia():
     assert sigmoid(np.array([0.0]))[0] == 0.5
-    np.testing.assert_array_equal(relu(np.array([-3.0, 3.0])), [0.0, 3.0])
+    t = Tape()
+    np.testing.assert_array_equal(t.relu(t.leaf([[-3.0, 3.0]])).value, [[0.0, 3.0]])
 
 
 def test_sigmoid_saturation_finite():
@@ -193,7 +193,7 @@ def test_relu_sigmoid_fd():
     def build():
         t = Tape()
         vm = t.leaf(m)
-        return t, t.weighted_colsum(t.sigmoid(t.relu(vm)), w), {"m": vm}
+        return t, t.weighted_colsum(t.softmax_rows(t.relu(vm)), w), {"m": vm}
 
     run_check(build, {"m": m})
 
@@ -235,28 +235,6 @@ def test_dropout_fd_fixed_mask():
     run_check(build, {"x": x})
 
 
-def test_row_norm_unit_rows_and_fd():
-    m = RNG(22).uniform(-2, 2, size=(4, 3)) + 0.1
-    t = Tape()
-    out = t.row_norm(t.leaf(m))
-    np.testing.assert_allclose(np.linalg.norm(out.value, axis=1), 1.0, atol=1e-12)
-
-    w = RNG(23).normal(size=3)
-
-    def build():
-        tape = Tape()
-        vm = tape.leaf(m)
-        return tape, tape.weighted_colsum(tape.row_norm(vm), w), {"m": vm}
-
-    run_check(build, {"m": m})
-
-
-def test_row_norm_zero_row_safe():
-    t = Tape()
-    out = t.row_norm(t.leaf(np.zeros((1, 3))))
-    assert np.all(np.isfinite(out.value))
-
-
 # ---- renorm_masked / mix -------------------------------------------------
 
 
@@ -266,6 +244,10 @@ def test_renorm_masked_values():
     t = Tape()
     out = t.renorm_masked(t.leaf(pi), mask)
     np.testing.assert_allclose(out.value, [[0.625, 0.375, 0.0]], atol=1e-12)
+    first_only = t.renorm_masked(t.leaf([[0.6, 0.3, 0.1]]), np.array([[True, False, False]]))
+    np.testing.assert_allclose(first_only.value, [[1.0, 0.0, 0.0]], atol=1e-12)
+    everything = t.renorm_masked(t.leaf(pi), np.ones((1, 3), dtype=bool))
+    np.testing.assert_allclose(everything.value, pi, atol=1e-12)
 
 
 def test_renorm_masked_zero_mass_guarded():
@@ -515,20 +497,25 @@ def test_backward_requires_scalar_seed():
 # ---- grad_check harness --------------------------------------------------
 
 
+def _sum_of_squares(t, v):
+    """Scalar sum of squares of a column Var: each row weighted by itself."""
+    return t.weighted_colsum(t.mix([v], v), np.ones(1))
+
+
 def test_grad_check_quadratic():
-    w = np.array([[1.0, 2.0]])
+    w = np.array([[1.0], [2.0]])
 
     def build():
         t = Tape()
         v = t.leaf(w)
-        return t, t.matmul(v, t.transpose(v)), {"w": v}
+        return t, _sum_of_squares(t, v), {"w": v}
 
     report = grad_check(build, {"w": w})
     assert report.max_rel_err < 1e-8
     # analytic gradient of w.w is 2w
     t, out, lv = build()
     t.backward(out)
-    np.testing.assert_allclose(lv["w"].grad, [[2.0, 4.0]], atol=1e-12)
+    np.testing.assert_allclose(lv["w"].grad, [[2.0], [4.0]], atol=1e-12)
 
 
 def test_grad_check_flags_nondeterminism():
@@ -552,7 +539,7 @@ def test_grad_check_flags_non_finite():
     def build():
         t = Tape()
         v = t.leaf(x)
-        return t, t.matmul(v, t.transpose(v)), {"x": v}  # overflows to inf
+        return t, _sum_of_squares(t, v), {"x": v}  # overflows to inf
 
     with pytest.raises(GradCheckError):
         grad_check(build, {"x": x})

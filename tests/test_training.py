@@ -3,12 +3,14 @@ replica, and the training loop's budget bootstrap checked causally."""
 
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from d2moe.graph import SbmSpec, generate_sbm, split_nodes
 from d2moe.moe_core import (
+    ForwardResult,
     LayerTrace,
     ModelConfig,
     RoutingTrace,
@@ -34,22 +36,40 @@ from d2moe.training import (
     clip_global_norm,
     decays,
     fit,
-    load_balance_loss,
     losses_on_tape,
     make_variant,
-    routing_entropy_loss,
-    task_loss,
-    total_loss,
     write_metrics,
 )
 
 
-def _trace(pi, selected):
+def _layer(pi, selected):
     pi = np.asarray(pi, dtype=np.float64)
     selected = np.asarray(selected, dtype=bool)
     renorm = np.where(selected, pi, 0.0)
     renorm = renorm / renorm.sum(axis=1, keepdims=True)
-    return RoutingTrace([LayerTrace(pi=pi, selected=selected, renorm=renorm)])
+    return LayerTrace(pi=pi, selected=selected, renorm=renorm)
+
+
+def _losses(layers, probs=None, labels=None, train_mask=None):
+    """``losses_on_tape`` over hand-built router rows put on a tape as leaves.
+    Without ``probs`` every node predicts uniformly over two classes."""
+    n = layers[0].pi.shape[0]
+    probs = np.full((n, 2), 0.5) if probs is None else probs
+    labels = np.zeros(n, int) if labels is None else labels
+    train_mask = np.ones(n, bool) if train_mask is None else train_mask
+    tape = Tape()
+    fw = ForwardResult(probs=tape.leaf(probs), layer_pis=[tape.leaf(lt.pi) for lt in layers],
+                       trace=RoutingTrace(layers), tape=tape, leaf_vars={})
+    g = SimpleNamespace(labels=labels, mask_idx=lambda split: np.flatnonzero(train_mask))
+    return losses_on_tape(fw, g, lam1=1.0, lam2=1.0)[0]
+
+
+def routing_entropy_loss(*layers):
+    return _losses(list(layers)).routing_entropy
+
+
+def load_balance_loss(*layers):
+    return _losses(list(layers)).load_balance
 
 
 def _sbm_graph(n=200, classes=4, dim=8, p_in=0.15, p_out=0.01, signal=3.0, seed=3):
@@ -63,28 +83,27 @@ def _sbm_graph(n=200, classes=4, dim=8, p_in=0.15, p_out=0.01, signal=3.0, seed=
 
 def test_routing_entropy_one_hot_is_zero():
     pi = np.eye(4)[np.array([0, 1, 2, 3, 0, 2])]
-    assert routing_entropy_loss(_trace(pi, np.ones_like(pi, dtype=bool))) == 0.0
+    assert routing_entropy_loss(_layer(pi, np.ones_like(pi, dtype=bool))) == 0.0
 
 
 def test_routing_entropy_uniform_is_log_k():
     k = 5
     pi = np.full((7, k), 1.0 / k)
-    val = routing_entropy_loss(_trace(pi, np.ones_like(pi, dtype=bool)))
+    val = routing_entropy_loss(_layer(pi, np.ones_like(pi, dtype=bool)))
     assert val == pytest.approx(np.log(k), rel=1e-12)
 
 
 def test_routing_entropy_half_half_is_log_2():
     pi = np.array([[0.5, 0.5, 0.0, 0.0]] * 3)
-    val = routing_entropy_loss(_trace(pi, pi > 0))
+    val = routing_entropy_loss(_layer(pi, pi > 0))
     assert val == pytest.approx(np.log(2.0), rel=1e-12)
 
 
 def test_routing_entropy_averages_over_layers():
     k = 4
-    uniform = _trace(np.full((6, k), 0.25), np.ones((6, k), bool)).layers[0]
-    onehot = _trace(np.eye(k)[np.zeros(6, int)], np.ones((6, k), bool)).layers[0]
-    both = RoutingTrace([uniform, onehot])
-    assert routing_entropy_loss(both) == pytest.approx(np.log(k) / 2.0, rel=1e-12)
+    uniform = _layer(np.full((6, k), 0.25), np.ones((6, k), bool))
+    onehot = _layer(np.eye(k)[np.zeros(6, int)], np.ones((6, k), bool))
+    assert routing_entropy_loss(uniform, onehot) == pytest.approx(np.log(k) / 2.0, rel=1e-12)
 
 
 def test_load_balance_balanced_top1_is_one():
@@ -92,40 +111,38 @@ def test_load_balance_balanced_top1_is_one():
     # one-hot router row: f_i = Q_i = 1/4, so K * sum f_i Q_i = 1.
     assign = np.array([0, 1, 2, 3, 0, 1, 2, 3])
     pi = np.eye(4)[assign]
-    assert load_balance_loss(_trace(pi, pi > 0)) == pytest.approx(1.0, abs=1e-15)
+    assert load_balance_loss(_layer(pi, pi > 0)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_load_balance_collapse_is_k():
     pi = np.eye(4)[np.zeros(8, int)]
-    assert load_balance_loss(_trace(pi, pi > 0)) == pytest.approx(4.0, abs=1e-15)
+    assert load_balance_loss(_layer(pi, pi > 0)) == pytest.approx(4.0, abs=1e-15)
 
 
 def test_load_balance_uniform_all_selected_is_k():
     # Everything selected (f_i = 1) with uniform rows (Q_i = 1/K): K * K/K = K.
     pi = np.full((6, 4), 0.25)
-    assert load_balance_loss(_trace(pi, np.ones((6, 4), bool))) == pytest.approx(4.0)
+    assert load_balance_loss(_layer(pi, np.ones((6, 4), bool))) == pytest.approx(4.0)
 
 
 def test_load_balance_sums_over_layers():
     pi = np.eye(2)[np.array([0, 1, 0, 1])]
-    t = RoutingTrace([_trace(pi, pi > 0).layers[0]] * 3)
-    assert load_balance_loss(t) == pytest.approx(3.0, abs=1e-14)
+    assert load_balance_loss(*[_layer(pi, pi > 0)] * 3) == pytest.approx(3.0, abs=1e-14)
 
 
 def test_load_balance_enumeration_minimum_at_balance():
     """Over all 2^8 hard top-1 assignments of 8 nodes to 2 experts (router
     rows one-hot and matching), the loss is minimized exactly by the balanced
     assignments, where it equals 1."""
-    best = min(
-        load_balance_loss(_trace(np.eye(2)[list(a)], np.eye(2)[list(a)] > 0))
-        for a in itertools.product([0, 1], repeat=8)
-    )
-    balanced = load_balance_loss(_trace(np.eye(2)[[0, 1] * 4], np.eye(2)[[0, 1] * 4] > 0))
+    def hard(assign):
+        pi = np.eye(2)[list(assign)]
+        return load_balance_loss(_layer(pi, pi > 0))
+
+    best = min(hard(a) for a in itertools.product([0, 1], repeat=8))
+    balanced = hard([0, 1] * 4)
     assert best == pytest.approx(1.0, abs=1e-15)
     assert balanced == best
-    unbalanced = load_balance_loss(_trace(np.eye(2)[[0] * 6 + [1] * 2],
-                                          np.eye(2)[[0] * 6 + [1] * 2] > 0))
-    assert unbalanced > balanced
+    assert hard([0] * 6 + [1] * 2) > balanced
 
 
 def test_task_loss_hand_case():
@@ -133,19 +150,14 @@ def test_task_loss_hand_case():
     labels = np.array([0, 1, 1])
     mask = np.array([True, True, False])
     expected = -(np.log(0.5) + np.log(0.75)) / 2.0
-    assert task_loss(probs, labels, mask) == pytest.approx(expected, rel=1e-14)
+    uniform = _layer(np.full((3, 2), 0.5), np.ones((3, 2), bool))
+    assert _losses([uniform], probs, labels, mask).task == pytest.approx(expected, rel=1e-14)
 
 
 def test_task_loss_empty_mask_rejected():
+    uniform = _layer(np.full((2, 2), 0.5), np.ones((2, 2), bool))
     with pytest.raises(ValueError):
-        task_loss(np.ones((2, 2)) / 2, np.zeros(2, int), np.zeros(2, bool))
-
-
-def test_total_loss_combination():
-    b = total_loss(task=1.3, routing_entropy=2.0, load_balance=2.0,
-                   lam1=1e-4, lam2=0.1)
-    assert b.total == pytest.approx(1.3 + 2e-4 + 0.2, rel=1e-14)
-    assert b.task == 1.3 and b.lam1 == 1e-4 and b.lam2 == 0.1
+        _losses([uniform], np.ones((2, 2)) / 2, np.zeros(2, int), np.zeros(2, bool))
 
 
 # ---- losses on tape vs plain values --------------------------------------
@@ -161,14 +173,24 @@ def _tiny_forward(seed=0, **cfg_kw):
 
 
 def test_tape_losses_match_plain_values():
+    """The tape objective against plain numpy: mean true-class NLL over the
+    training nodes, router entropy averaged over nodes and layers, and per
+    layer K * sum_i f_i * Q_i summed over layers."""
     g, _, fw = _tiny_forward()
-    breakdown, total_var, task_var = losses_on_tape(fw, g, lam1=0.01, lam2=0.1)
-    assert breakdown.task == pytest.approx(
-        task_loss(fw.probs.value, g.labels, g.train_mask), rel=1e-12)
-    assert breakdown.routing_entropy == pytest.approx(
-        routing_entropy_loss(fw.trace), rel=1e-12)
-    assert breakdown.load_balance == pytest.approx(
-        load_balance_loss(fw.trace), rel=1e-12)
+    lam1, lam2 = 0.01, 0.1
+    breakdown, total_var, task_var = losses_on_tape(fw, g, lam1=lam1, lam2=lam2)
+    idx = g.mask_idx("train")
+    task = -np.log(fw.probs.value[idx, g.labels[idx]]).mean()
+    pis = [lt.pi for lt in fw.trace.layers]
+    entropy = -sum((p * np.log(p)).sum() for p in pis) / (g.n * len(pis))
+    balance = sum(p.shape[1] * (lt.selected.mean(axis=0) * p.mean(axis=0)).sum()
+                  for p, lt in zip(pis, fw.trace.layers))
+    assert breakdown.task == pytest.approx(task, rel=1e-12)
+    assert breakdown.routing_entropy == pytest.approx(entropy, rel=1e-12)
+    assert breakdown.load_balance == pytest.approx(balance, rel=1e-12)
+    assert breakdown.total == pytest.approx(
+        breakdown.task + lam1 * breakdown.routing_entropy + lam2 * breakdown.load_balance,
+        rel=1e-14)
     assert breakdown.total == pytest.approx(total_var.item(), rel=1e-12)
     assert task_var.item() == pytest.approx(breakdown.task, rel=1e-12)
 
@@ -359,6 +381,17 @@ def test_train_config_validation():
     for lr in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="learning rate"):
             TrainConfig(lr=lr)
+    nan, inf = float("nan"), float("inf")
+    bad = {"grad_clip": (-1.0, nan, inf), "weight_decay": (-1.0, nan, inf),
+           "lambda_re": (inf, nan), "lambda_lb": (nan, inf, -1.0),
+           "beta1": (1.0, -0.1, nan), "beta2": (-0.5, 1.0, nan),
+           "eps": (0.0, -1e-8, nan, inf)}
+    for name, values in bad.items():
+        for value in values:
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**{name: value})
+    TrainConfig(grad_clip=0.0, weight_decay=0.0, lambda_re=0.0, lambda_lb=0.0,
+                beta1=0.0, beta2=0.0, eps=1e-30)
 
 
 def test_model_config_validation():
@@ -521,6 +554,33 @@ def test_lazy_backward_matches_zero_filled_replay(backbone, layout, batch_norm):
         np.testing.assert_array_equal(before, v.grad)
     for name, leaf in fw.leaf_vars.items():
         assert lazy[tape._vars.index(leaf)].tobytes() == leaf.grad.tobytes(), name
+
+
+def test_model_records_every_tape_op(monkeypatch):
+    """Every public Tape op is recorded by some forward plus objective, so the
+    tape carries no op the model never uses."""
+    ops = [name for name, fn in vars(Tape).items()
+           if callable(fn) and not name.startswith("_") and name not in ("leaf", "backward")]
+    called = set()
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ops:
+        monkeypatch.setattr(Tape, name, recording(name, getattr(Tape, name)))
+    g = _sbm_graph(n=40, classes=3, dim=5, p_in=0.2, p_out=0.05, signal=2.0, seed=1)
+    for backbone, layout in itertools.product(("gcn", "sage"), ("all_1hop", "half_half")):
+        cfg = ModelConfig(in_dim=5, hidden=8, classes=3, experts=3, layers=2, dropout=0.3,
+                          use_batch_norm=True, expert_layout=layout, backbone=backbone)
+        params = init_params(cfg, np.random.default_rng(0))
+        for mode in ("train", "eval"):
+            fw = forward(params, g, np.full(g.n, 0.7), mode=mode,
+                         rng=np.random.default_rng(1))
+            losses_on_tape(fw, g, lam1=1e-3, lam2=1e-2)
+    assert sorted(set(ops) - called) == []
 
 
 def test_fit_fixed_topp_constant_after_cold_start():
