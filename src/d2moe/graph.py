@@ -5,11 +5,18 @@ undirected edge list (canonical i<j, deduplicated, no self-edges), a
 symmetrically normalized adjacency with self-loops for convolution experts,
 and a row-stochastic mean aggregator (self-loop included in the neighborhood)
 for mean-aggregation experts.
+
+On disk a graph is four UTF-8 tables, each read by one ``np.loadtxt`` call:
+edges (whitespace-separated, '#' starts a comment anywhere on a line),
+comma-separated features written as the shortest round-trip ``repr``, labels
+and mask tokens. Any rejected line raises GraphFormatError naming file:line.
 """
 
 from __future__ import annotations
 
 import logging
+import warnings
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -93,8 +100,9 @@ def _canonical_edges(edges: np.ndarray, n: int) -> np.ndarray:
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
     keep = lo != hi
-    pairs = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
-    return pairs
+    # lo*n + hi orders pairs as (lo, hi) does, and a 1-D unique is a cheaper sort
+    key = np.unique(lo[keep] * n + hi[keep])
+    return np.stack([key // n, key % n], axis=1)
 
 
 def _normalized_adjacencies(edges: np.ndarray, n: int):
@@ -198,111 +206,100 @@ def edge_homophily(g: Graph) -> float:
 # ---- text formats --------------------------------------------------------
 
 
+# np.loadtxt arguments per file, the column count (None: that of the first
+# data line) and the words a line that does not parse is reported with
+_Table = namedtuple("_Table", "dtype delimiter comments width bad")
+_EDGES = _Table(np.int64, None, "#", 2, "non-integer endpoint in")
+_FEATURES = _Table(np.float64, ",", None, None, "non-numeric value in")
+_LABELS = _Table(np.int64, None, None, 1, "non-integer label")
+_MASKS = _Table(object, None, None, 1, f"mask token must be one of {_MASK_TOKENS}, got")
+
+
+def _loadtxt(source, t: _Table) -> np.ndarray:
+    return np.loadtxt(source, dtype=t.dtype, comments=t.comments, delimiter=t.delimiter,
+                      ndmin=2, encoding="utf-8")
+
+
+def _line_of_row(path, t: _Table, row: int) -> tuple[int, str]:
+    """Walk the file a line at a time through the same ``np.loadtxt`` call.
+    Raise GraphFormatError at the first line that does not parse or has the
+    wrong column count; else return the 1-based line number and text of data
+    row ``row`` (one past the last line, and '', if there is no such row)."""
+    width, seen, line_no = t.width, 0, 0
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            text = line.strip()
+            try:
+                line.encode("utf-8")
+                cells = _loadtxt([line], t)
+            except UnicodeEncodeError:
+                raise GraphFormatError(path, line_no, "invalid UTF-8") from None
+            except ValueError:
+                raise GraphFormatError(path, line_no, f"{t.bad} {text!r}") from None
+            if cells.shape[0] == 0:
+                continue
+            width = width or cells.shape[1]
+            if cells.shape[1] != width:
+                raise GraphFormatError(path, line_no,
+                                       f"expected {width} columns, got {cells.shape[1]}")
+            if seen == row:
+                return line_no, text
+            seen += 1
+    return line_no + 1, ""
+
+
+def _read_table(path, t: _Table, rows: int | None = None) -> np.ndarray:
+    """One ``np.loadtxt`` call, holding ``rows`` rows if given; only a failure
+    walks the file to name the line."""
+    try:
+        table = _loadtxt(path, t)
+    except ValueError as err:  # UnicodeDecodeError included
+        raise GraphFormatError(path, _line_of_row(path, t, -1)[0], str(err)) from None
+    if table.shape[0] and t.width not in (None, table.shape[1]):
+        _line_of_row(path, t, -1)  # raises at the first line of another width
+    if rows is not None and table.shape[0] != rows:
+        raise GraphFormatError(path, _line_of_row(path, t, rows)[0], f"row count "
+                               f"({table.shape[0]}) and feature row count ({rows}) differ")
+    return table
+
+
+def _reject_rows(path, t: _Table, bad_rows: np.ndarray, problem: str) -> None:
+    if bad_rows.any():
+        line_no, text = _line_of_row(path, t, int(np.argmax(bad_rows)))
+        raise GraphFormatError(path, line_no, f"{problem} {text!r}")
+
+
 def write_graph(g: Graph, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / EDGES_FILE, "w", encoding="utf-8") as fh:
-        fh.write("# src<TAB>dst, 0-based, undirected\n")
-        for a, b in g.raw_edges:
-            fh.write(f"{a}\t{b}\n")
-    with open(out / FEATURES_FILE, "w", encoding="utf-8") as fh:
-        for row in g.features:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-    with open(out / LABELS_FILE, "w", encoding="utf-8") as fh:
-        for y in g.labels:
-            fh.write(f"{y}\n")
-    names = np.full(g.n, "none", dtype=object)
-    names[g.train_mask] = "train"
-    names[g.val_mask] = "val"
-    names[g.test_mask] = "test"
-    with open(out / MASKS_FILE, "w", encoding="utf-8") as fh:
-        for token in names:
-            fh.write(f"{token}\n")
-
-
-def _parse_edges(path, n) -> np.ndarray:
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split("\t")
-            if len(parts) != 2:
-                raise GraphFormatError(path, line_no, f"expected 'src<TAB>dst', got {text!r}")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError(path, line_no, f"non-integer endpoint in {text!r}") from None
-            if not (0 <= a < n and 0 <= b < n):
-                raise GraphFormatError(path, line_no, f"node index out of range [0, {n})")
-            pairs.append((a, b))
-    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-
-
-def _parse_features(path) -> np.ndarray:
-    rows = []
-    width = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            parts = text.split(",")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise GraphFormatError(path, line_no,
-                                       f"expected {width} columns, got {len(parts)}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                raise GraphFormatError(path, line_no, f"non-numeric value in {text!r}") from None
-    return np.asarray(rows, dtype=np.float64)
-
-
-def _parse_labels(path) -> np.ndarray:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                out.append(int(text))
-            except ValueError:
-                raise GraphFormatError(path, line_no, f"non-integer label {text!r}") from None
-    return np.asarray(out, dtype=np.int64)
-
-
-def _parse_masks(path, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    tokens = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text not in _MASK_TOKENS:
-                raise GraphFormatError(path, line_no,
-                                       f"mask token must be one of {_MASK_TOKENS}, got {text!r}")
-            tokens.append(text)
-    if len(tokens) != n:
-        raise GraphFormatError(path, len(tokens) + 1,
-                               f"expected {n} mask lines, got {len(tokens)}")
-    arr = np.asarray(tokens, dtype=object)
-    return tuple(arr == name for name in ("train", "val", "test"))
+    tokens = np.select([g.test_mask, g.val_mask, g.train_mask], ["test", "val", "train"], "none")
+    for name, lines in (
+            (EDGES_FILE, ["# src<TAB>dst, 0-based, undirected",
+                          *(f"{a}\t{b}" for a, b in g.raw_edges.tolist())]),
+            # repr is the shortest string that reads back to the same float64
+            (FEATURES_FILE, (",".join(map(repr, row)) for row in g.features.tolist())),
+            (LABELS_FILE, g.labels.tolist()),
+            (MASKS_FILE, tokens.tolist())):
+        (out / name).write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
 
 
 def load_graph(edges_path, features_path, labels_path, masks_path=None) -> Graph:
-    features = _parse_features(features_path)
-    labels = _parse_labels(labels_path)
-    if features.shape[0] != labels.shape[0]:
-        raise GraphFormatError(labels_path, labels.shape[0],
-                               f"feature rows ({features.shape[0]}) and label count "
-                               f"({labels.shape[0]}) differ")
-    n = features.shape[0]
-    edges = _parse_edges(edges_path, n)
-    masks = _parse_masks(masks_path, n) if masks_path is not None else None
+    with warnings.catch_warnings():  # an edge file may hold only its header
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        features = _read_table(features_path, _FEATURES)
+        n = features.shape[0]
+        labels = _read_table(labels_path, _LABELS, rows=n)[:, 0]
+        _reject_rows(features_path, _FEATURES, ~np.isfinite(features).all(axis=1),
+                     "non-finite value in")
+        _reject_rows(labels_path, _LABELS, labels < 0, "negative label")
+        edges = _read_table(edges_path, _EDGES)
+        _reject_rows(edges_path, _EDGES, ((edges < 0) | (edges >= n)).any(axis=1),
+                     f"node index out of range [0, {n}) in")
+        masks = None
+        if masks_path is not None:
+            tokens = _read_table(masks_path, _MASKS, rows=n)[:, 0]
+            _reject_rows(masks_path, _MASKS, ~np.isin(tokens, _MASK_TOKENS), _MASKS.bad)
+            masks = tuple(tokens == name for name in ("train", "val", "test"))
     return build_graph(edges, features, labels, masks=masks)
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -86,13 +87,13 @@ class ModelConfig:
     def router_width(self) -> int:
         return max(self.hidden // 2, 8)
 
+    def expert_kind(self, i: int) -> ExpertKind:
+        if self.expert_layout == "half_half" and i >= math.ceil(self.experts / 2):
+            return ExpertKind.GCN_TWO_HOP
+        return ExpertKind.GCN_ONE_HOP if self.backbone == "gcn" else ExpertKind.SAGE_MEAN_ONE_HOP
+
     def expert_kinds(self) -> list[ExpertKind]:
-        one_hop = (ExpertKind.GCN_ONE_HOP if self.backbone == "gcn"
-                   else ExpertKind.SAGE_MEAN_ONE_HOP)
-        if self.expert_layout == "all_1hop":
-            return [one_hop] * self.experts
-        n_one = math.ceil(self.experts / 2)
-        return [one_hop] * n_one + [ExpertKind.GCN_TWO_HOP] * (self.experts - n_one)
+        return [self.expert_kind(i) for i in range(self.experts)]
 
 
 # ---- parameters ----------------------------------------------------------
@@ -127,26 +128,35 @@ class ModelParams:
         return iter(self.tensors.items())
 
 
-def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
+def _param_layout(config: ModelConfig):
+    """Yield (name, (rows, cols), fill) for every tensor in store order; fill
+    is the constant a tensor starts at, or None for a Glorot draw. A
+    generator, so a reader can stop before a huge header is fully walked."""
     h, r, k, c = config.hidden, config.router_width, config.experts, config.classes
-    t = {"embed.w": _glorot(rng, config.in_dim, h), "embed.b": np.zeros((1, h), np.float32)}
+    yield "embed.w", (config.in_dim, h), None
+    yield "embed.b", (1, h), 0.0
     for l in range(config.layers):
-        for i, kind in enumerate(config.expert_kinds()):
-            for suffix in _EXPERT_WEIGHTS[kind]:
-                t[f"layer{l}.expert{i}.{suffix}"] = _glorot(rng, h, h)
-            t[f"layer{l}.expert{i}.b"] = np.zeros((1, h), np.float32)
-        t[f"layer{l}.router.w1"] = _glorot(rng, h, r)
-        t[f"layer{l}.router.b1"] = np.zeros((1, r), np.float32)
-        t[f"layer{l}.router.w2"] = _glorot(rng, r, k)
-        t[f"layer{l}.router.b2"] = np.zeros((1, k), np.float32)
+        for i in range(k):
+            for suffix in _EXPERT_WEIGHTS[config.expert_kind(i)]:
+                yield f"layer{l}.expert{i}.{suffix}", (h, h), None
+            yield f"layer{l}.expert{i}.b", (1, h), 0.0
+        yield f"layer{l}.router.w1", (h, r), None
+        yield f"layer{l}.router.b1", (1, r), 0.0
+        yield f"layer{l}.router.w2", (r, k), None
+        yield f"layer{l}.router.b2", (1, k), 0.0
         if config.use_batch_norm:
-            t[f"layer{l}.norm.gamma"] = np.ones((1, h), np.float32)
-            t[f"layer{l}.norm.beta"] = np.zeros((1, h), np.float32)
-            t[f"layer{l}.norm.running_mean"] = np.zeros((1, h), np.float32)
-            t[f"layer{l}.norm.running_var"] = np.ones((1, h), np.float32)
-    t["head.w"] = _glorot(rng, h, c)
-    t["head.b"] = np.zeros((1, c), np.float32)
-    return ModelParams(config, t)
+            yield f"layer{l}.norm.gamma", (1, h), 1.0
+            yield f"layer{l}.norm.beta", (1, h), 0.0
+            yield f"layer{l}.norm.running_mean", (1, h), 0.0
+            yield f"layer{l}.norm.running_var", (1, h), 1.0
+    yield "head.w", (h, c), None
+    yield "head.b", (1, c), 0.0
+
+
+def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
+    return ModelParams(config, {
+        name: _glorot(rng, *shape) if fill is None else np.full(shape, fill, np.float32)
+        for name, shape, fill in _param_layout(config)})
 
 
 # ---- difficulty -> budget ------------------------------------------------
@@ -417,7 +427,11 @@ def _read_exact(fh, n: int) -> bytes:
 
 def _read_str(fh) -> str:
     (n,) = struct.unpack("<H", _read_exact(fh, 2))
-    return _read_exact(fh, n).decode("utf-8")
+    raw = _read_exact(fh, n)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"string {raw!r} is not UTF-8") from None
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -459,31 +473,43 @@ def load_checkpoint(path) -> ModelParams:
         backbone = _read_str(fh)
         (use_norm,) = struct.unpack("<B", _read_exact(fh, 1))
         gamma, dropout = struct.unpack("<2d", _read_exact(fh, 16))
-        cfg = ModelConfig(in_dim=in_dim, hidden=hidden, classes=classes,
-                          experts=experts, layers=layers, dropout=dropout,
-                          gamma=gamma, use_batch_norm=bool(use_norm),
-                          expert_layout=layout, backbone=backbone)
-        params = init_params(cfg, np.random.default_rng(0))
-        expected = set(params.tensors)
+        try:
+            cfg = ModelConfig(in_dim=in_dim, hidden=hidden, classes=classes,
+                              experts=experts, layers=layers, dropout=dropout,
+                              gamma=gamma, use_batch_norm=bool(use_norm),
+                              expert_layout=layout, backbone=backbone)
+        except ValueError as err:
+            raise CheckpointError(f"{path}: bad config: {err}") from None
+        # The config fixes every name and shape, so the file size is known
+        # before a tensor is allocated; stop walking as soon as it is exceeded.
+        shapes = {}
+        left = os.fstat(fh.fileno()).st_size - fh.tell() - 4
+        for name, shape, _ in _param_layout(cfg):
+            left -= 2 + len(name) + 8 + 4 * shape[0] * shape[1]
+            if left < 0:
+                raise CheckpointError(f"{path}: truncated checkpoint: its config needs "
+                                      f"more bytes than the file holds")
+            shapes[name] = shape
+        if left:
+            raise CheckpointError(f"{path}: trailing bytes after last tensor")
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
-        if count != len(expected):
-            raise CheckpointError(f"{path}: expected {len(expected)} tensors, found {count}")
+        if count != len(shapes):
+            raise CheckpointError(f"{path}: expected {len(shapes)} tensors, found {count}")
+        tensors = {}
         for _ in range(count):
             name = _read_str(fh)
             rows, cols = struct.unpack("<2I", _read_exact(fh, 8))
-            if name not in params.tensors:
+            if name not in shapes:
                 raise CheckpointError(f"unknown tensor name {name!r}")
-            arr = params.tensors[name]
-            if arr.shape != (rows, cols):  # checked before the read it sizes
+            if shapes[name] != (rows, cols):  # checked before the read it sizes
                 raise CheckpointError(
-                    f"tensor {name}: expected shape {arr.shape}, got {(rows, cols)}")
+                    f"tensor {name}: expected shape {shapes[name]}, got {(rows, cols)}")
             raw = _read_exact(fh, rows * cols * 4)
-            arr[...] = np.frombuffer(raw, dtype="<f4").reshape(rows, cols)
+            arr = np.frombuffer(raw, dtype="<f4").reshape(rows, cols).astype(np.float32)
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"{path}: tensor {name} has non-finite values")
-            expected.discard(name)
-        if expected:
-            raise CheckpointError(f"{path}: checkpoint missing tensors {sorted(expected)}")
-        if fh.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after last tensor")
-    return params
+            tensors[name] = arr
+        if tensors.keys() != shapes.keys():
+            raise CheckpointError(f"{path}: checkpoint missing tensors "
+                                  f"{sorted(shapes.keys() - tensors.keys())}")
+    return ModelParams(cfg, {name: tensors[name] for name in shapes})

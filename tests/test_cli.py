@@ -96,6 +96,19 @@ def test_train_from_graph_dir(tmp_path):
     assert manifest["inputs"]["graph_dir"] == str(gdir)
 
 
+def test_train_rejects_bad_graph_file_with_one_line_error(tmp_path, capsys):
+    gdir = tmp_path / "g"
+    assert main(["gen", "--sbm", SBM_SMALL, "--seed", "2", "--out-dir", str(gdir)]) == 0
+    labels = gdir / "labels.txt"
+    labels.write_text("99999999999999999999\n" + labels.read_text().split("\n", 1)[1])
+    capsys.readouterr()
+    rc = main(["train", "--graph-dir", str(gdir), "--epochs", "1",
+               "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {labels}:1: non-integer label '99999999999999999999'"]
+
+
 def test_train_config_file_and_flag_precedence(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"epochs": 2, "hidden": 8, "experts": 2}))

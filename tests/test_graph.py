@@ -1,5 +1,7 @@
 """Block-model generation, normalization, splits, homophily, and file IO."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,9 +210,11 @@ def test_malformed_edge_line_reports_line_number(tmp_path):
     write_graph(g, tmp_path)
     with open(tmp_path / "edges.tsv", "a", encoding="utf-8") as fh:
         fh.write("3\tnope\n")
+    n_lines = len((tmp_path / "edges.tsv").read_text().splitlines())
     with pytest.raises(GraphFormatError) as err:
         load_graph_dir(tmp_path)
     assert "edges.tsv" in str(err.value) and "non-integer" in str(err.value)
+    assert err.value.line_no == n_lines
 
 
 def test_edge_index_out_of_range(tmp_path):
@@ -248,3 +252,118 @@ def test_comments_and_blank_lines_ignored(tmp_path):
     (tmp_path / "edges.tsv").write_text("# header\n\n" + edges + "\n# trailer\n")
     h = load_graph_dir(tmp_path)
     np.testing.assert_array_equal(g.raw_edges, h.raw_edges)
+
+
+def _graph_dir(tmp_path) -> None:
+    g = generate_sbm(SbmSpec(n=12, classes=2, dim=2, p_in=0.6, p_out=0.2, signal=1.0, seed=1))
+    write_graph(split_nodes(g, (0.5, 0.25, 0.25), seed=0), tmp_path)
+
+
+@pytest.mark.parametrize("name, bad, match", [
+    ("edges.tsv", b"3\tnope", "non-integer endpoint"),
+    ("edges.tsv", b"0\t99", "out of range"),
+    ("edges.tsv", b"0\t1\t2", "expected 2 columns, got 3"),
+    ("edges.tsv", b"99999999999999999999\t1", "non-integer endpoint"),
+    ("edges.tsv", b"0\t1\xff", "invalid UTF-8"),
+    ("features.csv", b"1.0,abc", "non-numeric value"),
+    ("features.csv", b"1.0", "expected 2 columns, got 1"),
+    ("features.csv", b"nan,0.5", "non-finite value"),
+    ("features.csv", b"0.5,-inf", "non-finite value"),
+    ("labels.txt", b"x", "non-integer label"),
+    ("labels.txt", b"99999999999999999999", "non-integer label"),
+    ("labels.txt", b"-1", "negative label"),
+    ("masks.txt", b"validation", "mask token must be one of"),
+    ("masks.txt", b"tr\xc3ain", "invalid UTF-8"),
+])
+def test_bad_line_names_file_and_line(tmp_path, name, bad, match):
+    """Comment and blank lines before the bad one count toward its number."""
+    _graph_dir(tmp_path)
+    path = tmp_path / name
+    data = path.read_bytes().splitlines()
+    head = [data.pop(0), b"# a comment"] if name == "edges.tsv" else []
+    blank = b"" if name == "features.csv" else b" \t"  # spaces make a CSV line data
+    lines = head + [b"", blank] + data
+    at = len(head) + 2 + 2  # the third data row
+    lines[at] = bad
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(GraphFormatError, match=match) as err:
+        load_graph_dir(tmp_path)
+    assert err.value.path == str(path)
+    assert err.value.line_no == at + 1
+    assert str(err.value).startswith(f"{path}:{at + 1}: ")
+
+
+def test_row_count_mismatch_names_line(tmp_path):
+    _graph_dir(tmp_path)
+    labels = tmp_path / "labels.txt"
+    labels.write_text("\n" + labels.read_text() + "1\n")  # 13 labels for 12 nodes
+    with pytest.raises(GraphFormatError, match="differ") as err:
+        load_graph_dir(tmp_path)
+    assert err.value.line_no == 14
+    masks = tmp_path / "masks.txt"
+    _graph_dir(tmp_path)
+    masks.write_text("".join(masks.read_text().splitlines(keepends=True)[:-1]))
+    with pytest.raises(GraphFormatError, match="differ") as err:
+        load_graph_dir(tmp_path)
+    assert err.value.line_no == 12  # one past the last of 11 lines
+
+
+def test_write_graph_bytes(tmp_path):
+    features = [[0.1, 1.0], [-2.5, 1e-05], [3.0, 123456789.125], [-0.0, 1e16]]
+    g = build_graph([(1, 0), (2, 1), (0, 1)], features, [0, 1, 1, 2],
+                    masks=([True, False, False, False], [False, True, False, False],
+                           [False, False, True, False]))
+    write_graph(g, tmp_path)
+    assert (tmp_path / "edges.tsv").read_bytes() == (
+        b"# src<TAB>dst, 0-based, undirected\n0\t1\n1\t2\n")
+    assert (tmp_path / "features.csv").read_bytes() == (
+        b"0.1,1.0\n-2.5,1e-05\n3.0,123456789.125\n-0.0,1e+16\n")
+    assert (tmp_path / "labels.txt").read_bytes() == b"0\n1\n1\n2\n"
+    assert (tmp_path / "masks.txt").read_bytes() == b"train\nval\ntest\nnone\n"
+
+
+def test_edgeless_graph_loads_without_warnings(tmp_path):
+    g = build_graph([], np.ones((3, 2)), [0, 1, 0])
+    write_graph(g, tmp_path)
+    assert (tmp_path / "edges.tsv").read_text() == "# src<TAB>dst, 0-based, undirected\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = load_graph_dir(tmp_path)
+    assert h.raw_edges.shape == (0, 2)
+
+
+def test_numpy_table_syntax(tmp_path):
+    """What the numpy table parser reads differently from Python's int() and
+    float(): '#' ends an edge line's data anywhere, endpoints may be split by
+    any whitespace, '1_0' is not a number, and a line of only whitespace in
+    features.csv is not blank."""
+    _graph_dir(tmp_path)
+    (tmp_path / "edges.tsv").write_text("0\t1  # trailing note\n2 3\n")
+    np.testing.assert_array_equal(load_graph_dir(tmp_path).raw_edges, [[0, 1], [2, 3]])
+    (tmp_path / "edges.tsv").write_text("1_0\t2\n")
+    with pytest.raises(GraphFormatError, match="non-integer endpoint"):
+        load_graph_dir(tmp_path)
+    (tmp_path / "edges.tsv").write_text("")
+    (tmp_path / "features.csv").write_text("  \n" + (tmp_path / "features.csv").read_text())
+    with pytest.raises(GraphFormatError, match="non-numeric value") as err:
+        load_graph_dir(tmp_path)
+    assert err.value.line_no == 1
+
+
+_GRAPH_FILES = ("edges.tsv", "features.csv", "labels.txt", "masks.txt")
+_TABLE_BYTES = st.one_of(
+    st.binary(max_size=80),
+    st.text(alphabet="0123456789-+.,#\t\n \r_enaitrsvl", max_size=80).map(str.encode))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_GRAPH_FILES), _TABLE_BYTES)
+def test_any_graph_file_loads_or_raises_format_error(tmp_path_factory, name, data):
+    d = tmp_path_factory.mktemp("fuzz")
+    _graph_dir(d)
+    (d / name).write_bytes(data)
+    try:
+        g = load_graph_dir(d)
+    except GraphFormatError:
+        return
+    assert g.features.shape[0] == g.labels.shape[0] == g.n

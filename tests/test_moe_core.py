@@ -4,6 +4,7 @@ numpy reimplementation; checkpoint round trips."""
 import itertools
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -558,6 +559,60 @@ def test_checkpoint_unknown_name_and_bad_shape(tmp_path):
         path.write_bytes(raw[:at] + struct.pack("<2I", *shape) + raw[at + 8:])
         with pytest.raises(CheckpointError, match="expected shape"):
             load_checkpoint(path)
+
+
+def test_checkpoint_sizes_checked_before_allocation(tmp_path):
+    """A header claiming a large model is rejected by the file size alone,
+    before any tensor is allocated."""
+    path = tmp_path / "bomb.bin"
+    path.write_bytes(b"D2MO" + struct.pack("<I5I", 1, 8, 2, 2048, 64, 4)
+                     + struct.pack("<H", 8) + b"all_1hop" + struct.pack("<H", 3) + b"gcn"
+                     + struct.pack("<B2dI", 0, 5.0, 0.5, 44))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("layout, match", [(b"all_3hop", "expert_layout"),
+                                           (b"all\xff1hop", "UTF-8")])
+def test_checkpoint_bad_header_string(tmp_path, layout, match):
+    path = _saved(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"all_1hop", layout))
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+def _flip(raw: bytes, flips) -> bytes:
+    out = bytearray(raw)
+    for at, mask in flips:
+        out[at % len(out)] ^= mask
+    return bytes(out)
+
+
+_V1_BYTES = V1_CHECKPOINT.read_bytes()
+_CHECKPOINT_BYTES = st.one_of(
+    st.binary(max_size=100),
+    st.binary(max_size=100).map(lambda tail: _V1_BYTES[:8] + tail),  # past magic and version
+    st.integers(0, len(_V1_BYTES)).map(lambda k: _V1_BYTES[:k]),
+    st.lists(st.tuples(st.integers(0, len(_V1_BYTES)), st.integers(1, 255)),
+             min_size=1, max_size=4).map(lambda flips: _flip(_V1_BYTES, flips)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CHECKPOINT_BYTES)
+def test_any_checkpoint_bytes_load_or_raise_checkpoint_error(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("fuzz") / "model.bin"
+    path.write_bytes(raw)
+    try:
+        params = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert all(np.isfinite(arr).all() for _, arr in params.named_tensors())
 
 
 def test_v1_checkpoint_loads_and_round_trips(tmp_path):
