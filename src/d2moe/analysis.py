@@ -27,22 +27,8 @@ from .training import (  # noqa: F401  (re-exported: the ablation vocabulary)
     Variant,
     fit,
     make_variant,
+    variant_label,
 )
-
-
-def _bucket_sizes(n: int, parts: int) -> list[int]:
-    """Equal split with any remainder given to the earliest buckets."""
-    base, rem = divmod(n, parts)
-    return [base + 1 if i < rem else base for i in range(parts)]
-
-
-def _bucket_slices(order: np.ndarray, parts: int) -> list[np.ndarray]:
-    sizes = _bucket_sizes(order.size, parts)
-    out, start = [], 0
-    for size in sizes:
-        out.append(order[start:start + size])
-        start += size
-    return out
 
 
 @dataclass(frozen=True)
@@ -82,7 +68,7 @@ def stratify_by_entropy(proxy_probs: np.ndarray, eval_mask: np.ndarray,
     active = trace.active_counts()  # (L, n)
 
     buckets = []
-    for members in _bucket_slices(order, 10):
+    for members in np.array_split(order, 10):  # remainder to the earliest buckets
         ent = entropy[members]
         acc = float((predictions[members] == labels[members]).mean())
         per_layer = tuple(float(active[l, members].mean()) for l in range(active.shape[0]))
@@ -110,10 +96,10 @@ def activation_stats(trace: RoutingTrace, entropy: np.ndarray,
     order = idx[np.argsort(entropy[idx], kind="stable")]
 
     active = trace.active_counts().mean(axis=0)
-    deciles = tuple(float(active[members].mean()) for members in _bucket_slices(order, 10))
+    deciles = tuple(float(active[members].mean()) for members in np.array_split(order, 10))
 
     pi = np.mean([lt.pi for lt in trace.layers], axis=0)  # (n, K), rows sum to 1
-    heat = np.stack([pi[members].mean(axis=0) for members in _bucket_slices(order, 4)],
+    heat = np.stack([pi[members].mean(axis=0) for members in np.array_split(order, 4)],
                     axis=1)
     return ActivationStats(decile_mean_active=deciles, heat=heat)
 
@@ -147,15 +133,6 @@ def train_proxy(g: Graph, config: TrainConfig, hidden: int = 64,
 
 
 # ---- ablations -----------------------------------------------------------
-
-
-def variant_label(variant: Variant) -> str:
-    if isinstance(variant, StaticTopK):
-        return f"static_topk({variant.k})"
-    if isinstance(variant, FixedTopP):
-        return f"fixed_topp({variant.p:g})"
-    return {Full: "full", RandomTopP: "random_topp",
-            NoRoutingEntropy: "no_re", NoLoadBalance: "no_lb"}[type(variant)]
 
 
 @dataclass(frozen=True)

@@ -17,17 +17,14 @@ import json
 import logging
 import os
 import sys
+import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    run_ablation,
-    stratify_by_entropy,
-    variant_label,
-)
+from .analysis import run_ablation, stratify_by_entropy
 from .graph import (
     EDGES_FILE,
     FEATURES_FILE,
@@ -43,142 +40,170 @@ from .graph import (
     write_graph,
 )
 from .moe_core import (
+    BACKBONES,
+    EXPERT_LAYOUTS,
     CheckpointError,
     ModelConfig,
     evaluate,
     load_checkpoint,
     save_checkpoint,
 )
-from .theory import ScalingParams, scaling_rows
+from .theory import ScalingParams, ScalingRow, scaling_rows
 from .training import (
+    VARIANT_NAMES,
     TrainConfig,
     TrainingDivergence,
     fit,
     make_variant,
+    variant_label,
     write_metrics,
 )
 
-log = logging.getLogger(__name__)
-
-MODEL_DEFAULTS = {
-    "hidden": 64, "experts": 4, "layers": 2, "dropout": 0.5, "gamma": 5.0,
-    "batch_norm": False, "expert_layout": "all_1hop", "backbone": "gcn",
+# The one definition of the model and training settings the CLI exposes: per
+# config class, flag / config-file key -> field. Type and default are read off
+# the field; the three sizes have no library default, so the CLI gives one.
+SETTINGS = {
+    ModelConfig: {"hidden": "hidden", "experts": "experts", "layers": "layers",
+                  "dropout": "dropout", "gamma": "gamma", "batch_norm": "use_batch_norm",
+                  "expert_layout": "expert_layout", "backbone": "backbone"},
+    TrainConfig: {"epochs": "max_epochs", "patience": "patience", "lr": "lr",
+                  "weight_decay": "weight_decay", "lambda_re": "lambda_re",
+                  "lambda_lb": "lambda_lb", "strict_proxy": "strict_proxy"},
 }
-TRAIN_DEFAULTS = {
-    "epochs": 500, "patience": 100, "lr": 0.01, "weight_decay": 5e-4,
-    "lambda_re": 1e-4, "lambda_lb": 1e-3, "strict_proxy": False,
-}
-DEFAULT_SEED = 0
+SIZE_DEFAULTS = {"hidden": 64, "experts": 4, "layers": 2}
+CHOICES = {"expert_layout": EXPERT_LAYOUTS, "backbone": BACKBONES}
 DEFAULT_SPLIT = (0.48, 0.32, 0.2)
+GRAPH_FILES = (EDGES_FILE, FEATURES_FILE, LABELS_FILE, MASKS_FILE)
+
+
+def _config_keys() -> dict[str, tuple[type, object]]:
+    """Config-file key -> (type, default): every table key, plus ``seed``,
+    which every command with ``--config`` reads."""
+    out = {}
+    for cls, keys in (*SETTINGS.items(), (TrainConfig, {"seed": "seed"})):
+        hints = typing.get_type_hints(cls)
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        out.update((key, (hints[name], SIZE_DEFAULTS.get(key, defaults[name])))
+                   for key, name in keys.items())
+    return out
+
+
+CONFIG_KEYS = _config_keys()
 
 
 # ---- configuration resolution --------------------------------------------
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    known = set(MODEL_DEFAULTS) | set(TRAIN_DEFAULTS) | {"seed"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-    return cfg
+def _checked(path: str, key: str, value):
+    """A config-file value of the JSON type its field has; ints count as floats."""
+    typ = CONFIG_KEYS[key][0]
+    if typ is bool:
+        ok, want = isinstance(value, bool), "true or false"
+    elif typ is int:
+        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif typ is float:
+        ok, want = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+        value = float(value) if ok else value
+    else:
+        ok, want = value in CHOICES[key], "one of " + ", ".join(CHOICES[key])
+    if not ok:
+        raise ValueError(f"{path}: {key} must be {want}, got {json.dumps(value)}")
+    return value
 
 
-def _resolve(ns: argparse.Namespace, file_cfg: dict, defaults: dict) -> dict:
-    """Flag > config file > built-in default, per key."""
+def _resolve(ns: argparse.Namespace) -> dict:
+    """Every config-file key, flag > config file > default. A command without
+    a key's flag still takes it from the file, so one file serves them all."""
+    path, file_cfg = getattr(ns, "config", None), {}
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"{path}: config must be a JSON object")
+        unknown = sorted(set(file_cfg) - set(CONFIG_KEYS))
+        if unknown:
+            raise ValueError(f"{path}: unknown config keys {unknown}")
+        file_cfg = {k: _checked(path, k, v) for k, v in file_cfg.items()}
     out = {}
-    for key, default in defaults.items():
+    for key, (_, default) in CONFIG_KEYS.items():
         flag = getattr(ns, key, None)
         out[key] = flag if flag is not None else file_cfg.get(key, default)
     return out
 
 
-def _resolve_seed(ns: argparse.Namespace, file_cfg: dict) -> int:
-    seed = getattr(ns, "seed", None)
-    if seed is None:
-        seed = file_cfg.get("seed", DEFAULT_SEED)
-    return int(seed)
-
-
-def _model_config(g: Graph, resolved: dict) -> ModelConfig:
-    return ModelConfig(in_dim=g.dim, hidden=resolved["hidden"], classes=g.n_classes,
-                       experts=resolved["experts"], layers=resolved["layers"],
-                       dropout=resolved["dropout"], gamma=resolved["gamma"],
-                       use_batch_norm=bool(resolved["batch_norm"]),
-                       expert_layout=resolved["expert_layout"],
-                       backbone=resolved["backbone"])
-
-
-def _train_config(resolved: dict, seed: int) -> TrainConfig:
-    return TrainConfig(max_epochs=resolved["epochs"], patience=resolved["patience"],
-                       lr=resolved["lr"], weight_decay=resolved["weight_decay"],
-                       lambda_re=resolved["lambda_re"], lambda_lb=resolved["lambda_lb"],
-                       strict_proxy=bool(resolved["strict_proxy"]), seed=seed)
-
-
 # ---- data plumbing -------------------------------------------------------
 
 
-def _parse_sbm(text: str, seed: int) -> SbmSpec:
-    parts = text.split(",")
+def _sbm_graph(sbm: str, split_text: str | None, seed: int):
+    """The ``--sbm`` graph, its split fractions and its input hash. Sampling
+    and split seeds come from the master seed's data stream, clear of the
+    init and dropout streams."""
+    parts = sbm.split(",")
     if len(parts) != 6:
-        raise ValueError(f"--sbm needs 'n,C,d,p_in,p_out,s', got {text!r}")
+        raise ValueError(f"--sbm needs 'n,C,d,p_in,p_out,s', got {sbm!r}")
     n, classes, dim = (int(p) for p in parts[:3])
     p_in, p_out, signal = (float(p) for p in parts[3:])
-    return SbmSpec(n=n, classes=classes, dim=dim, p_in=p_in, p_out=p_out,
-                   signal=signal, seed=seed)
-
-
-def _data_seeds(master: int) -> tuple[int, int]:
-    """Graph-sampling and split seeds, both derived from the master seed's
-    data stream so they stay clear of the init and dropout streams."""
-    data_ss = np.random.SeedSequence(master).spawn(4)[2]
-    sbm_ss, split_ss = data_ss.spawn(2)
-    return int(sbm_ss.generate_state(1)[0]), int(split_ss.generate_state(1)[0])
-
-
-def _parse_split(text: str) -> tuple[float, float, float]:
-    parts = tuple(float(p) for p in text.split(","))
-    if len(parts) != 3:
-        raise ValueError(f"--split needs three comma-separated fractions, got {text!r}")
-    return parts
+    split = tuple(float(p) for p in split_text.split(",")) if split_text else DEFAULT_SPLIT
+    if len(split) != 3:
+        raise ValueError(f"--split needs three comma-separated fractions, got {split_text!r}")
+    sbm_ss, split_ss = np.random.SeedSequence(seed).spawn(4)[2].spawn(2)
+    spec = SbmSpec(n=n, classes=classes, dim=dim, p_in=p_in, p_out=p_out,
+                   signal=signal, seed=int(sbm_ss.generate_state(1)[0]))
+    g = split_nodes(generate_sbm(spec), split, seed=int(split_ss.generate_state(1)[0]))
+    return g, split, _sha256(f"{sbm}|{split}|{seed}".encode())
 
 
 def _obtain_graph(ns: argparse.Namespace, seed: int) -> tuple[Graph, dict]:
     """Returns the graph and a description of its origin for the manifest."""
-    if getattr(ns, "graph_dir", None):
+    if ns.graph_dir:
         g = load_graph_dir(ns.graph_dir)
-        return g, {"graph_dir": ns.graph_dir, "hash": _hash_graph_dir(ns.graph_dir)}
-    if getattr(ns, "sbm", None):
-        sbm_seed, split_seed = _data_seeds(seed)
-        spec = _parse_sbm(ns.sbm, sbm_seed)
-        split = _parse_split(ns.split) if getattr(ns, "split", None) else DEFAULT_SPLIT
-        g = split_nodes(generate_sbm(spec), split, seed=split_seed)
-        return g, {"sbm": ns.sbm, "hash": _hash_text(f"{ns.sbm}|{split}|{seed}")}
+        files = [Path(ns.graph_dir) / name for name in GRAPH_FILES]
+        return g, {"graph_dir": ns.graph_dir,
+                   "hash": _sha256(*(b for p in files for b in
+                                     (p.name.encode(), p.read_bytes() if p.exists() else b"")))}
+    if ns.sbm:
+        g, _, digest = _sbm_graph(ns.sbm, ns.split, seed)
+        return g, {"sbm": ns.sbm, "hash": digest}
     raise ValueError("provide --graph-dir or --sbm")
 
 
-def _hash_text(text: str) -> str:
-    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _hash_graph_dir(graph_dir: str) -> str:
+def _sha256(*chunks: bytes) -> str:
     h = hashlib.sha256()
-    for name in (EDGES_FILE, FEATURES_FILE, LABELS_FILE, MASKS_FILE):
-        path = Path(graph_dir) / name
-        h.update(name.encode())
-        if path.exists():
-            h.update(path.read_bytes())
+    for chunk in chunks:
+        h.update(chunk)
     return "sha256:" + h.hexdigest()
 
 
-def _hash_file(path) -> str:
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _scoring_setup(ns: argparse.Namespace, *keys: str):
+    """Seed, graph and manifest inputs of eval/stratify, then the checkpoint
+    named by each of ``keys`` (``checkpoint``, ``proxy_checkpoint``); each
+    checkpoint's path and hash join the inputs."""
+    paths = [getattr(ns, key) for key in keys]
+    checkpoints = [load_checkpoint(path) for path in paths]
+    seed = _resolve(ns)["seed"]
+    g, inputs = _obtain_graph(ns, seed)
+    for key, path, params in zip(keys, paths, checkpoints):
+        inputs.update({key: str(path), f"{key}_hash": _sha256(Path(path).read_bytes())})
+        cfg = params.config
+        if cfg.in_dim != g.dim or cfg.classes != g.n_classes:
+            raise ValueError(
+                f"checkpoint expects {cfg.in_dim}-dim features over {cfg.classes} "
+                f"classes; graph has {g.dim} and {g.n_classes}")
+    return seed, g, inputs, *checkpoints
+
+
+def _write_table(ns: argparse.Namespace, name: str, header: list[str], rows,
+                 command: str, seed: int | None, config: dict, inputs: dict) -> None:
+    """Write ``<name>.csv`` (floats as their shortest repr) to the output
+    directory, then the manifest that lists it."""
+    out = _out_dir(ns)
+    path = out / f"{name}.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    _write_manifest(out, command, seed, config, inputs, {name: path})
+    print(f"wrote {path}")
 
 
 def _write_manifest(out_dir: Path, command: str, seed: int | None, config: dict,
@@ -198,7 +223,7 @@ def _write_manifest(out_dir: Path, command: str, seed: int | None, config: dict,
 
 
 def _out_dir(ns: argparse.Namespace) -> Path:
-    out = Path(getattr(ns, "out_dir", None) or ".")
+    out = Path(ns.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -207,35 +232,44 @@ def _out_dir(ns: argparse.Namespace) -> Path:
 
 
 def cmd_gen(ns: argparse.Namespace) -> int:
-    seed = ns.seed if ns.seed is not None else DEFAULT_SEED
-    sbm_seed, split_seed = _data_seeds(seed)
-    spec = _parse_sbm(ns.sbm, sbm_seed)
-    split = _parse_split(ns.split) if ns.split else DEFAULT_SPLIT
-    g = split_nodes(generate_sbm(spec), split, seed=split_seed)
+    seed = _resolve(ns)["seed"]
+    g, split, digest = _sbm_graph(ns.sbm, ns.split, seed)
     out = _out_dir(ns)
     write_graph(g, out)
-    _write_manifest(out, "gen", seed, {"sbm": ns.sbm, "split": list(split)},
-                    {"hash": _hash_text(f"{ns.sbm}|{split}|{seed}")},
-                    {name: out / name for name in
-                     (EDGES_FILE, FEATURES_FILE, LABELS_FILE, MASKS_FILE)})
+    _write_manifest(out, "gen", seed, {"sbm": ns.sbm, "split": list(split)}, {"hash": digest},
+                    {name: out / name for name in GRAPH_FILES})
     print(f"wrote {g.n} nodes, {g.raw_edges.shape[0]} edges to {out}")
     print(f"edge homophily {edge_homophily(g):.4f}")
     return 0
 
 
-def _variant_from(ns: argparse.Namespace, name: str):
-    return make_variant(name, k=getattr(ns, "k", None), p=getattr(ns, "p", None))
+def _variants(ns: argparse.Namespace) -> list:
+    names = ns.variant or ["full"]
+    for flag, value, name in (("--k", ns.k, "static_topk"), ("--p", ns.p, "fixed_topp")):
+        if value is not None and name not in names:
+            raise ValueError(f"{flag} applies only to --variant {name}")
+    return [make_variant(name, k=ns.k, p=ns.p) for name in names]
+
+
+def _train_setup(ns: argparse.Namespace):
+    """The table's settings by config part for the manifest, then the graph,
+    its manifest inputs and both configs of train/ablate."""
+    resolved = _resolve(ns)
+    g, inputs = _obtain_graph(ns, resolved["seed"])
+    fields = {cls: {name: resolved[key] for key, name in keys.items()}
+              for cls, keys in SETTINGS.items()}
+    mcfg = ModelConfig(in_dim=g.dim, classes=g.n_classes, **fields[ModelConfig])
+    tcfg = TrainConfig(seed=resolved["seed"], **fields[TrainConfig])
+    record = {part: {key: resolved[key] for key in SETTINGS[cls]}
+              for part, cls in (("model", ModelConfig), ("train", TrainConfig))}
+    return record, g, inputs, mcfg, tcfg
 
 
 def cmd_train(ns: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(ns.config)
-    seed = _resolve_seed(ns, file_cfg)
-    g, inputs = _obtain_graph(ns, seed)
-    model_kw = _resolve(ns, file_cfg, MODEL_DEFAULTS)
-    train_kw = _resolve(ns, file_cfg, TRAIN_DEFAULTS)
-    mcfg = _model_config(g, model_kw)
-    tcfg = _train_config(train_kw, seed)
-    variant = _variant_from(ns, ns.variant or "full")
+    if ns.variant and len(ns.variant) > 1:
+        raise ValueError("train takes one --variant; ablate compares several")
+    record, g, inputs, mcfg, tcfg = _train_setup(ns)
+    (variant,) = _variants(ns)
 
     state = fit(g, mcfg, tcfg, variant=variant)
 
@@ -244,9 +278,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
     metrics_path = out / "metrics.jsonl"
     save_checkpoint(state.params, ckpt_path)
     write_metrics(state.history, metrics_path)
-    _write_manifest(out, "train", seed,
-                    {"model": model_kw, "train": train_kw,
-                     "variant": variant_label(variant)},
+    _write_manifest(out, "train", tcfg.seed,
+                    {**record, "variant": variant_label(variant)},
                     inputs, {"checkpoint": ckpt_path, "metrics": metrics_path})
     best = state.history[state.best_epoch]
     print(f"best epoch {state.best_epoch}: val {best.acc_val:.4f} "
@@ -256,99 +289,50 @@ def cmd_train(ns: argparse.Namespace) -> int:
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
-    params = load_checkpoint(ns.checkpoint)
-    seed = ns.seed if ns.seed is not None else DEFAULT_SEED
-    g, inputs = _obtain_graph(ns, seed)
-    inputs["checkpoint"] = str(ns.checkpoint)
-    inputs["checkpoint_hash"] = _hash_file(ns.checkpoint)
-    cfg = params.config
-    if cfg.in_dim != g.dim or cfg.classes != g.n_classes:
-        raise ValueError(
-            f"checkpoint expects {cfg.in_dim}-dim features over {cfg.classes} "
-            f"classes; graph has {g.dim} and {g.n_classes}")
-
+    seed, g, inputs, params = _scoring_setup(ns, "checkpoint")
     report = evaluate(params, g)
     for split in ("train", "val", "test"):
         print(f"acc_{split} {getattr(report, f'acc_{split}'):.4f}")
 
-    out = _out_dir(ns)
-    nodes_path = out / "nodes.csv"
-    mean_active = report.trace.active_counts().mean(axis=0)
-    with open(nodes_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "entropy", "threshold", "mean_active",
-                         "predicted", "label"])
-        for v in range(g.n):
-            writer.writerow([v, repr(float(report.entropy[v])),
-                             repr(float(report.thresholds[v])),
-                             repr(float(mean_active[v])),
-                             int(report.predictions[v]), int(g.labels[v])])
-    _write_manifest(out, "eval", seed, {"model": dataclasses.asdict(cfg)},
-                    inputs, {"nodes": nodes_path})
-    print(f"wrote {nodes_path}")
+    _write_table(ns, "nodes",
+                 ["node", "entropy", "threshold", "mean_active", "predicted", "label"],
+                 zip(range(g.n), report.entropy.tolist(), report.thresholds.tolist(),
+                     report.trace.active_counts().mean(axis=0).tolist(),
+                     report.predictions.tolist(), g.labels.tolist()),
+                 "eval", seed, {"model": dataclasses.asdict(params.config)}, inputs)
     return 0
 
 
 def cmd_stratify(ns: argparse.Namespace) -> int:
-    params = load_checkpoint(ns.checkpoint)
-    proxy = load_checkpoint(ns.proxy_checkpoint)
-    seed = ns.seed if ns.seed is not None else DEFAULT_SEED
-    g, inputs = _obtain_graph(ns, seed)
-    inputs["checkpoint"] = str(ns.checkpoint)
-    inputs["checkpoint_hash"] = _hash_file(ns.checkpoint)
-    inputs["proxy_checkpoint"] = str(ns.proxy_checkpoint)
-    inputs["proxy_checkpoint_hash"] = _hash_file(ns.proxy_checkpoint)
+    seed, g, inputs, params, proxy = _scoring_setup(ns, "checkpoint", "proxy_checkpoint")
     report = evaluate(params, g)
     proxy_probs = evaluate(proxy, g, budget=np.ones(g.n)).probs
     deciles = stratify_by_entropy(proxy_probs, g.test_mask, report.predictions,
                                   g.labels, report.trace)
 
-    out = _out_dir(ns)
-    path = out / "deciles.csv"
     n_layers = len(deciles.buckets[0].mean_active_per_layer)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bucket", "entropy_lo", "entropy_hi", "count", "accuracy"]
-                        + [f"active_l{i}" for i in range(n_layers)])
-        for i, b in enumerate(deciles.buckets):
-            writer.writerow([i, repr(b.entropy_lo), repr(b.entropy_hi), b.count,
-                             repr(b.accuracy)] + [repr(a) for a in b.mean_active_per_layer])
-    _write_manifest(out, "stratify", seed,
-                    {"model": dataclasses.asdict(params.config),
-                     "proxy": dataclasses.asdict(proxy.config)},
-                    inputs, {"deciles": path})
-    print(f"wrote {path}")
+    _write_table(ns, "deciles", ["bucket", "entropy_lo", "entropy_hi", "count", "accuracy"]
+                 + [f"active_l{i}" for i in range(n_layers)],
+                 ([i, b.entropy_lo, b.entropy_hi, b.count, b.accuracy, *b.mean_active_per_layer]
+                  for i, b in enumerate(deciles.buckets)),
+                 "stratify", seed, {"model": dataclasses.asdict(params.config),
+                                    "proxy": dataclasses.asdict(proxy.config)}, inputs)
     return 0
 
 
 def cmd_ablate(ns: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(ns.config)
-    seed = _resolve_seed(ns, file_cfg)
-    g, inputs = _obtain_graph(ns, seed)
-    model_kw = _resolve(ns, file_cfg, MODEL_DEFAULTS)
-    train_kw = _resolve(ns, file_cfg, TRAIN_DEFAULTS)
-    mcfg = _model_config(g, model_kw)
-    tcfg = _train_config(train_kw, seed)
+    record, g, inputs, mcfg, tcfg = _train_setup(ns)
     seeds = [int(s) for s in ns.seeds.split(",")]
-    names = ns.variant or ["full"]
-    variants = [_variant_from(ns, name) for name in names]
+    variants = _variants(ns)
 
-    out = _out_dir(ns)
-    path = out / "ablation.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "mean", "std"] + [f"seed{s}" for s in seeds])
-        for variant in variants:
-            res = run_ablation(g, mcfg, tcfg, variant, seeds, jobs=ns.jobs)
-            writer.writerow([res.variant, repr(res.mean), repr(res.std)]
-                            + [repr(a) for a in res.per_seed])
-            print(f"{res.variant}: {res.mean:.4f} +/- {res.std:.4f}")
-    _write_manifest(out, "ablate", seed,
-                    {"model": model_kw, "train": train_kw,
-                     "variants": [variant_label(v) for v in variants],
-                     "seeds": seeds, "jobs": ns.jobs},
-                    inputs, {"ablation": path})
-    print(f"wrote {path}")
+    rows = []
+    for variant in variants:
+        res = run_ablation(g, mcfg, tcfg, variant, seeds, jobs=ns.jobs)
+        rows.append([res.variant, res.mean, res.std, *res.per_seed])
+        print(f"{res.variant}: {res.mean:.4f} +/- {res.std:.4f}")
+    _write_table(ns, "ablation", ["variant", "mean", "std"] + [f"seed{s}" for s in seeds], rows,
+                 "ablate", tcfg.seed, {**record, "variants": [variant_label(v) for v in variants],
+                                       "seeds": seeds, "jobs": ns.jobs}, inputs)
     return 0
 
 
@@ -356,77 +340,44 @@ def cmd_theory(ns: argparse.Namespace) -> int:
     mus = [float(x) for x in ns.mu.split(",")]
     phis = [float(x) for x in ns.phi.split(",")]
     u_grid = np.geomspace(ns.u_min, ns.u_max, ns.u_points)
-    out = _out_dir(ns)
-    path = out / "scaling.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mu", "phi", "rho", "u", "k_bruteforce",
-                         "k_closed_form", "fitted_slope"])
-        for mu in mus:
-            for phi in phis:
-                sp = ScalingParams(beta=ns.beta, mu=mu, alpha=ns.alpha, phi=phi,
-                                   rho=ns.rho, eps=ns.noise)
-                rows = scaling_rows(sp, u_grid, k_max=ns.k_max)
-                for row in rows:
-                    writer.writerow([repr(row.mu), repr(row.phi), repr(row.rho),
-                                     repr(row.u), repr(row.k_bruteforce),
-                                     repr(row.k_closed_form), repr(row.fitted_slope)])
-                print(f"mu={mu:g} phi={phi:g}: fitted slope {rows[0].fitted_slope:.4f}")
-    _write_manifest(out, "theory", None,
-                    {"beta": ns.beta, "mu": mus, "alpha": ns.alpha, "phi": phis,
-                     "rho": ns.rho, "noise": ns.noise, "u_min": ns.u_min,
-                     "u_max": ns.u_max, "u_points": ns.u_points,
-                     "k_max": ns.k_max},
-                    {}, {"scaling": path})
-    print(f"wrote {path}")
+    rows = []
+    for mu in mus:
+        for phi in phis:
+            sp = ScalingParams(beta=ns.beta, mu=mu, alpha=ns.alpha, phi=phi,
+                               rho=ns.rho, eps=ns.noise)
+            block = scaling_rows(sp, u_grid, k_max=ns.k_max)
+            rows += [dataclasses.astuple(row) for row in block]
+            print(f"mu={mu:g} phi={phi:g}: fitted slope {block[0].fitted_slope:.4f}")
+    flags = {k: v for k, v in vars(ns).items() if k not in ("command", "out_dir", "func")}
+    _write_table(ns, "scaling", [f.name for f in dataclasses.fields(ScalingRow)], rows,
+                 "theory", None, {**flags, "mu": mus, "phi": phis}, {})
     return 0
 
 
 # ---- parser --------------------------------------------------------------
 
 
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph-dir", help="directory with edges.tsv/features.csv/labels.txt")
     p.add_argument("--sbm", help="inline block model: 'n,C,d,p_in,p_out,s'")
     p.add_argument("--split", help="train,val,test fractions for --sbm (default 0.48,0.32,0.2)")
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--out-dir", default=None)
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--experts", type=int, default=None, metavar="K")
-    p.add_argument("--layers", type=int, default=None, metavar="L")
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--expert-layout", choices=["all_1hop", "half_half"], default=None)
-    p.add_argument("--backbone", choices=["gcn", "sage"], default=None)
-    p.add_argument("--batch-norm", action="store_true", default=None)
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--weight-decay", type=float, default=None)
-    p.add_argument("--lambda-re", type=float, default=None)
-    p.add_argument("--lambda-lb", type=float, default=None)
-    p.add_argument("--strict-proxy", action="store_true", default=None,
-                   help="recompute the budget entropies with updated parameters")
-
-
-def _add_variant_flags(p: argparse.ArgumentParser, repeatable: bool) -> None:
-    if repeatable:
-        p.add_argument("--variant", action="append",
-                       help="repeatable: full, static_topk, fixed_topp, "
-                            "random_topp, no_re, no_lb")
-    else:
-        p.add_argument("--variant", default=None,
-                       help="full, static_topk, fixed_topp, random_topp, no_re, no_lb")
+def _add_setting_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per table key, typed like its field, plus the variant flags."""
+    for keys in SETTINGS.values():
+        for key in keys:
+            typ = CONFIG_KEYS[key][0]
+            kw = {"action": "store_true"} if typ is bool else {"type": typ,
+                                                                "choices": CHOICES.get(key)}
+            p.add_argument("--" + key.replace("_", "-"), default=None, **kw,
+                           help="recompute the budget entropies with updated parameters"
+                                if key == "strict_proxy" else None)
+    p.add_argument("--variant", action="append",
+                   help=", ".join(VARIANT_NAMES) + " (ablate: repeatable)")
     p.add_argument("--k", type=int, default=None, help="expert count for static_topk")
     p.add_argument("--p", type=float, default=None, help="threshold for fixed_topp")
 
@@ -445,32 +396,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train a model and write checkpoint + metrics")
-    _add_data_flags(p)
-    _add_common_flags(p)
-    _add_model_flags(p)
-    _add_train_flags(p)
-    _add_variant_flags(p, repeatable=False)
+    _add_run_flags(p)
+    _add_setting_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint with adaptive budgets")
     p.add_argument("--checkpoint", required=True)
-    _add_data_flags(p)
-    _add_common_flags(p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("stratify", help="entropy-decile report against a proxy")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--proxy-checkpoint", required=True)
-    _add_data_flags(p)
-    _add_common_flags(p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_stratify)
 
     p = sub.add_parser("ablate", help="multi-seed accuracy table across variants")
-    _add_data_flags(p)
-    _add_common_flags(p)
-    _add_model_flags(p)
-    _add_train_flags(p)
-    _add_variant_flags(p, repeatable=True)
+    _add_run_flags(p)
+    _add_setting_flags(p)
     p.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated training seeds")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers across seeds")
     p.set_defaults(func=cmd_ablate)
@@ -502,6 +445,9 @@ def main(argv=None) -> int:
         return ns.func(ns)
     except TrainingDivergence as err:
         print(f"error: training diverged at {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        print(f"error: out of memory{f': {err}' if str(err) else ''}", file=sys.stderr)
         return 1
     except (GraphFormatError, CheckpointError, ValueError,
             OSError, json.JSONDecodeError) as err:

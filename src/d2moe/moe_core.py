@@ -387,15 +387,22 @@ def evaluate(params: ModelParams, g: Graph, budget=None) -> EvalReport:
     pass produces probabilities, their normalized entropy is mapped through
     the sigmoid budget (mean over all scored nodes), and a second top-p pass
     under those thresholds yields the reported predictions. An explicit
-    threshold vector or TopK rule skips the first pass.
+    threshold vector or TopK rule skips the first pass. Raises ValueError if
+    either pass yields a non-finite probability.
     """
+    def checked_forward(budget, which):
+        fw = forward(params, g, budget, mode="eval")
+        if not np.isfinite(fw.probs.value).all():
+            raise ValueError(f"{which} pass gave non-finite class probabilities")
+        return fw
+
     if budget is None:
-        first = forward(params, g, np.ones(g.n), mode="eval")
+        first = checked_forward(np.ones(g.n), "full-activation")
         entropy = predictive_entropy(first.probs.value)
         thresholds = map_budget(entropy, params.config.gamma, epoch=1)
-        fw = forward(params, g, thresholds, mode="eval")
+        fw = checked_forward(thresholds, "reported")
     else:
-        fw = forward(params, g, budget, mode="eval")
+        fw = checked_forward(budget, "reported")
         entropy = predictive_entropy(fw.probs.value)
         thresholds = None if isinstance(budget, TopK) else np.asarray(budget, np.float64)
     probs = fw.probs.value

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -87,15 +87,15 @@ class NoLoadBalance:
 
 Variant = Full | StaticTopK | FixedTopP | RandomTopP | NoRoutingEntropy | NoLoadBalance
 
-_VARIANT_NAMES = {
+VARIANT_NAMES = {
     "full": Full, "static_topk": StaticTopK, "fixed_topp": FixedTopP,
     "random_topp": RandomTopP, "no_re": NoRoutingEntropy, "no_lb": NoLoadBalance,
 }
 
 
 def make_variant(name: str, k: int | None = None, p: float | None = None) -> Variant:
-    if name not in _VARIANT_NAMES:
-        raise ValueError(f"unknown variant {name!r}; choose from {sorted(_VARIANT_NAMES)}")
+    if name not in VARIANT_NAMES:
+        raise ValueError(f"unknown variant {name!r}; choose from {sorted(VARIANT_NAMES)}")
     if name == "static_topk":
         if k is None:
             raise ValueError("static_topk needs k")
@@ -104,7 +104,17 @@ def make_variant(name: str, k: int | None = None, p: float | None = None) -> Var
         if p is None:
             raise ValueError("fixed_topp needs p")
         return FixedTopP(p)
-    return _VARIANT_NAMES[name]()
+    return VARIANT_NAMES[name]()
+
+
+def variant_label(variant: Variant) -> str:
+    """The variant's table name, with its k or p: ``static_topk(1)``."""
+    name = {cls: n for n, cls in VARIANT_NAMES.items()}[type(variant)]
+    if isinstance(variant, StaticTopK):
+        return f"{name}({variant.k})"
+    if isinstance(variant, FixedTopP):
+        return f"{name}({variant.p:g})"
+    return name
 
 
 # ---- configuration -------------------------------------------------------
@@ -260,19 +270,8 @@ class EpochReport:
     per_expert_load: list[float]  # selection frequency, layer-major, length L*K
 
     def to_json(self) -> str:
-        record = {
-            "epoch": self.epoch,
-            "loss_task": self.loss_task,
-            "loss_re": self.loss_re,
-            "loss_lb": self.loss_lb,
-            "loss_total": self.loss_total,
-            "acc_train": self.acc_train,
-            "acc_val": self.acc_val,
-            "acc_test": self.acc_test,
-            "mean_active_experts": self.mean_active_experts,
-            "per_expert_load": self.per_expert_load,
-        }
-        return json.dumps(record)
+        """One JSON object, keys in field order."""
+        return json.dumps(asdict(self))
 
 
 @dataclass

@@ -2,15 +2,18 @@
 temporary directories, with determinism and chance-level sanity checks."""
 
 import csv
+import dataclasses
 import json
 import struct
 
 import numpy as np
 import pytest
 
+from d2moe import cli
 from d2moe.cli import main
 from d2moe.graph import load_graph_dir
 from d2moe.moe_core import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from d2moe.training import VARIANT_NAMES, TrainConfig
 
 SBM_SMALL = "120,4,8,0.15,0.01,3.0"      # homophilous, learnable quickly
 SBM_BALANCED = "500,4,8,0.05,0.05,0.0"   # no structure or signal: chance level
@@ -55,6 +58,16 @@ def test_gen_rejects_malformed_spec(tmp_path, capsys):
     rc = main(["gen", "--sbm", "60,3,4", "--out-dir", str(tmp_path / "g")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_out_of_memory_is_one_line_error(tmp_path, capsys, monkeypatch):
+    def oversize(spec):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "generate_sbm", oversize)
+    rc = main(["gen", "--sbm", "200000,4,8,0.0001,0.0001,1", "--out-dir", str(tmp_path / "g")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
 
 
 # ---- train ---------------------------------------------------------------
@@ -126,6 +139,53 @@ def test_train_config_file_and_flag_precedence(tmp_path):
     assert len((out2 / "metrics.jsonl").read_text().splitlines()) == 3
 
 
+@pytest.mark.parametrize("key,value,want", [
+    ("strict_proxy", "false", "true or false"),
+    ("batch_norm", "no", "true or false"),
+    ("epochs", 2.5, "an integer"),
+    ("epochs", True, "an integer"),
+    ("lr", "0.1", "a number"),
+    ("backbone", "gat", "one of gcn, sage"),
+    ("seed", 1.7, "an integer"),
+])
+def test_config_value_of_wrong_type_is_one_line_error(tmp_path, capsys, key, value, want):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    rc = main(["train", "--sbm", SBM_SMALL, "--config", str(cfg_path),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {cfg_path}: {key} must be {want}, got {json.dumps(value)}"]
+
+
+def test_config_integer_loads_as_float(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"lr": 1, "epochs": 1}))
+    out = tmp_path / "o"
+    assert main(["train", "--sbm", SBM_SMALL, "--config", str(cfg_path),
+                 "--out-dir", str(out)]) == 0
+    lr = json.loads((out / "manifest.json").read_text())["config"]["train"]["lr"]
+    assert lr == 1.0 and isinstance(lr, float)
+
+
+def test_settings_table_matches_config_fields():
+    exposed = {cls: set(keys.values()) for cls, keys in cli.SETTINGS.items()}
+    for cls, keys in cli.SETTINGS.items():
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        for key, name in keys.items():
+            assert name in fields, (key, name)
+            default = fields[name].default
+            if key in cli.SIZE_DEFAULTS:
+                assert default is dataclasses.MISSING, key
+            else:
+                assert cli.CONFIG_KEYS[key][1] == default, key
+    unexposed = {f.name for cls in (ModelConfig, TrainConfig) for f in dataclasses.fields(cls)
+                 if f.name not in exposed[cls]}
+    assert unexposed == {"in_dim", "classes", "beta1", "beta2", "eps", "grad_clip", "seed"}
+    assert set(cli.SIZE_DEFAULTS) == {"hidden", "experts", "layers"}
+    assert cli.CONFIG_KEYS["seed"] == (int, TrainConfig().seed)
+
+
 def test_train_rejects_unknown_config_key(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"epochz": 2}))
@@ -165,6 +225,27 @@ def test_train_divergence_exits_nonzero(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--k", "2"], "--k applies only to --variant static_topk"),
+    (["--variant", "static_topk", "--k", "1", "--p", "0.5"],
+     "--p applies only to --variant fixed_topp"),
+    (["--variant", "full", "--variant", "no_lb"],
+     "train takes one --variant; ablate compares several"),
+])
+def test_train_rejects_unused_variant_flags(tmp_path, capsys, args, message):
+    rc = main(["train", "--sbm", SBM_SMALL, "--epochs", "1", *args,
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_variant_help_lists_every_variant(capsys):
+    with pytest.raises(SystemExit):
+        main(["ablate", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert ", ".join(VARIANT_NAMES) in help_text
+
+
 def test_train_variant_flag(tmp_path):
     out = tmp_path / "topk"
     rc = main(["train", "--sbm", SBM_SMALL, "--seed", "0", "--epochs", "2",
@@ -199,6 +280,26 @@ def test_eval_prints_accuracy_and_writes_nodes(tmp_path, capsys):
     assert manifest["command"] == "eval"
     assert manifest["inputs"]["checkpoint_hash"].startswith("sha256:")
     assert manifest["config"]["model"]["experts"] == 3
+
+
+def test_eval_and_stratify_take_seed_from_config(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 3, "epochs": 3, "hidden": 16}))
+    runs = {}
+    for experts in ("3", "1"):
+        runs[experts] = tmp_path / f"k{experts}"
+        assert main(["train", "--sbm", SBM_SMALL, "--config", str(cfg_path),
+                     "--experts", experts, "--out-dir", str(runs[experts])]) == 0
+    for how in (["--config", str(cfg_path)], ["--seed", "3"]):
+        out = tmp_path / how[0].lstrip("-")
+        for command, extra in (("eval", []), ("stratify", [
+                "--proxy-checkpoint", str(runs["1"] / "checkpoint.bin")])):
+            assert main([command, "--checkpoint", str(runs["3"] / "checkpoint.bin"), *extra,
+                         "--sbm", SBM_SMALL, *how, "--out-dir", str(out / command)]) == 0
+            assert json.loads((out / command / "manifest.json").read_text())["seed"] == 3
+    for table in ("eval/nodes.csv", "stratify/deciles.csv"):
+        assert (tmp_path / "config" / table).read_bytes() == \
+            (tmp_path / "seed" / table).read_bytes()
 
 
 def test_eval_untrained_checkpoint_is_chance_level(tmp_path, capsys):

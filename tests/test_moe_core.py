@@ -468,6 +468,15 @@ def test_evaluate_explicit_budgets():
     np.testing.assert_array_equal(rep_k.predictions, rep_p.predictions)
 
 
+@pytest.mark.parametrize("budget", [None, "ones", TopK(2)])
+def test_evaluate_rejects_non_finite_probabilities(budget):
+    g = small_graph(n=25, seed=15)
+    params = small_params(g, experts=4, layers=1, seed=7)
+    params.tensors["head.b"][0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite class probabilities"):
+        evaluate(params, g, np.ones(g.n) if budget == "ones" else budget)
+
+
 # ---- checkpoints ---------------------------------------------------------
 
 
