@@ -156,6 +156,9 @@ def _sbm_graph(sbm: str, split_text: str | None, seed: int):
 def _obtain_graph(ns: argparse.Namespace, seed: int) -> tuple[Graph, dict]:
     """Returns the graph and a description of its origin for the manifest."""
     if ns.graph_dir:
+        for flag in ("sbm", "split"):
+            if getattr(ns, flag) is not None:
+                raise ValueError(f"--{flag} cannot be combined with --graph-dir")
         g = load_graph_dir(ns.graph_dir)
         files = [Path(ns.graph_dir) / name for name in GRAPH_FILES]
         return g, {"graph_dir": ns.graph_dir,

@@ -8,9 +8,10 @@ expert outputs are fused into a residual update. A linear head with a row
 softmax produces class probabilities.
 
 Within a layer the experts share their neighbourhood aggregation: A_sym·h and,
-for SAGE experts, mean_adj·h are computed once per layer, and each expert
-applies its own weights to the shared aggregate ((A·h)·W rather than
-A·(h·W)). Only the second hop of a two-hop expert is aggregated per expert.
+for SAGE experts, mean_adj·h are computed once per layer. One tape step,
+``Tape.mix_experts``, applies every expert's weights to the shared aggregate
+((A·h)·W rather than A·(h·W)), renormalizes the selected scores and mixes. Only
+a two-hop expert records steps of its own: its inner hop and second aggregation.
 
 Per-node budgets come from the normalized entropy of an earlier prediction:
 high-entropy (hard) nodes get budgets near 1 and activate many experts,
@@ -224,7 +225,6 @@ class TopK:
 class LayerTrace:
     pi: np.ndarray        # (n, K) router distribution
     selected: np.ndarray  # (n, K) bool
-    renorm: np.ndarray    # (n, K), zero where unselected, rows sum to 1
 
 
 @dataclass
@@ -262,20 +262,18 @@ def _layer_aggregates(tape: Tape, h: Var, g: Graph,
     return agg
 
 
-def _expert_output(tape: Tape, kind: ExpertKind, lv: dict[str, Var],
-                   prefix: str, h: Var, agg: dict[str, Var], g: Graph) -> Var:
-    """One expert's output from the layer input ``h`` and the shared
-    aggregates ``agg`` of ``_layer_aggregates``. A GCN hop is written
-    (A·h)·W, which equals A·(h·W) up to float reassociation."""
+def _expert_terms(tape: Tape, kind: ExpertKind, lv: dict[str, Var],
+                  prefix: str, h: Var, agg: dict[str, Var], g: Graph):
+    """One expert as ``Tape.mix_experts`` takes it, ``([(x, W), ...], b)``,
+    from the layer input ``h`` and the shared aggregates ``agg``. Only a
+    two-hop expert records steps here: relu((A·h)·W_a) and its second hop."""
     t = {suffix: lv[f"{prefix}.{suffix}"] for suffix in (*_EXPERT_WEIGHTS[kind], "b")}
     if kind is ExpertKind.GCN_ONE_HOP:
-        return tape.add_bias(tape.matmul(agg["sym"], t["w"]), t["b"])
+        return [(agg["sym"], t["w"])], t["b"]
     if kind is ExpertKind.GCN_TWO_HOP:
         inner = tape.relu(tape.matmul(agg["sym"], t["wa"]))
-        return tape.add_bias(tape.matmul(tape.spmm(g.adj, g.adj_t, inner), t["wb"]), t["b"])
-    self_term = tape.matmul(h, t["w_self"])
-    nbr_term = tape.matmul(agg["mean"], t["w_nbr"])
-    return tape.add_bias(tape.add(self_term, nbr_term), t["b"])
+        return [(tape.spmm(g.adj, g.adj_t, inner), t["wb"])], t["b"]
+    return [(h, t["w_self"]), (agg["mean"], t["w_nbr"])], t["b"]
 
 
 def forward(params: ModelParams, g: Graph, budget, mode: str = "train",
@@ -321,8 +319,8 @@ def forward(params: ModelParams, g: Graph, budget, mode: str = "train",
     kinds = cfg.expert_kinds()
     for l in range(cfg.layers):
         agg = _layer_aggregates(tape, h, g, kinds)
-        zs = [_expert_output(tape, kind, lv, f"layer{l}.expert{i}", h, agg, g)
-              for i, kind in enumerate(kinds)]
+        experts = [_expert_terms(tape, kind, lv, f"layer{l}.expert{i}", h, agg, g)
+                   for i, kind in enumerate(kinds)]
         r1 = tape.relu(tape.add_bias(tape.matmul(h, lv[f"layer{l}.router.w1"]),
                                      lv[f"layer{l}.router.b1"]))
         logits = tape.add_bias(tape.matmul(r1, lv[f"layer{l}.router.w2"]),
@@ -332,8 +330,7 @@ def forward(params: ModelParams, g: Graph, budget, mode: str = "train",
             mask = top_k_mask(pi.value, budget.k)
         else:
             mask = select_top_p_batch(pi.value, budget)
-        pibar = tape.renorm_masked(pi, mask)
-        h = tape.add(h, tape.mix(zs, pibar))
+        h = tape.add(h, tape.mix_experts(experts, pi, mask))
         if cfg.use_batch_norm:
             gamma, beta = lv[f"layer{l}.norm.gamma"], lv[f"layer{l}.norm.beta"]
             running_mean = params.tensors[f"layer{l}.norm.running_mean"][0]
@@ -347,7 +344,7 @@ def forward(params: ModelParams, g: Graph, budget, mode: str = "train",
         if use_dropout:
             h = tape.dropout(h, keep, rng)
         layer_pis.append(pi)
-        traces.append(LayerTrace(pi=pi.value, selected=mask, renorm=pibar.value))
+        traces.append(LayerTrace(pi=pi.value, selected=mask))
 
     probs = tape.softmax_rows(tape.add_bias(tape.matmul(h, lv["head.w"]), lv["head.b"]))
     return ForwardResult(probs, layer_pis, RoutingTrace(traces), tape, lv)

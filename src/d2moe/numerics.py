@@ -2,10 +2,11 @@
 
 Values are numpy float64 arrays of shape (rows, cols); scalars travel as (1, 1).
 Sparse adjacencies are scipy CSR and are never differentiated through. A Tape
-records one forward pass; ``backward`` replays the recorded steps in reverse,
-allocating each gradient at its first contribution and skipping steps whose
-output the seed never reached. Vars left without a gradient get exact zeros, and
-running it twice gives bit-identical results.
+records one forward pass, a whole mixture layer (experts, renormalized scores
+and their weighted sum) as one ``mix_experts`` step. ``backward`` replays the
+steps in reverse, allocating each gradient at its first contribution and
+skipping steps whose output the seed never reached. Vars left without a
+gradient get exact zeros, and running it twice gives bit-identical results.
 
 Parameters live in float32 elsewhere in the package; ``Tape.leaf`` upcasts to
 float64 so finite-difference probes at step 1e-4 are not quantized away.
@@ -14,6 +15,7 @@ float64 so finite-difference probes at step 1e-4 are not quantized away.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -195,42 +197,43 @@ class Tape:
         self._steps.append((out, back))
         return out
 
-    def renorm_masked(self, pi: Var, mask: np.ndarray) -> Var:
-        """Zero the unselected entries of each row and rescale the selected
-        ones to sum to 1. ``mask`` is a constant boolean (rows, cols) array
-        with at least one True per row."""
+    def mix_experts(self, experts: Sequence[tuple[Sequence[tuple[Var, Var]], Var]],
+                    pi: Var, mask: np.ndarray) -> Var:
+        """One mixture layer in one step: sum_i p̃[:, i] * z_i, where expert i
+        is ``(terms, b)`` with z_i = sum_j x_j·W_j + b, and p̃ keeps each row's
+        ``mask``-selected scores of ``pi`` rescaled to sum to 1. ``mask`` is a
+        constant boolean array shaped like ``pi``; backward runs experts K-1…0."""
+        rows, cols = pi.shape[0], experts[0][1].shape[1]
+        conform = all(terms and b.shape == (1, cols) and all(
+            x.shape[0] == rows and x.shape[1] == w.shape[0] and w.shape[1] == cols
+            for x, w in terms) for terms, b in experts)
+        if not conform or pi.shape != (rows, len(experts)) or mask.shape != pi.shape:
+            raise ShapeError(f"mix_experts: {len(experts)} experts do not map to "
+                             f"{(rows, cols)} under scores {pi.shape}, mask {mask.shape}")
         m = mask.astype(np.float64)
         kept = pi.value * m
         s = kept.sum(axis=1, keepdims=True)
         if np.any(s <= 0.0):
-            raise ValueError("renorm_masked: selected mass is zero in some row")
+            raise ValueError("mix_experts: selected mass is zero in some row")
         p = kept / s
-        out = self._track(p)
-
-        def back():
-            g = out.grad
-            _accum(pi, (m / s) * (g - (g * p).sum(axis=1, keepdims=True)))
-
-        self._steps.append((out, back))
-        return out
-
-    def mix(self, parts: Sequence[Var], w: Var) -> Var:
-        """Weighted sum of equal-shaped matrices with per-row weights:
-        out = sum_i w[:, i, None] * parts[i]."""
-        if w.shape != (parts[0].shape[0], len(parts)):
-            raise ShapeError(f"mix: weights {w.shape} for {len(parts)} parts of {parts[0].shape}")
-        acc = np.zeros_like(parts[0].value)
-        for i, part in enumerate(parts):
-            acc += w.value[:, i : i + 1] * part.value
+        zs = [reduce(np.add, [x.value @ w.value for x, w in terms]) + b.value
+              for terms, b in experts]
+        acc = np.zeros((rows, cols))
+        for i, z in enumerate(zs):
+            acc += p[:, i : i + 1] * z
         out = self._track(acc)
 
         def back():
             g = out.grad
-            gw = np.empty_like(w.value)
-            for i, part in enumerate(parts):
-                _accum(part, g * w.value[:, i : i + 1])
-                gw[:, i] = (g * part.value).sum(axis=1)
-            _accum(w, gw)
+            gp = np.empty_like(p)
+            for i, (terms, b) in reversed(list(enumerate(experts))):
+                gz = g * p[:, i : i + 1]
+                gp[:, i] = (g * zs[i]).sum(axis=1)
+                _accum(b, gz.sum(axis=0, keepdims=True))
+                for x, w in reversed(terms):
+                    _accum(x, gz @ w.value.T)
+                    _accum(w, x.value.T @ gz)
+            _accum(pi, (m / s) * (gp - (gp * p).sum(axis=1, keepdims=True)))
 
         self._steps.append((out, back))
         return out

@@ -32,12 +32,13 @@ class ScalingParams:
 
     def __post_init__(self):
         for name in ("beta", "mu", "alpha", "phi"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
-        if self.eps < 0.0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
+        if not 0.0 <= self.eps < np.inf:
+            raise ValueError(f"eps must be finite and nonnegative, got {self.eps}")
 
 
 def _check_u(u: float) -> float:
@@ -45,6 +46,11 @@ def _check_u(u: float) -> float:
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"uncertainty must lie in [0, 1], got {u}")
     return u
+
+
+def _check_k_max(k_max: float) -> None:
+    if not 1.0 <= k_max < np.inf:
+        raise ValueError(f"k_max must be finite and >= 1, got {k_max}")
 
 
 def generalization_error(sp: ScalingParams, u: float, k) -> float | np.ndarray:
@@ -61,8 +67,7 @@ def generalization_error(sp: ScalingParams, u: float, k) -> float | np.ndarray:
 def optimal_k_bruteforce(sp: ScalingParams, u: float, k_max: float) -> float:
     """Argmin of the error model over the dense grid [1, k_max] with step
     GRID_STEP; ties resolve to the smallest k."""
-    if k_max < 1.0:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    _check_k_max(k_max)
     grid = np.arange(1.0, k_max + GRID_STEP / 2.0, GRID_STEP)
     return float(grid[int(np.argmin(generalization_error(sp, u, grid)))])
 
@@ -71,8 +76,7 @@ def optimal_k_closed_form(sp: ScalingParams, u: float, k_max: float) -> float:
     """Stationary point kappa * U^(1/(mu+phi)) of the continuous model,
     clamped to [1, k_max]; at U=0 the model is increasing in k, so 1."""
     u = _check_u(u)
-    if k_max < 1.0:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    _check_k_max(k_max)
     if u == 0.0:
         return 1.0
     kappa = (sp.phi * (1.0 - sp.rho) * sp.alpha / (sp.mu * sp.beta)) ** (1.0 / (sp.mu + sp.phi))

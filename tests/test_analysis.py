@@ -48,10 +48,7 @@ def _trace_with_counts(counts, k=4, layers=2):
     selected = np.zeros((n, k), dtype=bool)
     for i, c in enumerate(counts):
         selected[i, :c] = True
-    pi = np.full((n, k), 1.0 / k)
-    renorm = np.where(selected, pi, 0.0)
-    renorm /= renorm.sum(axis=1, keepdims=True)
-    layer = LayerTrace(pi=pi, selected=selected, renorm=renorm)
+    layer = LayerTrace(pi=np.full((n, k), 1.0 / k), selected=selected)
     return RoutingTrace([layer] * layers)
 
 
@@ -152,7 +149,7 @@ def test_activation_heat_columns_are_mixtures():
     rng = np.random.default_rng(3)
     pi = rng.dirichlet(np.ones(k), size=n)
     selected = np.ones((n, k), dtype=bool)
-    trace = RoutingTrace([LayerTrace(pi=pi, selected=selected, renorm=pi)] * 2)
+    trace = RoutingTrace([LayerTrace(pi=pi, selected=selected)] * 2)
     stats = activation_stats(trace, rng.uniform(0, 1, n))
     assert stats.heat.shape == (k, 4)
     assert np.all(stats.heat >= 0.0) and np.all(stats.heat <= 1.0)
@@ -165,7 +162,7 @@ def test_activation_heat_rows_average_to_global_mean():
     n, k = 80, 3
     rng = np.random.default_rng(4)
     pi = rng.dirichlet(np.ones(k), size=n)
-    trace = RoutingTrace([LayerTrace(pi=pi, selected=np.ones((n, k), bool), renorm=pi)])
+    trace = RoutingTrace([LayerTrace(pi=pi, selected=np.ones((n, k), bool))])
     stats = activation_stats(trace, rng.uniform(0, 1, n))
     assert np.allclose(stats.heat.mean(axis=1), pi.mean(axis=0), atol=1e-12)
 

@@ -109,6 +109,19 @@ def test_train_from_graph_dir(tmp_path):
     assert manifest["inputs"]["graph_dir"] == str(gdir)
 
 
+@pytest.mark.parametrize("flag,value", [("--sbm", SBM_SMALL), ("--split", "0.5,0.25,0.25")])
+def test_graph_dir_rejects_sbm_flags_with_one_line_error(tmp_path, capsys, flag, value):
+    gdir = tmp_path / "g"
+    assert main(["gen", "--sbm", SBM_SMALL, "--seed", "2", "--out-dir", str(gdir)]) == 0
+    capsys.readouterr()
+    rc = main(["train", "--graph-dir", str(gdir), flag, value, "--epochs", "1",
+               "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {flag} cannot be combined with --graph-dir"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_rejects_bad_graph_file_with_one_line_error(tmp_path, capsys):
     gdir = tmp_path / "g"
     assert main(["gen", "--sbm", SBM_SMALL, "--seed", "2", "--out-dir", str(gdir)]) == 0
@@ -420,6 +433,19 @@ def test_theory_multiple_exponent_blocks(tmp_path):
     for r in rows:
         expected = 1.0 / (float(r["mu"]) + float(r["phi"]))
         assert abs(float(r["fitted_slope"]) - expected) <= 0.02
+
+
+@pytest.mark.parametrize("flag,value,word", [
+    ("--mu", "nan", "mu"), ("--beta", "nan", "beta"), ("--alpha", "inf", "alpha"),
+    ("--phi", "inf", "phi"), ("--noise", "inf", "eps"), ("--noise", "nan", "eps"),
+    ("--k-max", "nan", "k_max"),
+])
+def test_theory_rejects_non_finite_with_one_line_error(tmp_path, capsys, flag, value, word):
+    rc = main(["theory", flag, value, "--u-points", "12", "--out-dir", str(tmp_path / "th")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and word in err[0]
+    assert not (tmp_path / "th" / "scaling.csv").exists()
 
 
 # ---- env plumbing --------------------------------------------------------

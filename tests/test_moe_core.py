@@ -226,13 +226,17 @@ def test_route_scores_rows_sum_to_one():
 
 
 def _expert_via_tape(kind, tensors, h, g):
-    from d2moe.moe_core import _expert_output, _layer_aggregates
+    """One expert's output: a one-expert, all-selected mixture, whose weight
+    is exactly 1."""
+    from d2moe.moe_core import _expert_terms, _layer_aggregates
 
     tape = Tape()
     lv = {f"e.{k}": tape.leaf(v.astype(np.float64)) for k, v in tensors.items()}
     hv = tape.leaf(h)
     agg = _layer_aggregates(tape, hv, g, [kind])
-    return _expert_output(tape, kind, lv, "e", hv, agg, g).value
+    expert = _expert_terms(tape, kind, lv, "e", hv, agg, g)
+    return tape.mix_experts([expert], tape.leaf(np.ones((g.n, 1))),
+                            np.ones((g.n, 1), dtype=bool)).value
 
 
 def test_gcn_one_hop_identity_graph():
@@ -303,6 +307,53 @@ def test_forward_aggregates_once_per_layer(monkeypatch, backbone, layout, expert
     assert len(calls) == 3 * per_layer
 
 
+@pytest.mark.parametrize("backbone,layout", [("gcn", "all_1hop"), ("sage", "all_1hop"),
+                                             ("gcn", "half_half")])
+def test_forward_records_one_mixture_step_per_layer(monkeypatch, backbone, layout):
+    """Expert transforms, renormalization and mixing are one tape step per
+    layer; with one-hop experts the tape's length does not depend on K."""
+    calls = []
+    real = Tape.mix_experts
+
+    def counting(self, experts, pi, mask):
+        calls.append(len(experts))
+        return real(self, experts, pi, mask)
+
+    monkeypatch.setattr(Tape, "mix_experts", counting)
+    g = small_graph()
+    steps = {}
+    for k in (1, 2, 8):
+        calls.clear()
+        params = small_params(g, experts=k, layers=3, backbone=backbone, expert_layout=layout)
+        steps[k] = len(forward(params, g, np.full(g.n, 0.7), mode="eval").tape._steps)
+        assert calls == [k] * 3
+    if layout == "all_1hop":
+        assert steps[1] == steps[2] == steps[8]
+
+
+def _forward_backward_peak(experts, n, hidden, layers):
+    g = small_graph(n=n, seed=21)
+    params = small_params(g, experts=experts, layers=layers, hidden=hidden, seed=2)
+    tracemalloc.start()
+    try:
+        fw = forward(params, g, np.ones(g.n), mode="eval")
+        fw.tape.backward(fw.tape.masked_nll(fw.probs, g.labels, g.mask_idx("train")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_extra_expert_memory_under_two_activations():
+    """Forward plus backward keeps under two n×hidden float64 arrays per
+    extra expert per layer (its output for the backward pass, plus slack)."""
+    n, hidden, layers = 500, 32, 2
+    peak = {k: _forward_backward_peak(k, n, hidden, layers) for k in (2, 6)}
+    growth = peak[6] - peak[2]
+    per_expert = growth / ((6 - 2) * layers * n * hidden * 8)
+    assert per_expert < 2.0, per_expert
+
+
 def test_sage_isolated_node_is_self_plus_own_mean():
     g = build_graph([(0, 1)], np.zeros((3, 2)), np.zeros(3, dtype=np.int64), n_classes=2)
     h = RNG(6).normal(size=(3, 4))
@@ -349,8 +400,10 @@ def test_forward_renorm_rows_sum_one_outside_zero():
     params = small_params(g, experts=4, layers=1)
     fw = forward(params, g, np.full(g.n, 0.6), mode="eval")
     lt = fw.trace.layers[0]
-    np.testing.assert_allclose(lt.renorm.sum(axis=1), 1.0, atol=1e-6)
-    assert np.all(lt.renorm[~lt.selected] == 0.0)
+    renorm = np.where(lt.selected, lt.pi, 0.0)
+    renorm /= renorm.sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(renorm.sum(axis=1), 1.0, atol=1e-6)
+    assert np.all(renorm[~lt.selected] == 0.0)
     assert np.all(lt.selected.sum(axis=1) >= 1)
 
 

@@ -235,63 +235,121 @@ def test_dropout_fd_fixed_mask():
     run_check(build, {"x": x})
 
 
-# ---- renorm_masked / mix -------------------------------------------------
+# ---- mix_experts ---------------------------------------------------------
 
 
-def test_renorm_masked_values():
-    pi = np.array([[0.5, 0.3, 0.2]])
-    mask = np.array([[True, True, False]])
+def _mixture_oracle(experts, pi, mask):
+    """Plain numpy in the per-expert order: renormalize the selected scores,
+    then add each weighted expert output z_i = sum_j x_j @ W_j + b_i."""
+    kept = pi * mask
+    p = kept / kept.sum(axis=1, keepdims=True)
+    out = np.zeros((pi.shape[0], experts[0][1].shape[1]))
+    for i, (terms, b) in enumerate(experts):
+        z = terms[0][0] @ terms[0][1]
+        for x, w in terms[1:]:
+            z = z + x @ w
+        out += p[:, i : i + 1] * (z + b)
+    return out
+
+
+def _mixture_case(seed, n=6, d=3, c=4, term_counts=(1, 2, 1)):
+    """Random experts over shared inputs (as a layer's experts share ``h`` and
+    its aggregate), softmax-able raw scores and a mask with a one-selected row
+    (0), an all-selected row (1) and random rows with at least one selected."""
+    rng = RNG(seed)
+    xs = [rng.uniform(-2, 2, size=(n, d)) for _ in range(max(term_counts))]
+    experts = [([(xs[j], rng.uniform(-1, 1, size=(d, c))) for j in range(t)],
+                rng.uniform(-1, 1, size=(1, c))) for t in term_counts]
+    k = len(term_counts)
+    raw = rng.uniform(-1, 1, size=(n, k))
+    mask = rng.random((n, k)) < 0.5
+    mask[np.arange(n), rng.integers(0, k, size=n)] = True
+    mask[0] = np.arange(k) == k - 1
+    mask[1] = True
+    return xs, experts, raw, mask
+
+
+def _mixture_on_tape(t, xs, experts, pi, mask):
+    """The case on tape, one leaf per array; returns the output, the input
+    leaves and the experts over leaves."""
+    xv = {id(x): t.leaf(x) for x in xs}
+    ev = [([(xv[id(x)], t.leaf(w)) for x, w in terms], t.leaf(b)) for terms, b in experts]
+    return t.mix_experts(ev, pi, mask), [xv[id(x)] for x in xs], ev
+
+
+def _named(xs, experts):
+    """Every input and expert tensor by name: x{j}, e{i}.w{j} and e{i}.b."""
+    out = {f"x{j}": x for j, x in enumerate(xs)}
+    for i, (terms, b) in enumerate(experts):
+        out.update({f"e{i}.w{j}": w for j, (_, w) in enumerate(terms)}, **{f"e{i}.b": b})
+    return out
+
+
+@pytest.mark.parametrize("term_counts", [(1,), (2,), (1, 1, 1), (2, 2, 2), (2, 1, 2, 1)],
+                         ids=lambda counts: "-".join(map(str, counts)))
+def test_mix_experts_matches_numpy_oracle(term_counts):
+    xs, experts, _, mask = _mixture_case(27, term_counts=term_counts)
+    pi = RNG(28).uniform(0.05, 1, size=mask.shape)
     t = Tape()
-    out = t.renorm_masked(t.leaf(pi), mask)
-    np.testing.assert_allclose(out.value, [[0.625, 0.375, 0.0]], atol=1e-12)
-    first_only = t.renorm_masked(t.leaf([[0.6, 0.3, 0.1]]), np.array([[True, False, False]]))
-    np.testing.assert_allclose(first_only.value, [[1.0, 0.0, 0.0]], atol=1e-12)
-    everything = t.renorm_masked(t.leaf(pi), np.ones((1, 3), dtype=bool))
-    np.testing.assert_allclose(everything.value, pi, atol=1e-12)
+    out, _, _ = _mixture_on_tape(t, xs, experts, t.leaf(pi), mask)
+    np.testing.assert_array_equal(out.value, _mixture_oracle(experts, pi, mask))
 
 
-def test_renorm_masked_zero_mass_guarded():
+def test_mix_experts_weights_hand_case():
+    """Scores [0.5, 0.3, 0.2] with the last unselected mix at 0.625/0.375;
+    one selected expert passes through with weight exactly 1."""
     t = Tape()
-    v = t.leaf(np.array([[0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        t.renorm_masked(v, np.array([[True, False]]))
+    one = t.leaf(np.ones((1, 1)))
+    experts = [([(one, t.leaf([[v]]))], t.leaf([[0.0]])) for v in (8.0, 16.0, 1e6)]
+    out = t.mix_experts(experts, t.leaf([[0.5, 0.3, 0.2]]), np.array([[True, True, False]]))
+    assert out.item() == pytest.approx(0.625 * 8.0 + 0.375 * 16.0, abs=1e-12)
+    out = t.mix_experts(experts, t.leaf([[0.6, 0.3, 0.1]]), np.array([[False, True, False]]))
+    assert out.item() == 16.0
 
 
-def test_renorm_masked_fd():
-    raw = RNG(24).uniform(0.05, 2, size=(5, 4))
-    mask = RNG(25).random((5, 4)) < 0.6
-    mask[:, 0] = True  # at least one selected per row
-    w = RNG(26).normal(size=4)
+def test_mix_experts_zero_mass_guarded():
+    t = Tape()
+    x, w, b = t.leaf(np.ones((1, 1))), t.leaf(np.ones((1, 1))), t.leaf(np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="zero"):
+        t.mix_experts([([(x, w)], b)] * 2, t.leaf([[0.0, 1.0]]), np.array([[True, False]]))
+
+
+def test_mix_experts_shape_errors():
+    t = Tape()
+    leaf = lambda r, c: t.leaf(np.ones((r, c)))
+    x, w, b = leaf(3, 2), leaf(2, 4), leaf(1, 4)
+    pi, mask = leaf(3, 2), np.ones((3, 2), bool)
+    good = ([(x, w)], b)
+    bad = [
+        ([good, good], pi, np.ones((3, 3), bool)),            # mask shape
+        ([good], pi, mask),                                   # scores per expert
+        ([good, ([(x, leaf(3, 4))], b)], pi, mask),           # x @ W does not conform
+        ([good, ([(x, w)], leaf(1, 3))], pi, mask),           # bias width
+        ([good, ([(leaf(2, 2), w)], b)], pi, mask),           # rows
+        ([good, ([(x, w), (x, leaf(2, 3))], b)], pi, mask),   # terms disagree
+        ([good, ([], b)], pi, mask),                          # no terms
+    ]
+    for experts, p, m in bad:
+        with pytest.raises(ShapeError):
+            t.mix_experts(experts, p, m)
+
+
+def test_mix_experts_fd():
+    """Finite differences for the raw scores and every x, W and b of 1- and
+    2-term experts sharing their inputs, under a mask with one-selected,
+    all-selected and partial rows."""
+    xs, experts, raw, mask = _mixture_case(29, n=5, d=2, c=3)
+    w = RNG(30).normal(size=3)
+    leaves = {"raw": raw, **_named(xs, experts)}
 
     def build():
         t = Tape()
-        v = t.leaf(raw)
-        return t, t.weighted_colsum(t.renorm_masked(t.softmax_rows(v), mask), w), {"raw": v}
+        rv = t.leaf(raw)
+        out, xv, ev = _mixture_on_tape(t, xs, experts, t.softmax_rows(rv), mask)
+        return t, t.weighted_colsum(out, w), {"raw": rv, **_named(xv, ev)}
 
-    run_check(build, {"raw": raw})
-
-
-def test_mix_value_and_fd():
-    parts = [RNG(s).uniform(-2, 2, size=(4, 3)) for s in (27, 28)]
-    weights = RNG(29).uniform(0.1, 1, size=(4, 2))
-    t = Tape()
-    vs = [t.leaf(p) for p in parts]
-    vw = t.leaf(weights)
-    out = t.mix(vs, vw)
-    manual = weights[:, :1] * parts[0] + weights[:, 1:] * parts[1]
-    np.testing.assert_allclose(out.value, manual, atol=1e-14)
-
-    w = RNG(30).normal(size=3)
-
-    def build():
-        tape = Tape()
-        lvs = [tape.leaf(p) for p in parts]
-        lw = tape.leaf(weights)
-        return tape, tape.weighted_colsum(tape.mix(lvs, lw), w), {
-            "p0": lvs[0], "p1": lvs[1], "w": lw,
-        }
-
-    run_check(build, {"p0": parts[0], "p1": parts[1], "w": weights})
+    report = run_check(build, leaves)
+    assert set(report.per_leaf) == set(leaves)
 
 
 # ---- batch norm ----------------------------------------------------------
@@ -498,12 +556,14 @@ def test_backward_requires_scalar_seed():
 
 
 def _sum_of_squares(t, v):
-    """Scalar sum of squares of a column Var: each row weighted by itself."""
-    return t.weighted_colsum(t.mix([v], v), np.ones(1))
+    """w² of a (1,1) Var: a one-expert, all-selected mixture whose input and
+    weight are both ``v``."""
+    return t.mix_experts([([(v, v)], t.leaf(np.zeros((1, 1))))], t.leaf(np.ones((1, 1))),
+                         np.ones((1, 1), dtype=bool))
 
 
 def test_grad_check_quadratic():
-    w = np.array([[1.0], [2.0]])
+    w = np.array([[2.0]])
 
     def build():
         t = Tape()
@@ -512,10 +572,10 @@ def test_grad_check_quadratic():
 
     report = grad_check(build, {"w": w})
     assert report.max_rel_err < 1e-8
-    # analytic gradient of w.w is 2w
+    # analytic gradient of w² is 2w
     t, out, lv = build()
     t.backward(out)
-    np.testing.assert_allclose(lv["w"].grad, [[2.0], [4.0]], atol=1e-12)
+    np.testing.assert_allclose(lv["w"].grad, [[4.0]], atol=1e-12)
 
 
 def test_grad_check_flags_nondeterminism():

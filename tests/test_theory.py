@@ -32,6 +32,24 @@ def test_params_validation():
         ScalingParams(beta=0.1, mu=1.0, alpha=1.0, phi=1.0, eps=-0.5)
 
 
+@pytest.mark.parametrize("field,value", [
+    (field, value) for field in ("beta", "mu", "alpha", "phi", "eps")
+    for value in (float("nan"), float("inf"))
+])
+def test_params_reject_non_finite(field, value):
+    kw = dict(beta=0.1, mu=1.0, alpha=1.0, phi=1.0, rho=0.0, eps=0.0)
+    with pytest.raises(ValueError, match=field):
+        ScalingParams(**{**kw, field: value})
+
+
+@pytest.mark.parametrize("optimizer", [optimal_k_bruteforce, optimal_k_closed_form])
+@pytest.mark.parametrize("k_max", [float("nan"), float("inf")])
+def test_k_max_must_be_finite(optimizer, k_max):
+    sp = ScalingParams(beta=0.1, mu=1.0, alpha=1.0, phi=1.0)
+    with pytest.raises(ValueError, match="k_max"):
+        optimizer(sp, 0.5, k_max)
+
+
 def test_error_hand_value():
     sp = ScalingParams(beta=0.25, mu=1.0, alpha=1.0, phi=1.0, rho=0.0, eps=0.0)
     assert generalization_error(sp, u=1.0, k=2.0) == 1.0  # 0.25*2 + 1/2

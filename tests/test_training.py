@@ -44,10 +44,7 @@ from d2moe.training import (
 
 def _layer(pi, selected):
     pi = np.asarray(pi, dtype=np.float64)
-    selected = np.asarray(selected, dtype=bool)
-    renorm = np.where(selected, pi, 0.0)
-    renorm = renorm / renorm.sum(axis=1, keepdims=True)
-    return LayerTrace(pi=pi, selected=selected, renorm=renorm)
+    return LayerTrace(pi=pi, selected=np.asarray(selected, dtype=bool))
 
 
 def _losses(layers, probs=None, labels=None, train_mask=None):
