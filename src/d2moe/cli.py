@@ -323,9 +323,22 @@ def cmd_stratify(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _ablation_seeds(text: str) -> list[int]:
+    """``--seeds`` as distinct non-negative integers, in the given order."""
+    parts = [s.strip() for s in text.split(",")]
+    if not all(s.isdecimal() for s in parts):
+        raise ValueError(f"--seeds needs comma-separated non-negative integers, got {text!r}")
+    seeds = [int(s) for s in parts]
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"--seeds repeats a seed: {text!r}")
+    return seeds
+
+
 def cmd_ablate(ns: argparse.Namespace) -> int:
+    seeds = _ablation_seeds(ns.seeds)
+    if ns.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {ns.jobs}")
     record, g, inputs, mcfg, tcfg = _train_setup(ns)
-    seeds = [int(s) for s in ns.seeds.split(",")]
     variants = _variants(ns)
 
     rows = []

@@ -10,8 +10,11 @@ softmax produces class probabilities.
 Within a layer the experts share their neighbourhood aggregation: A_sym·h and,
 for SAGE experts, mean_adj·h are computed once per layer. One tape step,
 ``Tape.mix_experts``, applies every expert's weights to the shared aggregate
-((A·h)·W rather than A·(h·W)), renormalizes the selected scores and mixes. Only
-a two-hop expert records steps of its own: its inner hop and second aggregation.
+((A·h)·W rather than A·(h·W)), renormalizes the selected scores and mixes.
+Each expert's weights are applied only to the rows of the nodes that selected
+it, so a node that activates fewer experts costs fewer FLOPs. Only a two-hop
+expert records steps of its own: its inner hop and second aggregation run on
+every node, and only its final product is restricted to the selecting rows.
 
 Per-node budgets come from the normalized entropy of an earlier prediction:
 high-entropy (hard) nodes get budgets near 1 and activate many experts,
@@ -266,7 +269,8 @@ def _expert_terms(tape: Tape, kind: ExpertKind, lv: dict[str, Var],
                   prefix: str, h: Var, agg: dict[str, Var], g: Graph):
     """One expert as ``Tape.mix_experts`` takes it, ``([(x, W), ...], b)``,
     from the layer input ``h`` and the shared aggregates ``agg``. Only a
-    two-hop expert records steps here: relu((A·h)·W_a) and its second hop."""
+    two-hop expert records steps here: relu((A·h)·W_a) and its second hop,
+    both over every node, as the second hop reads each node's neighbours."""
     t = {suffix: lv[f"{prefix}.{suffix}"] for suffix in (*_EXPERT_WEIGHTS[kind], "b")}
     if kind is ExpertKind.GCN_ONE_HOP:
         return [(agg["sym"], t["w"])], t["b"]

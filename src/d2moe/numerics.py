@@ -3,7 +3,8 @@
 Values are numpy float64 arrays of shape (rows, cols); scalars travel as (1, 1).
 Sparse adjacencies are scipy CSR and are never differentiated through. A Tape
 records one forward pass, a whole mixture layer (experts, renormalized scores
-and their weighted sum) as one ``mix_experts`` step. ``backward`` replays the
+and their weighted sum) as one ``mix_experts`` step, in which each expert runs
+only on the rows whose mask selected it. ``backward`` replays the
 steps in reverse, allocating each gradient at its first contribution and
 skipping steps whose output the seed never reached. Vars left without a
 gradient get exact zeros, and running it twice gives bit-identical results.
@@ -202,7 +203,12 @@ class Tape:
         """One mixture layer in one step: sum_i p̃[:, i] * z_i, where expert i
         is ``(terms, b)`` with z_i = sum_j x_j·W_j + b, and p̃ keeps each row's
         ``mask``-selected scores of ``pi`` rescaled to sum to 1. ``mask`` is a
-        constant boolean array shaped like ``pi``; backward runs experts K-1…0."""
+        constant boolean array shaped like ``pi``.
+
+        Each expert runs only on the rows that selected it: its inputs' rows
+        are gathered, transformed and scatter-added, so an unselected row of
+        an ``x_j`` is never read and gets an exact-zero gradient from it.
+        Backward mirrors that row by row and runs experts K-1…0."""
         rows, cols = pi.shape[0], experts[0][1].shape[1]
         conform = all(terms and b.shape == (1, cols) and all(
             x.shape[0] == rows and x.shape[1] == w.shape[0] and w.shape[1] == cols
@@ -216,23 +222,28 @@ class Tape:
         if np.any(s <= 0.0):
             raise ValueError("mix_experts: selected mass is zero in some row")
         p = kept / s
-        zs = [reduce(np.add, [x.value @ w.value for x, w in terms]) + b.value
-              for terms, b in experts]
+        picked = [np.flatnonzero(mask[:, i]) for i in range(len(experts))]
+        zs = [reduce(np.add, [x.value[r] @ w.value for x, w in terms]) + b.value
+              for r, (terms, b) in zip(picked, experts)]
         acc = np.zeros((rows, cols))
-        for i, z in enumerate(zs):
-            acc += p[:, i : i + 1] * z
+        for i, (r, z) in enumerate(zip(picked, zs)):
+            acc[r] += p[r, i : i + 1] * z
         out = self._track(acc)
 
         def back():
             g = out.grad
-            gp = np.empty_like(p)
+            gp = np.zeros_like(p)
             for i, (terms, b) in reversed(list(enumerate(experts))):
-                gz = g * p[:, i : i + 1]
-                gp[:, i] = (g * zs[i]).sum(axis=1)
+                r = picked[i]
+                gr = g[r]
+                gz = gr * p[r, i : i + 1]
+                gp[r, i] = (gr * zs[i]).sum(axis=1)
                 _accum(b, gz.sum(axis=0, keepdims=True))
                 for x, w in reversed(terms):
-                    _accum(x, gz @ w.value.T)
-                    _accum(w, x.value.T @ gz)
+                    if x.grad is None:
+                        x.grad = np.zeros_like(x.value)
+                    x.grad[r] += gz @ w.value.T
+                    _accum(w, x.value[r].T @ gz)
             _accum(pi, (m / s) * (gp - (gp * p).sum(axis=1, keepdims=True)))
 
         self._steps.append((out, back))

@@ -270,8 +270,13 @@ class EpochReport:
     per_expert_load: list[float]  # selection frequency, layer-major, length L*K
 
     def to_json(self) -> str:
-        """One JSON object, keys in field order."""
-        return json.dumps(asdict(self))
+        """One JSON object, keys in field order. An accuracy over an empty
+        split is null; any other non-finite value raises ValueError."""
+        row = asdict(self)
+        for key in ("acc_train", "acc_val", "acc_test"):
+            if math.isnan(row[key]):
+                row[key] = None
+        return json.dumps(row, allow_nan=False)
 
 
 @dataclass

@@ -399,6 +399,25 @@ def test_ablate_writes_table(tmp_path, capsys):
         assert float(r["mean"]) == pytest.approx(np.mean(per_seed))
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--jobs", "0", "--jobs must be at least 1, got 0"),
+    ("--jobs", "-2", "--jobs must be at least 1, got -2"),
+    ("--seeds", "1,1", "--seeds repeats a seed: '1,1'"),
+    ("--seeds", ",", "--seeds needs comma-separated non-negative integers, got ','"),
+    ("--seeds", "0,-1", "--seeds needs comma-separated non-negative integers"),
+])
+def test_ablate_rejects_bad_jobs_and_seeds_with_one_line_error(tmp_path, capsys, flag,
+                                                              value, message):
+    out = tmp_path / "abl"
+    rc = main(["ablate", "--sbm", SBM_SMALL, "--epochs", "1", flag, value,
+               "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 # ---- theory --------------------------------------------------------------
 
 

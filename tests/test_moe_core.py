@@ -494,6 +494,30 @@ def test_full_model_grad_check_all_expert_kinds_norm_dropout():
     assert report.max_rel_err < 1e-4, report.per_leaf
 
 
+@pytest.mark.parametrize("layout", ["all_1hop", "half_half"])
+def test_full_model_grad_check_gcn_partial_masks(layout):
+    """Finite differences through a two-layer GCN model at thresholds 0.6,
+    where some nodes select fewer than K experts, so each expert's gradient
+    flows through its selected rows only."""
+    g = small_graph(n=12, seed=13)
+    cfg = ModelConfig(in_dim=g.dim, hidden=8, classes=g.n_classes, experts=4,
+                      layers=2, dropout=0.0, expert_layout=layout, backbone="gcn")
+    params64 = {name: arr.astype(np.float64)
+                for name, arr in init_params(cfg, RNG(6)).named_tensors()}
+    thresholds = np.full(g.n, 0.6)
+    train_idx = g.mask_idx("train")
+
+    def build():
+        fw = forward(ModelParams(cfg, params64), g, thresholds, mode="train")
+        loss = fw.tape.masked_nll(fw.probs, g.labels, train_idx)
+        return fw.tape, loss, fw.leaf_vars
+
+    active = forward(ModelParams(cfg, params64), g, thresholds, mode="train").trace.active_counts()
+    assert (active < cfg.experts).any() and (active > 1).any()
+    report = grad_check(build, params64)
+    assert report.max_rel_err < 1e-4, report.per_leaf
+
+
 # ---- evaluation ----------------------------------------------------------
 
 

@@ -252,10 +252,12 @@ def _mixture_oracle(experts, pi, mask):
     return out
 
 
-def _mixture_case(seed, n=6, d=3, c=4, term_counts=(1, 2, 1)):
+def _mixture_case(seed, n=6, d=3, c=4, term_counts=(1, 2, 1), idle=None):
     """Random experts over shared inputs (as a layer's experts share ``h`` and
     its aggregate), softmax-able raw scores and a mask with a one-selected row
-    (0), an all-selected row (1) and random rows with at least one selected."""
+    (0), an all-selected row (1) and random rows with at least one selected.
+    Expert ``idle``, if given, is selected by no row; a row left with none
+    then selects the next expert instead."""
     rng = RNG(seed)
     xs = [rng.uniform(-2, 2, size=(n, d)) for _ in range(max(term_counts))]
     experts = [([(xs[j], rng.uniform(-1, 1, size=(d, c))) for j in range(t)],
@@ -266,6 +268,9 @@ def _mixture_case(seed, n=6, d=3, c=4, term_counts=(1, 2, 1)):
     mask[np.arange(n), rng.integers(0, k, size=n)] = True
     mask[0] = np.arange(k) == k - 1
     mask[1] = True
+    if idle is not None:
+        mask[:, idle] = False
+        mask[~mask.any(axis=1), (idle + 1) % k] = True
     return xs, experts, raw, mask
 
 
@@ -334,11 +339,59 @@ def test_mix_experts_shape_errors():
             t.mix_experts(experts, p, m)
 
 
+def _mixture_grads(xs, experts, pi, mask, w):
+    """The case's output and the gradient of ``weighted_colsum(out, w)`` for
+    the scores (``pi``) and every named input and expert tensor."""
+    t = Tape()
+    pv = t.leaf(pi)
+    out, xv, ev = _mixture_on_tape(t, xs, experts, pv, mask)
+    t.backward(t.weighted_colsum(out, w))
+    return out.value, {"pi": pv.grad, **{k: v.grad for k, v in _named(xv, ev).items()}}
+
+
+def test_mix_experts_never_reads_unselected_rows():
+    """Each expert gets inputs of its own whose rows it did not select are
+    NaN. Dispatch never reads them: the output equals the oracle on the same
+    inputs with NaN replaced by 0, and every gradient is finite and equals
+    the zeroed inputs' gradient."""
+    _, shared, _, mask = _mixture_case(33, term_counts=(2, 1, 2), idle=1)
+    pi = RNG(34).uniform(0.05, 1, size=mask.shape)
+    w = RNG(35).normal(size=4)
+    poisoned = [([(np.where(mask[:, [i]], x, np.nan), wt) for x, wt in terms], b)
+                for i, (terms, b) in enumerate(shared)]
+    zeroed = [([(np.nan_to_num(x, nan=0.0), wt) for x, wt in terms], b)
+              for terms, b in poisoned]
+    inputs = lambda experts: [x for terms, _ in experts for x, _ in terms]
+    assert np.isnan(inputs(poisoned)[0]).any()
+
+    out, grads = _mixture_grads(inputs(poisoned), poisoned, pi, mask, w)
+    np.testing.assert_array_equal(out, _mixture_oracle(zeroed, pi, mask))
+    _, want = _mixture_grads(inputs(zeroed), zeroed, pi, mask, w)
+    assert grads.keys() == want.keys()
+    for name, grad in grads.items():
+        assert np.all(np.isfinite(grad)), name
+        np.testing.assert_array_equal(grad, want[name], err_msg=name)
+
+
+def test_mix_experts_idle_expert_gets_exact_zero_grads():
+    """An expert no row selected is gathered over zero rows: its W and b get
+    exact-zero gradients."""
+    xs, experts, _, mask = _mixture_case(36, term_counts=(1, 2, 1), idle=1)
+    assert not mask[:, 1].any() and mask.any(axis=1).all()
+    pi = RNG(37).uniform(0.05, 1, size=mask.shape)
+    out, grads = _mixture_grads(xs, experts, pi, mask, RNG(38).normal(size=4))
+    np.testing.assert_array_equal(out, _mixture_oracle(experts, pi, mask))
+    for name in ("e1.w0", "e1.w1", "e1.b"):
+        assert not grads[name].any(), name
+    assert grads["e0.w0"].any() and grads["e2.b"].any()
+
+
 def test_mix_experts_fd():
     """Finite differences for the raw scores and every x, W and b of 1- and
     2-term experts sharing their inputs, under a mask with one-selected,
-    all-selected and partial rows."""
-    xs, experts, raw, mask = _mixture_case(29, n=5, d=2, c=3)
+    nearly all-selected and partial rows and an expert no row selects."""
+    xs, experts, raw, mask = _mixture_case(29, n=5, d=2, c=3, term_counts=(1, 2, 1, 2),
+                                           idle=2)
     w = RNG(30).normal(size=3)
     leaves = {"raw": raw, **_named(xs, experts)}
 

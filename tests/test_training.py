@@ -1,6 +1,7 @@
 """Objective values against hand-computed cases, optimizer against a scalar
 replica, and the training loop's budget bootstrap checked causally."""
 
+import dataclasses
 import itertools
 import json
 from types import SimpleNamespace
@@ -696,7 +697,6 @@ def test_fit_rejects_bad_inputs():
     with pytest.raises(ValueError):
         fit(g, _model_cfg(), TrainConfig(max_epochs=1),
             threshold_override=np.ones(3))
-    import dataclasses
     empty_train = dataclasses.replace(g, train_mask=np.zeros(g.n, dtype=bool))
     with pytest.raises(ValueError):
         fit(empty_train, _model_cfg(), TrainConfig(max_epochs=1))
@@ -727,6 +727,30 @@ def test_write_metrics_round_trips(tmp_path):
         parsed = json.loads(line)
         assert parsed["epoch"] == rep.epoch
         assert parsed["per_expert_load"] == rep.per_expert_load
+
+
+def _reject_constant(token):
+    raise ValueError(f"bare {token} token in metrics")
+
+
+def test_write_metrics_empty_split_is_null_never_nan(tmp_path):
+    g = dataclasses.replace(_sbm_graph(n=60, seed=7), test_mask=np.zeros(60, dtype=bool))
+    path = tmp_path / "metrics.jsonl"
+    write_metrics(fit(g, _model_cfg(), TrainConfig(max_epochs=2, seed=0)).history, path)
+    rows = [json.loads(line, parse_constant=_reject_constant)
+            for line in path.read_text().splitlines()]
+    assert len(rows) == 2
+    assert all(row["acc_test"] is None and 0.0 <= row["acc_val"] <= 1.0 for row in rows)
+
+
+def test_epoch_report_json_rejects_other_non_finite_values():
+    rep = EpochReport(epoch=0, loss_task=1.0, loss_re=0.5, loss_lb=1.0,
+                      loss_total=1.1, acc_train=0.5, acc_val=0.5, acc_test=0.5,
+                      mean_active_experts=float("nan"), per_expert_load=[0.5, 0.5])
+    with pytest.raises(ValueError):
+        rep.to_json()
+    with pytest.raises(ValueError):
+        dataclasses.replace(rep, mean_active_experts=2.0, loss_re=float("inf")).to_json()
 
 
 def test_write_metrics_byte_identical_across_runs(tmp_path):
