@@ -157,6 +157,8 @@ def run_ablation(g: Graph, model_config: ModelConfig, train_config: TrainConfig,
     seeds = list(seeds)
     if not seeds:
         raise ValueError("run_ablation needs at least one seed")
+    if not g.test_mask.any():
+        raise ValueError("run_ablation: graph has no test nodes to score")
     payloads = [(g, model_config, train_config, variant, s) for s in seeds]
     if jobs > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:

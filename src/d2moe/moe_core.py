@@ -248,7 +248,7 @@ class ForwardResult:
     probs: Var                 # (n, C) on tape
     layer_pis: list[Var]       # router distributions on tape, one per layer
     trace: RoutingTrace
-    tape: Tape
+    tape: Tape                 # records steps in train mode only
     leaf_vars: dict[str, Var]  # parameter name -> tape leaf
 
 
@@ -287,7 +287,10 @@ def forward(params: ModelParams, g: Graph, budget, mode: str = "train",
 
     ``budget`` is either a per-node threshold vector (top-p selection) or a
     TopK rule. Train mode applies dropout (requires ``rng``) and batch
-    statistics; eval mode is deterministic and uses running statistics.
+    statistics, and records the tape for ``backward``. Eval mode is
+    deterministic, uses running statistics and records nothing (its tape was
+    built with ``record=False``), so each intermediate is freed once the next
+    layer no longer reads it.
     ``update_norm_stats`` defaults to True exactly in train mode; pass False
     to keep running statistics frozen (finite-difference probing re-runs the
     forward many times and must not drift them).
@@ -310,7 +313,7 @@ def forward(params: ModelParams, g: Graph, budget, mode: str = "train",
         if budget.shape != (g.n,):
             raise ValueError(f"threshold vector must have shape ({g.n},), got {budget.shape}")
 
-    tape = Tape()
+    tape = Tape(record=train)
     lv = {name: tape.leaf(arr) for name, arr in params.named_tensors()}
     x = tape.leaf(g.features)
 

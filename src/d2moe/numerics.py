@@ -6,8 +6,12 @@ records one forward pass, a whole mixture layer (experts, renormalized scores
 and their weighted sum) as one ``mix_experts`` step, in which each expert runs
 only on the rows whose mask selected it. ``backward`` replays the
 steps in reverse, allocating each gradient at its first contribution and
-skipping steps whose output the seed never reached. Vars left without a
-gradient get exact zeros, and running it twice gives bit-identical results.
+skipping steps whose output the seed never reached. Only leaves keep their
+gradients: a step's output gradient is released as soon as the step has run.
+Leaves left without a gradient get exact zeros, and running it twice gives
+bit-identical results. A tape built with ``record=False`` (the model's eval
+mode) records nothing, so its intermediates live only as long as the caller
+holds them, and it cannot run ``backward``.
 
 Parameters live in float32 elsewhere in the package; ``Tape.leaf`` upcasts to
 float64 so finite-difference probes at step 1e-4 are not quantized away.
@@ -81,37 +85,42 @@ def _accum(v: Var, g: np.ndarray, owned: bool = True) -> None:
 class Tape:
     """Single-owner record of one differentiable forward pass.
 
-    Every Var created through a Tape method belongs to that tape, and every
-    step records the Var it produced. Backward seeds the chosen scalar with 1
-    and accumulates into ``.grad`` in reverse recording order; Vars the seed
-    never reaches get exact-zero gradients.
+    A recording tape keeps every step with the Var it produced, and a list of
+    its leaves. Backward seeds the chosen scalar with 1 and accumulates into
+    ``.grad`` in reverse recording order; leaves the seed never reaches get
+    exact-zero gradients. A tape built with ``record=False`` keeps neither:
+    each op only computes its value, so an intermediate is freed as soon as
+    the caller drops it, and ``backward`` raises.
     """
 
-    def __init__(self):
+    def __init__(self, record: bool = True):
+        self.recording = record
         self._steps: list[tuple[Var, Callable[[], None]]] = []
-        self._vars: list[Var] = []
+        self._leaves: list[Var] = []
 
-    def _track(self, value: np.ndarray) -> Var:
-        v = Var(value)
-        self._vars.append(v)
-        return v
+    def _record(self, out: Var, back: Callable[[], None]) -> None:
+        if self.recording:
+            self._steps.append((out, back))
 
     def leaf(self, array) -> Var:
         """Register an input value. Float64 arrays are aliased, not copied."""
-        return self._track(_as2d(array))
+        v = Var(_as2d(array))
+        if self.recording:
+            self._leaves.append(v)
+        return v
 
     # ---- primitives ------------------------------------------------------
 
     def matmul(self, a: Var, b: Var) -> Var:
         if a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul: {a.shape} x {b.shape}")
-        out = self._track(a.value @ b.value)
+        out = Var(a.value @ b.value)
 
         def back():
             _accum(a, out.grad @ b.value.T)
             _accum(b, a.value.T @ out.grad)
 
-        self._steps.append((out, back))
+        self._record(out, back)
         return out
 
     def spmm(self, adj, adj_t, x: Var) -> Var:
@@ -119,56 +128,56 @@ class Tape:
         the adjacency is a constant, gradients flow to ``x`` only."""
         if adj.shape[1] != x.shape[0]:
             raise ShapeError(f"spmm: {adj.shape} x {x.shape}")
-        out = self._track(np.asarray(adj @ x.value))
+        out = Var(np.asarray(adj @ x.value))
 
         def back():
             _accum(x, adj_t @ out.grad)
 
-        self._steps.append((out, back))
+        self._record(out, back)
         return out
 
     def add(self, a: Var, b: Var) -> Var:
         if a.shape != b.shape:
             raise ShapeError(f"add: {a.shape} vs {b.shape}")
-        out = self._track(a.value + b.value)
+        out = Var(a.value + b.value)
 
         def back():
             _accum(a, out.grad, owned=False)
             _accum(b, out.grad, owned=False)
 
-        self._steps.append((out, back))
+        self._record(out, back)
         return out
 
     def add_bias(self, m: Var, b: Var) -> Var:
         """Row-broadcast add: b has shape (1, cols)."""
         if b.shape != (1, m.shape[1]):
             raise ShapeError(f"add_bias: {m.shape} + {b.shape}")
-        out = self._track(m.value + b.value)
+        out = Var(m.value + b.value)
 
         def back():
             _accum(m, out.grad, owned=False)
             _accum(b, out.grad.sum(axis=0, keepdims=True))
 
-        self._steps.append((out, back))
+        self._record(out, back)
         return out
 
     def scale(self, a: Var, c: float) -> Var:
-        out = self._track(a.value * c)
+        out = Var(a.value * c)
 
         def back():
             _accum(a, out.grad * c)
 
-        self._steps.append((out, back))
+        self._record(out, back)
         return out
 
     def relu(self, a: Var) -> Var:
         keep = a.value > 0.0
-        out = self._track(np.where(keep, a.value, 0.0))
+        out = Var(np.where(keep, a.value, 0.0))
 
         def back():
             _accum(a, np.where(keep, out.grad, 0.0))
 
-        self._steps.append((out, back))
+        self._record(out, back)
         return out
 
     def dropout(self, a: Var, keep: float, rng: np.random.Generator) -> Var:
@@ -176,26 +185,26 @@ class Tape:
         a pure identity (callers simply skip the op)."""
         if not 0.0 < keep <= 1.0:
             raise ValueError(f"dropout keep probability must be in (0, 1], got {keep}")
-        mask = (rng.random(a.shape) < keep).astype(np.float64) / keep
-        out = self._track(a.value * mask)
+        kept = rng.random(a.shape) < keep
+        out = Var(a.value * np.where(kept, 1.0 / keep, 0.0))
 
         def back():
-            _accum(a, out.grad * mask)
+            _accum(a, out.grad * np.where(kept, 1.0 / keep, 0.0))
 
-        self._steps.append((out, back))
+        self._record(out, back)
         return out
 
     def softmax_rows(self, m: Var) -> Var:
         z = m.value - m.value.max(axis=1, keepdims=True)
         e = np.exp(z)
         p = e / e.sum(axis=1, keepdims=True)
-        out = self._track(p)
+        out = Var(p)
 
         def back():
             g = out.grad
             _accum(m, p * (g - (g * p).sum(axis=1, keepdims=True)))
 
-        self._steps.append((out, back))
+        self._record(out, back)
         return out
 
     def mix_experts(self, experts: Sequence[tuple[Sequence[tuple[Var, Var]], Var]],
@@ -228,7 +237,7 @@ class Tape:
         acc = np.zeros((rows, cols))
         for i, (r, z) in enumerate(zip(picked, zs)):
             acc[r] += p[r, i : i + 1] * z
-        out = self._track(acc)
+        out = Var(acc)
 
         def back():
             g = out.grad
@@ -246,7 +255,7 @@ class Tape:
                     _accum(w, x.value[r].T @ gz)
             _accum(pi, (m / s) * (gp - (gp * p).sum(axis=1, keepdims=True)))
 
-        self._steps.append((out, back))
+        self._record(out, back)
         return out
 
     def batchnorm_train(self, x: Var, gamma: Var, beta: Var,
@@ -261,7 +270,7 @@ class Tape:
         var = x.value.var(axis=0, keepdims=True)
         inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x.value - mu) * inv
-        out = self._track(xhat * gamma.value + beta.value)
+        out = Var(xhat * gamma.value + beta.value)
         if update_running:
             running_mean[:] = (momentum * running_mean.astype(np.float64)
                                + (1.0 - momentum) * mu[0]).astype(running_mean.dtype)
@@ -276,7 +285,7 @@ class Tape:
             _accum(x, inv * (gx - gx.mean(axis=0, keepdims=True)
                              - xhat * (gx * xhat).mean(axis=0, keepdims=True)))
 
-        self._steps.append((out, back))
+        self._record(out, back)
         return out
 
     def batchnorm_eval(self, x: Var, gamma: Var, beta: Var,
@@ -285,7 +294,7 @@ class Tape:
         inv = 1.0 / np.sqrt(running_var.astype(np.float64) + BN_EPS)
         mu = running_mean.astype(np.float64)
         xhat = (x.value - mu) * inv
-        out = self._track(xhat * gamma.value + beta.value)
+        out = Var(xhat * gamma.value + beta.value)
 
         def back():
             g = out.grad
@@ -293,7 +302,7 @@ class Tape:
             _accum(beta, g.sum(axis=0, keepdims=True))
             _accum(x, g * gamma.value * inv)
 
-        self._steps.append((out, back))
+        self._record(out, back)
         return out
 
     # ---- scalar reductions ----------------------------------------------
@@ -303,25 +312,25 @@ class Tape:
         floored at LOG_EPS so exact zeros contribute zero."""
         clamped = np.maximum(m.value, LOG_EPS)
         logc = np.log(clamped)
-        out = self._track(np.array([[(m.value * logc).sum()]]))
+        out = Var(np.array([[(m.value * logc).sum()]]))
 
         def back():
             g = out.grad[0, 0]
             _accum(m, g * (logc + np.where(m.value >= LOG_EPS, 1.0, 0.0)))
 
-        self._steps.append((out, back))
+        self._record(out, back)
         return out
 
     def weighted_colsum(self, m: Var, w: np.ndarray) -> Var:
         """Scalar sum_i w[i] * (column i sum of m); ``w`` is a constant."""
         if w.shape != (m.shape[1],):
             raise ShapeError(f"weighted_colsum: weights {w.shape} for {m.shape}")
-        out = self._track(np.array([[(m.value.sum(axis=0) * w).sum()]]))
+        out = Var(np.array([[(m.value.sum(axis=0) * w).sum()]]))
 
         def back():
             _accum(m, np.broadcast_to(out.grad[0, 0] * w[None, :], m.shape), owned=False)
 
-        self._steps.append((out, back))
+        self._record(out, back)
         return out
 
     def masked_nll(self, probs: Var, labels: np.ndarray, idx: np.ndarray) -> Var:
@@ -331,7 +340,7 @@ class Tape:
             raise ValueError("masked_nll: empty index set")
         picked = probs.value[idx, labels[idx]]
         clamped = np.maximum(picked, LOG_EPS)
-        out = self._track(np.array([[-np.log(clamped).mean()]]))
+        out = Var(np.array([[-np.log(clamped).mean()]]))
 
         def back():
             g = out.grad[0, 0]
@@ -340,28 +349,37 @@ class Tape:
                 probs.grad = np.zeros_like(probs.value)
             np.add.at(probs.grad, (idx, labels[idx]), g * contrib)
 
-        self._steps.append((out, back))
+        self._record(out, back)
         return out
 
     # ---- reverse pass ----------------------------------------------------
 
     def backward(self, out: Var) -> None:
-        """Populate ``.grad`` for every Var on this tape, seeding ``out``
+        """Populate ``.grad`` for every leaf of this tape, seeding ``out``
         (a (1,1) scalar) with 1. Safe to call repeatedly; each call discards
         the previous gradients and replays identically.
 
         Gradient buffers are allocated lazily: a step runs only if the Var it
         produced received a gradient, and a Var's first contribution becomes
-        its buffer. Vars the seed does not reach get exact zeros at the end."""
+        its buffer. Only leaves keep a gradient: a step's output gradient is
+        released once the step has run, as reverse recording order means every
+        contribution to it has arrived by then, so every other Var ends with
+        ``grad`` None. Leaves the seed does not reach get exact zeros at the
+        end. Raises ValueError on a tape built with ``record=False``."""
+        if not self.recording:
+            raise ValueError("backward: this tape recorded no steps (built with record=False)")
         if out.shape != (1, 1):
             raise ShapeError(f"backward seed must be a (1,1) scalar, got {out.shape}")
-        for v in self._vars:
+        for v in self._leaves:
             v.grad = None
+        for produced, _ in self._steps:
+            produced.grad = None
         out.grad = np.ones_like(out.value)
         for produced, back in reversed(self._steps):
             if produced.grad is not None:
                 back()
-        for v in self._vars:
+                produced.grad = None
+        for v in self._leaves:
             if v.grad is None:
                 v.grad = np.zeros_like(v.value)
 

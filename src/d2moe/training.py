@@ -22,6 +22,7 @@ from .moe_core import (
     ForwardResult,
     ModelConfig,
     ModelParams,
+    RoutingTrace,
     TopK,
     accuracy,
     forward,
@@ -312,6 +313,28 @@ def _effective_lambdas(variant: Variant, config: TrainConfig) -> tuple[float, fl
     return lam1, lam2
 
 
+def _train_step(params: ModelParams, g: Graph, budget, dropout_rng: np.random.Generator,
+                lam1: float, lam2: float, adam: AdamState, config: TrainConfig,
+                epoch: int) -> tuple[LossBreakdown, np.ndarray, RoutingTrace]:
+    """Phases 2 and 3 of an epoch: a train-mode forward and one clipped AdamW
+    step on the regularized objective. Returns the loss breakdown, the
+    train-mode class probabilities and the routing trace; the tape, with every
+    intermediate and gradient, is freed when this returns."""
+    fw = forward(params, g, budget, mode="train", rng=dropout_rng)
+    breakdown, total_var, _ = losses_on_tape(fw, g, lam1, lam2)
+    if not np.isfinite(breakdown.total):
+        raise TrainingDivergence(
+            epoch, f"non-finite objective (task={breakdown.task}, "
+                   f"re={breakdown.routing_entropy}, lb={breakdown.load_balance})")
+
+    fw.tape.backward(total_var)
+    grads = {name: fw.leaf_vars[name].grad
+             for name, _ in params.named_tensors() if ".running_" not in name}
+    clip_global_norm(grads, config.grad_clip)
+    adamw_step(params, grads, adam, config)
+    return breakdown, fw.probs.value, fw.trace
+
+
 def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
         variant: Variant = Full(),
         threshold_override: np.ndarray | None = None,
@@ -358,21 +381,10 @@ def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
                                routing_rng, threshold_override)
         prev_entropy = entropy
 
-        fw = forward(params, g, budget, mode="train", rng=dropout_rng)
-        breakdown, total_var, _ = losses_on_tape(fw, g, lam1, lam2)
-        if not np.isfinite(breakdown.total):
-            raise TrainingDivergence(
-                epoch, f"non-finite objective (task={breakdown.task}, "
-                       f"re={breakdown.routing_entropy}, lb={breakdown.load_balance})")
-
-        fw.tape.backward(total_var)
-        grads = {name: fw.leaf_vars[name].grad
-                 for name, _ in params.named_tensors() if ".running_" not in name}
-        clip_global_norm(grads, config.grad_clip)
-        adamw_step(params, grads, adam, config)
-
+        breakdown, train_probs, trace = _train_step(
+            params, g, budget, dropout_rng, lam1, lam2, adam, config, epoch)
         ev_probs = forward(params, g, budget, mode="eval").probs.value
-        entropy = predictive_entropy(ev_probs if config.strict_proxy else fw.probs.value)
+        entropy = predictive_entropy(ev_probs if config.strict_proxy else train_probs)
         preds = predict(ev_probs)
         report = EpochReport(
             epoch=epoch,
@@ -383,8 +395,8 @@ def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
             acc_train=accuracy(preds, g.labels, g.train_mask),
             acc_val=accuracy(preds, g.labels, g.val_mask),
             acc_test=accuracy(preds, g.labels, g.test_mask),
-            mean_active_experts=float(fw.trace.active_counts().mean()),
-            per_expert_load=[float(x) for x in fw.trace.selection_freq().reshape(-1)],
+            mean_active_experts=float(trace.active_counts().mean()),
+            per_expert_load=[float(x) for x in trace.selection_freq().reshape(-1)],
         )
         history.append(report)
         if epoch_hook is not None:

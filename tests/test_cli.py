@@ -418,6 +418,17 @@ def test_ablate_rejects_bad_jobs_and_seeds_with_one_line_error(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_ablate_rejects_empty_test_split(tmp_path, capsys):
+    out = tmp_path / "abl"
+    rc = main(["ablate", "--sbm", "100,3,5,0.05,0.02,1", "--split", "0.5,0.5,0",
+               "--epochs", "2", "--seeds", "0,1", "--out-dir", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: run_ablation: graph has no test nodes to score\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 # ---- theory --------------------------------------------------------------
 
 

@@ -325,10 +325,25 @@ def test_forward_records_one_mixture_step_per_layer(monkeypatch, backbone, layou
     for k in (1, 2, 8):
         calls.clear()
         params = small_params(g, experts=k, layers=3, backbone=backbone, expert_layout=layout)
-        steps[k] = len(forward(params, g, np.full(g.n, 0.7), mode="eval").tape._steps)
+        steps[k] = len(forward(params, g, np.full(g.n, 0.7), mode="train").tape._steps)
         assert calls == [k] * 3
+    assert min(steps.values()) > 0
     if layout == "all_1hop":
         assert steps[1] == steps[2] == steps[8]
+
+
+def test_eval_forward_records_nothing():
+    """An eval tape keeps no steps and no leaves, so each intermediate is
+    freed once the forward stops reading it, and backward on it raises."""
+    g = small_graph()
+    params = small_params(g, use_batch_norm=True)
+    fw = forward(params, g, np.full(g.n, 0.7), mode="eval")
+    assert not fw.tape.recording
+    assert fw.tape._steps == [] and fw.tape._leaves == []
+    loss = fw.tape.masked_nll(fw.probs, g.labels, g.mask_idx("train"))
+    assert fw.tape._steps == []
+    with pytest.raises(ValueError, match="recorded no steps"):
+        fw.tape.backward(loss)
 
 
 def _forward_backward_peak(experts, n, hidden, layers):
@@ -336,7 +351,7 @@ def _forward_backward_peak(experts, n, hidden, layers):
     params = small_params(g, experts=experts, layers=layers, hidden=hidden, seed=2)
     tracemalloc.start()
     try:
-        fw = forward(params, g, np.ones(g.n), mode="eval")
+        fw = forward(params, g, np.ones(g.n), mode="train")
         fw.tape.backward(fw.tape.masked_nll(fw.probs, g.labels, g.mask_idx("train")))
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -542,23 +542,26 @@ def test_backward_replay_bit_identical():
     p = t.softmax_rows(t.add(h, t.scale(h, 0.5)))
     out = t.add(t.masked_nll(p, np.array([0, 1, 2, 3, 0]), np.arange(5)), t.plogp_sum(p))
     t.backward(out)
-    first = [v.grad.copy() for v in (x, w, h, p)]
+    first = [v.grad.copy() for v in (x, w)]
     t.backward(out)
-    for before, v in zip(first, (x, w, h, p)):
+    for before, v in zip(first, (x, w)):
         assert before.tobytes() == v.grad.tobytes()
+    assert h.grad is None and p.grad is None  # only leaves keep a gradient
 
 
 def test_untouched_leaf_gets_exact_zero_grad():
     t = Tape()
     used = t.leaf(RNG(1).normal(size=(4, 3)))
     unused = t.leaf(np.ones((3, 3)))
-    side = t.relu(t.matmul(used, t.leaf(np.ones((3, 5)))))  # recorded, never reaches the seed
+    side_w = t.leaf(np.ones((3, 5)))
+    side = t.relu(t.matmul(used, side_w))  # recorded, never reaches the seed
     out = t.weighted_colsum(used, np.array([1.0, -2.0, 0.5]))
     t.backward(out)
     assert np.all(unused.grad == 0.0)
-    assert side.grad.shape == (4, 5)
-    assert side.grad.dtype == np.float64
-    assert np.all(side.grad == 0.0)
+    assert side_w.grad.shape == (3, 5)
+    assert side_w.grad.dtype == np.float64
+    assert np.all(side_w.grad == 0.0)
+    assert side.grad is None
     np.testing.assert_array_equal(used.grad, np.tile([1.0, -2.0, 0.5], (4, 1)))
 
 
@@ -570,10 +573,11 @@ def test_pass_through_gradients_do_not_alias():
     s = t.add(a, b)
     out = t.weighted_colsum(t.add(t.add_bias(s, bias), t.scale(a, 3.0)), np.array([1.0, 2.0]))
     t.backward(out)
-    grads = [a.grad, b.grad, s.grad]
+    grads = [a.grad, b.grad, bias.grad]
     for i, gi in enumerate(grads):
         for gj in grads[i + 1:]:
             assert not np.shares_memory(gi, gj)
+    assert s.grad is None
     np.testing.assert_array_equal(b.grad, np.tile([1.0, 2.0], (3, 1)))
     np.testing.assert_array_equal(a.grad, np.tile([4.0, 8.0], (3, 1)))
 
@@ -581,7 +585,7 @@ def test_pass_through_gradients_do_not_alias():
     c = t.leaf(np.ones((2, 2)))
     doubled = t.add(c, c)
     t.backward(t.weighted_colsum(doubled, np.array([1.0, 3.0])))
-    np.testing.assert_array_equal(doubled.grad, np.tile([1.0, 3.0], (2, 1)))
+    assert doubled.grad is None
     np.testing.assert_array_equal(c.grad, np.tile([2.0, 6.0], (2, 1)))
 
 
@@ -592,10 +596,10 @@ def test_seed_recorded_before_later_steps():
     later = t.weighted_colsum(t.scale(x, 2.0), np.array([3.0, 0.0]))
     t.backward(first)
     np.testing.assert_array_equal(x.grad, np.ones((4, 2)))
-    assert later.grad.shape == (1, 1) and later.grad[0, 0] == 0.0
+    assert later.grad is None
     t.backward(later)
     np.testing.assert_array_equal(x.grad, np.tile([6.0, 0.0], (4, 1)))
-    assert first.grad[0, 0] == 0.0
+    assert first.grad is None
 
 
 def test_backward_requires_scalar_seed():

@@ -4,6 +4,7 @@ replica, and the training loop's budget bootstrap checked causally."""
 import dataclasses
 import itertools
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -234,12 +235,12 @@ def test_balance_gradient_wrt_pi_is_k_f_over_n():
     rng = np.random.default_rng(0)
     raw = rng.random((6, 3))
     tape = Tape()
-    m = tape.leaf(raw)
-    pi = tape.softmax_rows(m)
+    pi = tape.leaf(raw / raw.sum(axis=1, keepdims=True))
     f = np.array([0.5, 0.25, 0.25])
     lb = tape.scale(tape.weighted_colsum(pi, f), 3 / 6)
     tape.backward(lb)
-    # Pull the gradient at the softmax output: it is K*f/N for every row.
+    # The router distribution is a leaf here, so its gradient is kept: it is
+    # K*f/N for every row.
     expected = 3 * f / 6
     assert np.allclose(pi.grad, np.tile(expected, (6, 1)), atol=1e-15)
 
@@ -529,9 +530,10 @@ def test_fit_strict_proxy_runs_one_eval_forward_per_epoch(monkeypatch):
 @pytest.mark.parametrize("layout", ["all_1hop", "half_half"])
 @pytest.mark.parametrize("batch_norm", [False, True])
 def test_lazy_backward_matches_zero_filled_replay(backbone, layout, batch_norm):
-    """Lazily allocated gradients against the zero-fill-then-replay-every-step
-    reference: leaf gradients bit-identical, every other gradient equal in
-    value (only the sign of an exact zero may differ)."""
+    """Lazily allocated gradients, released at every non-leaf, against the
+    zero-fill-then-replay-every-step reference: parameter gradients
+    bit-identical, every leaf gradient equal in value (only the sign of an
+    exact zero may differ), and no non-leaf left holding a gradient."""
     g = _sbm_graph(n=60, classes=3, dim=5, p_in=0.2, p_out=0.05, signal=2.0, seed=1)
     cfg = ModelConfig(in_dim=5, hidden=8, classes=3, experts=4, layers=2, dropout=0.3,
                       use_batch_norm=batch_norm, expert_layout=layout, backbone=backbone)
@@ -540,18 +542,45 @@ def test_lazy_backward_matches_zero_filled_replay(backbone, layout, batch_norm):
     _, total, _ = losses_on_tape(fw, g, lam1=1e-3, lam2=1e-2)
     tape = fw.tape
     tape.backward(total)
-    lazy = [v.grad.copy() for v in tape._vars]
+    assert all(produced.grad is None for produced, _ in tape._steps)
+    lazy = [v.grad.copy() for v in tape._leaves]
 
-    for v in tape._vars:
+    for v in [*tape._leaves, *(produced for produced, _ in tape._steps)]:
         v.grad = np.zeros_like(v.value)
     total.grad = np.ones_like(total.value)
     for _, back in reversed(tape._steps):
         back()
 
-    for before, v in zip(lazy, tape._vars):
+    for before, v in zip(lazy, tape._leaves):
         np.testing.assert_array_equal(before, v.grad)
     for name, leaf in fw.leaf_vars.items():
-        assert lazy[tape._vars.index(leaf)].tobytes() == leaf.grad.tobytes(), name
+        assert lazy[tape._leaves.index(leaf)].tobytes() == leaf.grad.tobytes(), name
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_holds_one_tape_at_a_time():
+    """``fit`` frees each epoch's training tape before its eval forward and
+    before the next epoch's forward, so three epochs peak near one train
+    forward plus backward (with two tapes alive the ratio is about 1.6)."""
+    g = _sbm_graph(n=300)
+    mcfg = _model_cfg(hidden=32, experts=4)
+
+    def one_step():
+        params = init_params(mcfg, np.random.default_rng(0))
+        fw = forward(params, g, np.ones(g.n), mode="train", rng=np.random.default_rng(1))
+        fw.tape.backward(losses_on_tape(fw, g, lam1=1e-4, lam2=1e-3)[1])
+
+    step_peak = _traced_peak(one_step)
+    fit_peak = _traced_peak(lambda: fit(g, mcfg, TrainConfig(max_epochs=3, patience=3)))
+    assert fit_peak < 1.3 * step_peak, fit_peak / step_peak
 
 
 def test_model_records_every_tape_op(monkeypatch):
