@@ -281,26 +281,22 @@ def _expert_terms(tape: Tape, kind: ExpertKind, lv: dict[str, Var],
 
 
 def forward(params: ModelParams, g: Graph, budget, mode: str = "train",
-            rng: np.random.Generator | None = None,
-            update_norm_stats: bool | None = None) -> ForwardResult:
+            rng: np.random.Generator | None = None) -> ForwardResult:
     """Run the model end to end.
 
-    ``budget`` is either a per-node threshold vector (top-p selection) or a
-    TopK rule. Train mode applies dropout (requires ``rng``) and batch
-    statistics, and records the tape for ``backward``. Eval mode is
+    ``budget`` is either a per-node threshold vector of finite values (top-p
+    selection) or a TopK rule. Train mode applies dropout (requires ``rng``)
+    and batch statistics, folds those into the running statistics, and
+    records the tape for ``backward``: each dense layer (embedding, router
+    layers, head) is one ``matmul`` step with its bias. Eval mode is
     deterministic, uses running statistics and records nothing (its tape was
     built with ``record=False``), so each intermediate is freed once the next
     layer no longer reads it.
-    ``update_norm_stats`` defaults to True exactly in train mode; pass False
-    to keep running statistics frozen (finite-difference probing re-runs the
-    forward many times and must not drift them).
     """
     cfg = params.config
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     train = mode == "train"
-    if update_norm_stats is None:
-        update_norm_stats = train
     keep = 1.0 - cfg.dropout
     use_dropout = train and cfg.dropout > 0.0
     if use_dropout and rng is None:
@@ -312,12 +308,16 @@ def forward(params: ModelParams, g: Graph, budget, mode: str = "train",
         budget = np.asarray(budget, dtype=np.float64)
         if budget.shape != (g.n,):
             raise ValueError(f"threshold vector must have shape ({g.n},), got {budget.shape}")
+        bad = np.flatnonzero(~np.isfinite(budget))
+        if bad.size:
+            raise ValueError(f"threshold vector has {bad.size} non-finite values "
+                             f"(first at node {bad[0]}: {budget[bad[0]]})")
 
     tape = Tape(record=train)
     lv = {name: tape.leaf(arr) for name, arr in params.named_tensors()}
     x = tape.leaf(g.features)
 
-    h = tape.relu(tape.add_bias(tape.matmul(x, lv["embed.w"]), lv["embed.b"]))
+    h = tape.relu(tape.matmul(x, lv["embed.w"], lv["embed.b"]))
     if use_dropout:
         h = tape.dropout(h, keep, rng)
 
@@ -328,10 +328,8 @@ def forward(params: ModelParams, g: Graph, budget, mode: str = "train",
         agg = _layer_aggregates(tape, h, g, kinds)
         experts = [_expert_terms(tape, kind, lv, f"layer{l}.expert{i}", h, agg, g)
                    for i, kind in enumerate(kinds)]
-        r1 = tape.relu(tape.add_bias(tape.matmul(h, lv[f"layer{l}.router.w1"]),
-                                     lv[f"layer{l}.router.b1"]))
-        logits = tape.add_bias(tape.matmul(r1, lv[f"layer{l}.router.w2"]),
-                               lv[f"layer{l}.router.b2"])
+        r1 = tape.relu(tape.matmul(h, lv[f"layer{l}.router.w1"], lv[f"layer{l}.router.b1"]))
+        logits = tape.matmul(r1, lv[f"layer{l}.router.w2"], lv[f"layer{l}.router.b2"])
         pi = tape.softmax_rows(logits)
         if isinstance(budget, TopK):
             mask = top_k_mask(pi.value, budget.k)
@@ -343,8 +341,7 @@ def forward(params: ModelParams, g: Graph, budget, mode: str = "train",
             running_mean = params.tensors[f"layer{l}.norm.running_mean"][0]
             running_var = params.tensors[f"layer{l}.norm.running_var"][0]
             if train:
-                h = tape.batchnorm_train(h, gamma, beta, running_mean, running_var,
-                                         update_running=update_norm_stats)
+                h = tape.batchnorm_train(h, gamma, beta, running_mean, running_var)
             else:
                 h = tape.batchnorm_eval(h, gamma, beta, running_mean, running_var)
         h = tape.relu(h)
@@ -353,7 +350,7 @@ def forward(params: ModelParams, g: Graph, budget, mode: str = "train",
         layer_pis.append(pi)
         traces.append(LayerTrace(pi=pi.value, selected=mask))
 
-    probs = tape.softmax_rows(tape.add_bias(tape.matmul(h, lv["head.w"]), lv["head.b"]))
+    probs = tape.softmax_rows(tape.matmul(h, lv["head.w"], lv["head.b"]))
     return ForwardResult(probs, layer_pis, RoutingTrace(traces), tape, lv)
 
 
@@ -392,7 +389,7 @@ def evaluate(params: ModelParams, g: Graph, budget=None) -> EvalReport:
     the sigmoid budget (mean over all scored nodes), and a second top-p pass
     under those thresholds yields the reported predictions. An explicit
     threshold vector or TopK rule skips the first pass. Raises ValueError if
-    either pass yields a non-finite probability.
+    a threshold is non-finite or either pass yields a non-finite probability.
     """
     def checked_forward(budget, which):
         fw = forward(params, g, budget, mode="eval")

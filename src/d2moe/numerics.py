@@ -2,16 +2,19 @@
 
 Values are numpy float64 arrays of shape (rows, cols); scalars travel as (1, 1).
 Sparse adjacencies are scipy CSR and are never differentiated through. A Tape
-records one forward pass, a whole mixture layer (experts, renormalized scores
-and their weighted sum) as one ``mix_experts`` step, in which each expert runs
-only on the rows whose mask selected it. ``backward`` replays the
-steps in reverse, allocating each gradient at its first contribution and
-skipping steps whose output the seed never reached. Only leaves keep their
-gradients: a step's output gradient is released as soon as the step has run.
-Leaves left without a gradient get exact zeros, and running it twice gives
-bit-identical results. A tape built with ``record=False`` (the model's eval
-mode) records nothing, so its intermediates live only as long as the caller
-holds them, and it cannot run ``backward``.
+records one forward pass: a dense layer x·W + b as one ``matmul`` step, a
+whole mixture layer (experts, renormalized scores and their weighted sum) as
+one ``mix_experts`` step, in which each expert runs only on the rows whose
+mask selected it. ``backward`` replays the steps in reverse, allocating each
+gradient at its first contribution and skipping steps whose output the seed
+never reached. Every gradient array has one owner: a Var adopts the first
+contribution it gets, and a step hands its output gradient on uncopied at
+most once. Only leaves keep their gradients: a step's output gradient is
+released as soon as the step has run. Leaves left without a gradient get
+exact zeros, and running it twice gives bit-identical results. A tape built
+with ``record=False`` (the model's eval mode) records nothing, so its
+intermediates live only as long as the caller holds them, and it cannot run
+``backward``.
 
 Parameters live in float32 elsewhere in the package; ``Tape.leaf`` upcasts to
 float64 so finite-difference probes at step 1e-4 are not quantized away.
@@ -27,6 +30,7 @@ import numpy as np
 
 LOG_EPS = 1e-12      # floor inside log() calls
 BN_EPS = 1e-5        # batch-norm variance floor
+BN_MOMENTUM = 0.9    # weight of the old running statistics per train forward
 
 
 class ShapeError(ValueError):
@@ -72,12 +76,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _accum(v: Var, g: np.ndarray, owned: bool = True) -> None:
+def _accum(v: Var, g: np.ndarray) -> None:
     """Add a gradient contribution to ``v``. The first contribution becomes
-    the buffer itself; pass ``owned=False`` when ``g`` is another Var's
-    gradient (or a view of one), so it is copied rather than aliased."""
+    the buffer itself, so ``g`` must be a writable array no other Var holds:
+    a fresh result, or a released output gradient handed on once."""
     if v.grad is None:
-        v.grad = g if owned else g.copy()
+        v.grad = g
     else:
         v.grad += g
 
@@ -111,12 +115,21 @@ class Tape:
 
     # ---- primitives ------------------------------------------------------
 
-    def matmul(self, a: Var, b: Var) -> Var:
+    def matmul(self, a: Var, b: Var, bias: Var | None = None) -> Var:
+        """a @ b, plus the (1, cols) row ``bias`` broadcast over the rows when
+        given: one step for a dense layer."""
         if a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul: {a.shape} x {b.shape}")
-        out = Var(a.value @ b.value)
+        if bias is not None and bias.shape != (1, b.shape[1]):
+            raise ShapeError(f"matmul: bias {bias.shape} for {a.shape} x {b.shape}")
+        value = a.value @ b.value
+        if bias is not None:
+            value += bias.value
+        out = Var(value)
 
         def back():
+            if bias is not None:
+                _accum(bias, out.grad.sum(axis=0, keepdims=True))
             _accum(a, out.grad @ b.value.T)
             _accum(b, a.value.T @ out.grad)
 
@@ -142,21 +155,8 @@ class Tape:
         out = Var(a.value + b.value)
 
         def back():
-            _accum(a, out.grad, owned=False)
-            _accum(b, out.grad, owned=False)
-
-        self._record(out, back)
-        return out
-
-    def add_bias(self, m: Var, b: Var) -> Var:
-        """Row-broadcast add: b has shape (1, cols)."""
-        if b.shape != (1, m.shape[1]):
-            raise ShapeError(f"add_bias: {m.shape} + {b.shape}")
-        out = Var(m.value + b.value)
-
-        def back():
-            _accum(m, out.grad, owned=False)
-            _accum(b, out.grad.sum(axis=0, keepdims=True))
+            _accum(a, out.grad.copy())
+            _accum(b, out.grad)
 
         self._record(out, back)
         return out
@@ -259,23 +259,21 @@ class Tape:
         return out
 
     def batchnorm_train(self, x: Var, gamma: Var, beta: Var,
-                        running_mean: np.ndarray, running_var: np.ndarray,
-                        momentum: float = 0.9, update_running: bool = True) -> Var:
+                        running_mean: np.ndarray, running_var: np.ndarray) -> Var:
         """Normalize each column by batch statistics (biased variance), then
-        scale and shift. Optionally folds the batch statistics into the
-        float32 running buffers as a side effect (suppress during
-        finite-difference probing, where repeated forwards must not drift)."""
-        n = x.shape[0]
+        scale and shift. As a side effect, folds the batch statistics into the
+        running buffers with momentum BN_MOMENTUM; the output reads only the
+        batch statistics, so repeated forwards (finite-difference probing)
+        give the same values while the buffers drift."""
         mu = x.value.mean(axis=0, keepdims=True)
         var = x.value.var(axis=0, keepdims=True)
         inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x.value - mu) * inv
         out = Var(xhat * gamma.value + beta.value)
-        if update_running:
-            running_mean[:] = (momentum * running_mean.astype(np.float64)
-                               + (1.0 - momentum) * mu[0]).astype(running_mean.dtype)
-            running_var[:] = (momentum * running_var.astype(np.float64)
-                              + (1.0 - momentum) * var[0]).astype(running_var.dtype)
+        running_mean[:] = (BN_MOMENTUM * running_mean.astype(np.float64)
+                           + (1.0 - BN_MOMENTUM) * mu[0]).astype(running_mean.dtype)
+        running_var[:] = (BN_MOMENTUM * running_var.astype(np.float64)
+                          + (1.0 - BN_MOMENTUM) * var[0]).astype(running_var.dtype)
 
         def back():
             g = out.grad
@@ -328,7 +326,7 @@ class Tape:
         out = Var(np.array([[(m.value.sum(axis=0) * w).sum()]]))
 
         def back():
-            _accum(m, np.broadcast_to(out.grad[0, 0] * w[None, :], m.shape), owned=False)
+            _accum(m, np.tile(out.grad[0, 0] * w, (m.shape[0], 1)))
 
         self._record(out, back)
         return out

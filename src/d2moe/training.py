@@ -24,20 +24,25 @@ from .moe_core import (
     ModelParams,
     RoutingTrace,
     TopK,
-    accuracy,
+    evaluate,
     forward,
     init_params,
     map_budget,
-    predict,
     predictive_entropy,
 )
 from .numerics import Var
 
 log = logging.getLogger(__name__)
 
+ADAM_BETA1 = 0.9     # first-moment decay
+ADAM_BETA2 = 0.999   # second-moment decay
+ADAM_EPS = 1e-8      # added to the root of the second moment
+GRAD_CLIP = 5.0      # bound on the global gradient L2 norm per step
+
 
 class TrainingDivergence(RuntimeError):
-    """The objective went non-finite; carries the failing epoch."""
+    """The objective or the scoring pass's class probabilities went
+    non-finite; carries the failing epoch."""
 
     def __init__(self, epoch: int, message: str):
         super().__init__(f"epoch {epoch}: {message}")
@@ -129,10 +134,6 @@ class TrainConfig:
     weight_decay: float = 5e-4
     lambda_re: float = 1e-4
     lambda_lb: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    grad_clip: float = 5.0
     seed: int = 0
     strict_proxy: bool = False
 
@@ -141,16 +142,10 @@ class TrainConfig:
             raise ValueError("max_epochs and patience must be >= 1")
         if not 0 < self.lr < math.inf:
             raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
-        for name in ("lambda_re", "lambda_lb", "weight_decay", "grad_clip"):
+        for name in ("lambda_re", "lambda_lb", "weight_decay"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0 <= value < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {value}")
-        if not 0 < self.eps < math.inf:
-            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
 
 
 # ---- losses --------------------------------------------------------------
@@ -231,11 +226,12 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 def adamw_step(params: ModelParams, grads: dict[str, np.ndarray],
                state: AdamState, config: TrainConfig) -> None:
-    """Bias-corrected Adam with decoupled weight decay. Moments are float64;
-    the float32 parameter tensors are updated in place."""
+    """Bias-corrected Adam (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) with decoupled
+    weight decay. Moments are float64; the float32 parameter tensors are
+    updated in place."""
     state.step += 1
     t = state.step
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     for name, arr in params.named_tensors():
@@ -246,7 +242,7 @@ def adamw_step(params: ModelParams, grads: dict[str, np.ndarray],
         v = state.v.setdefault(name, np.zeros(arr.shape, dtype=np.float64))
         m[...] = b1 * m + (1.0 - b1) * g
         v[...] = b2 * v + (1.0 - b2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + config.eps)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p64 = arr.astype(np.float64)
         if config.weight_decay > 0.0 and decays(name):
             p64 *= 1.0 - config.lr * config.weight_decay
@@ -316,10 +312,11 @@ def _effective_lambdas(variant: Variant, config: TrainConfig) -> tuple[float, fl
 def _train_step(params: ModelParams, g: Graph, budget, dropout_rng: np.random.Generator,
                 lam1: float, lam2: float, adam: AdamState, config: TrainConfig,
                 epoch: int) -> tuple[LossBreakdown, np.ndarray, RoutingTrace]:
-    """Phases 2 and 3 of an epoch: a train-mode forward and one clipped AdamW
-    step on the regularized objective. Returns the loss breakdown, the
-    train-mode class probabilities and the routing trace; the tape, with every
-    intermediate and gradient, is freed when this returns."""
+    """Phases 2 and 3 of an epoch: a train-mode forward and one AdamW step on
+    the regularized objective, its gradients clipped to norm GRAD_CLIP.
+    Returns the loss breakdown, the train-mode class probabilities and the
+    routing trace; the tape, with every intermediate and gradient, is freed
+    when this returns."""
     fw = forward(params, g, budget, mode="train", rng=dropout_rng)
     breakdown, total_var, _ = losses_on_tape(fw, g, lam1, lam2)
     if not np.isfinite(breakdown.total):
@@ -330,7 +327,7 @@ def _train_step(params: ModelParams, g: Graph, budget, dropout_rng: np.random.Ge
     fw.tape.backward(total_var)
     grads = {name: fw.leaf_vars[name].grad
              for name, _ in params.named_tensors() if ".running_" not in name}
-    clip_global_norm(grads, config.grad_clip)
+    clip_global_norm(grads, GRAD_CLIP)
     adamw_step(params, grads, adam, config)
     return breakdown, fw.probs.value, fw.trace
 
@@ -383,18 +380,20 @@ def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
 
         breakdown, train_probs, trace = _train_step(
             params, g, budget, dropout_rng, lam1, lam2, adam, config, epoch)
-        ev_probs = forward(params, g, budget, mode="eval").probs.value
-        entropy = predictive_entropy(ev_probs if config.strict_proxy else train_probs)
-        preds = predict(ev_probs)
+        try:
+            scored = evaluate(params, g, budget)
+        except ValueError as err:
+            raise TrainingDivergence(epoch, str(err)) from None
+        entropy = scored.entropy if config.strict_proxy else predictive_entropy(train_probs)
         report = EpochReport(
             epoch=epoch,
             loss_task=breakdown.task,
             loss_re=breakdown.routing_entropy,
             loss_lb=breakdown.load_balance,
             loss_total=breakdown.total,
-            acc_train=accuracy(preds, g.labels, g.train_mask),
-            acc_val=accuracy(preds, g.labels, g.val_mask),
-            acc_test=accuracy(preds, g.labels, g.test_mask),
+            acc_train=scored.acc_train,
+            acc_val=scored.acc_val,
+            acc_test=scored.acc_test,
             mean_active_experts=float(trace.active_counts().mean()),
             per_expert_load=[float(x) for x in trace.selection_freq().reshape(-1)],
         )

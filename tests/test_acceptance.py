@@ -102,8 +102,7 @@ def test_gradient_fidelity(verdict):
     thresholds = np.full(g.n, 0.8)
 
     def build():
-        fw = forward(ModelParams(cfg, params64), g, thresholds, mode="train",
-                     update_norm_stats=False)
+        fw = forward(ModelParams(cfg, params64), g, thresholds, mode="train")
         _, total, _ = losses_on_tape(fw, g, lam1=1e-4, lam2=1e-3)
         return fw.tape, total, fw.leaf_vars
 

@@ -194,7 +194,7 @@ def test_settings_table_matches_config_fields():
                 assert cli.CONFIG_KEYS[key][1] == default, key
     unexposed = {f.name for cls in (ModelConfig, TrainConfig) for f in dataclasses.fields(cls)
                  if f.name not in exposed[cls]}
-    assert unexposed == {"in_dim", "classes", "beta1", "beta2", "eps", "grad_clip", "seed"}
+    assert unexposed == {"in_dim", "classes", "seed"}
     assert set(cli.SIZE_DEFAULTS) == {"hidden", "experts", "layers"}
     assert cli.CONFIG_KEYS["seed"] == (int, TrainConfig().seed)
 

@@ -332,6 +332,17 @@ def test_forward_records_one_mixture_step_per_layer(monkeypatch, backbone, layou
         assert steps[1] == steps[2] == steps[8]
 
 
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_forward_records_one_step_per_dense_layer(layers):
+    """Embedding, router layers and head are one matmul step each, bias
+    included: without dropout or batch norm a train forward records 4 + 8L
+    steps (embedding 2, each layer spmm + router 4 + mix + add + relu, head 2)."""
+    g = small_graph()
+    params = small_params(g, experts=3, layers=layers)
+    fw = forward(params, g, np.full(g.n, 0.7), mode="train")
+    assert len(fw.tape._steps) == 4 + 8 * layers
+
+
 def test_eval_forward_records_nothing():
     """An eval tape keeps no steps and no leaves, so each intermediate is
     freed once the forward stops reading it, and backward on it raises."""
@@ -456,6 +467,19 @@ def test_forward_topk_budget():
         forward(params, g, TopK(9), mode="eval")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_forward_and_evaluate_reject_non_finite_thresholds(bad):
+    g = small_graph()
+    params = small_params(g, experts=4, layers=1)
+    thresholds = np.full(g.n, 0.7)
+    thresholds[5] = bad
+    for mode in ("train", "eval"):
+        with pytest.raises(ValueError, match="1 non-finite values .first at node 5"):
+            forward(params, g, thresholds, mode=mode)
+    with pytest.raises(ValueError, match="non-finite values"):
+        evaluate(params, g, np.full(g.n, bad))
+
+
 def test_forward_train_needs_rng_with_dropout():
     g = small_graph()
     params = small_params(g, dropout=0.5)
@@ -500,8 +524,7 @@ def test_full_model_grad_check_all_expert_kinds_norm_dropout():
     train_idx = g.mask_idx("train")
 
     def build():
-        fw = forward(ModelParams(cfg, params64), g, thresholds, mode="train", rng=RNG(77),
-                     update_norm_stats=False)
+        fw = forward(ModelParams(cfg, params64), g, thresholds, mode="train", rng=RNG(77))
         loss = fw.tape.masked_nll(fw.probs, g.labels, train_idx)
         return fw.tape, loss, fw.leaf_vars
 

@@ -65,14 +65,28 @@ def test_matmul_grad_of_sum_is_row_sums():
 def test_matmul_fd():
     a = RNG(3).uniform(-2, 2, size=(5, 3))
     b = RNG(4).uniform(-2, 2, size=(3, 4))
+    bias = RNG(6).uniform(-2, 2, size=(1, 4))
     w = RNG(5).normal(size=4)
+    for leaves in ({"a": a, "b": b}, {"a": a, "b": b, "bias": bias}):
+        def build(leaves=leaves):
+            t = Tape()
+            vs = {name: t.leaf(arr) for name, arr in leaves.items()}
+            out = t.matmul(vs["a"], vs["b"], vs.get("bias"))
+            return t, t.weighted_colsum(out, w), vs
 
-    def build():
-        t = Tape()
-        va, vb = t.leaf(a), t.leaf(b)
-        return t, t.weighted_colsum(t.matmul(va, vb), w), {"a": va, "b": vb}
+        report = run_check(build, leaves)
+        assert set(report.per_leaf) == set(leaves)
 
-    run_check(build, {"a": a, "b": b})
+
+def test_matmul_bias_value_and_shape_check():
+    a = RNG(7).normal(size=(3, 2))
+    b = RNG(8).normal(size=(2, 4))
+    bias = RNG(9).normal(size=(1, 4))
+    t = Tape()
+    out = t.matmul(t.leaf(a), t.leaf(b), t.leaf(bias))
+    np.testing.assert_array_equal(out.value, a @ b + bias)
+    with pytest.raises(ShapeError, match="bias"):
+        t.matmul(t.leaf(a), t.leaf(b), t.leaf(np.zeros((1, 3))))
 
 
 # ---- spmm ----------------------------------------------------------------
@@ -413,7 +427,7 @@ def test_batchnorm_train_normalizes_columns():
     t = Tape()
     rm, rv = np.zeros(4, np.float32), np.ones(4, np.float32)
     out = t.batchnorm_train(t.leaf(x), t.leaf(np.ones((1, 4))), t.leaf(np.zeros((1, 4))),
-                            rm, rv, update_running=False)
+                            rm, rv)
     np.testing.assert_allclose(out.value.mean(axis=0), 0.0, atol=1e-10)
     np.testing.assert_allclose(out.value.var(axis=0), 1.0, atol=1e-4)
 
@@ -423,7 +437,7 @@ def test_batchnorm_running_stats_update():
     rm, rv = np.zeros(3, np.float32), np.ones(3, np.float32)
     t = Tape()
     t.batchnorm_train(t.leaf(x), t.leaf(np.ones((1, 3))), t.leaf(np.zeros((1, 3))),
-                      rm, rv, momentum=0.9, update_running=True)
+                      rm, rv)
     np.testing.assert_allclose(rm, 0.1 * x.mean(axis=0), rtol=1e-5)
     np.testing.assert_allclose(rv, 0.9 + 0.1 * x.var(axis=0), rtol=1e-5)
 
@@ -437,8 +451,7 @@ def test_batchnorm_train_fd():
     def build():
         t = Tape()
         vx, vg, vb = t.leaf(x), t.leaf(gamma), t.leaf(beta)
-        out = t.batchnorm_train(vx, vg, vb, np.zeros(3, np.float32), np.ones(3, np.float32),
-                                update_running=False)
+        out = t.batchnorm_train(vx, vg, vb, np.zeros(3, np.float32), np.ones(3, np.float32))
         return t, t.weighted_colsum(out, w), {"x": vx, "gamma": vg, "beta": vb}
 
     run_check(build, {"x": x, "gamma": gamma, "beta": beta})
@@ -569,17 +582,20 @@ def test_pass_through_gradients_do_not_alias():
     t = Tape()
     a = t.leaf(RNG(2).normal(size=(3, 2)))
     b = t.leaf(RNG(3).normal(size=(3, 2)))
+    eye = t.leaf(np.eye(2))
     bias = t.leaf(RNG(4).normal(size=(1, 2)))
     s = t.add(a, b)
-    out = t.weighted_colsum(t.add(t.add_bias(s, bias), t.scale(a, 3.0)), np.array([1.0, 2.0]))
+    out = t.weighted_colsum(t.add(t.matmul(s, eye, bias), t.scale(a, 3.0)),
+                            np.array([1.0, 2.0]))
     t.backward(out)
-    grads = [a.grad, b.grad, bias.grad]
+    grads = [a.grad, b.grad, bias.grad, eye.grad]
     for i, gi in enumerate(grads):
         for gj in grads[i + 1:]:
             assert not np.shares_memory(gi, gj)
     assert s.grad is None
     np.testing.assert_array_equal(b.grad, np.tile([1.0, 2.0], (3, 1)))
     np.testing.assert_array_equal(a.grad, np.tile([4.0, 8.0], (3, 1)))
+    np.testing.assert_array_equal(bias.grad, [[3.0, 6.0]])
 
     t = Tape()
     c = t.leaf(np.ones((2, 2)))
