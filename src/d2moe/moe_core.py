@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .numerics import Tape, Var, sigmoid
+from .numerics import Const, Tape, Var, sigmoid
 
 TOP_P_SLACK = 1e-9   # absorbs float summation error in the cumulative cutoff
 ENTROPY_EPS = 1e-12
@@ -108,6 +108,8 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(rows, cols)).astype(np.float32)
 
 
+_RUNNING_STATS = ("running_mean", "running_var")
+
 _EXPERT_WEIGHTS = {
     ExpertKind.GCN_ONE_HOP: ("w",),
     ExpertKind.GCN_TWO_HOP: ("wa", "wb"),
@@ -130,6 +132,13 @@ class ModelParams:
 
     def named_tensors(self):
         return iter(self.tensors.items())
+
+    def trainable(self):
+        """(name, tensor) in store order for every tensor the optimizer
+        updates: all but the batch-norm running statistics, which a
+        train-mode forward updates itself."""
+        return ((name, arr) for name, arr in self.tensors.items()
+                if name.rsplit(".", 1)[-1] not in _RUNNING_STATS)
 
 
 def _param_layout(config: ModelConfig):
@@ -249,7 +258,7 @@ class ForwardResult:
     layer_pis: list[Var]       # router distributions on tape, one per layer
     trace: RoutingTrace
     tape: Tape                 # records steps in train mode only
-    leaf_vars: dict[str, Var]  # parameter name -> tape leaf
+    leaf_vars: dict[str, Var]  # trainable parameter name -> tape leaf
 
 
 def _layer_aggregates(tape: Tape, h: Var, g: Graph,
@@ -314,8 +323,8 @@ def forward(params: ModelParams, g: Graph, budget, mode: str = "train",
                              f"(first at node {bad[0]}: {budget[bad[0]]})")
 
     tape = Tape(record=train)
-    lv = {name: tape.leaf(arr) for name, arr in params.named_tensors()}
-    x = tape.leaf(g.features)
+    lv = {name: tape.leaf(arr) for name, arr in params.trainable()}
+    x = Const(g.features)
 
     h = tape.relu(tape.matmul(x, lv["embed.w"], lv["embed.b"]))
     if use_dropout:
@@ -373,12 +382,21 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> f
 class EvalReport:
     probs: np.ndarray
     predictions: np.ndarray
-    entropy: np.ndarray           # per-node normalized entropy (full-activation pass)
     thresholds: np.ndarray | None  # budgets used for the reported pass (None for TopK)
     trace: RoutingTrace
     acc_train: float
     acc_val: float
     acc_test: float
+    first_pass_entropy: np.ndarray | None = None  # set by the adaptive rule only
+
+    @property
+    def entropy(self) -> np.ndarray:
+        """Per-node normalized entropy: of the full-activation pass under the
+        adaptive rule, else of ``probs``, computed when read (so a caller that
+        never reads it pays nothing)."""
+        if self.first_pass_entropy is not None:
+            return self.first_pass_entropy
+        return predictive_entropy(self.probs)
 
 
 def evaluate(params: ModelParams, g: Graph, budget=None) -> EvalReport:
@@ -404,16 +422,16 @@ def evaluate(params: ModelParams, g: Graph, budget=None) -> EvalReport:
         fw = checked_forward(thresholds, "reported")
     else:
         fw = checked_forward(budget, "reported")
-        entropy = predictive_entropy(fw.probs.value)
+        entropy = None
         thresholds = None if isinstance(budget, TopK) else np.asarray(budget, np.float64)
     probs = fw.probs.value
     preds = predict(probs)
     return EvalReport(
-        probs=probs, predictions=preds, entropy=entropy, thresholds=thresholds,
-        trace=fw.trace,
+        probs=probs, predictions=preds, thresholds=thresholds, trace=fw.trace,
         acc_train=accuracy(preds, g.labels, g.train_mask),
         acc_val=accuracy(preds, g.labels, g.val_mask),
         acc_test=accuracy(preds, g.labels, g.test_mask),
+        first_pass_entropy=entropy,
     )
 
 

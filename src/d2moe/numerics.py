@@ -4,17 +4,21 @@ Values are numpy float64 arrays of shape (rows, cols); scalars travel as (1, 1).
 Sparse adjacencies are scipy CSR and are never differentiated through. A Tape
 records one forward pass: a dense layer x·W + b as one ``matmul`` step, a
 whole mixture layer (experts, renormalized scores and their weighted sum) as
-one ``mix_experts`` step, in which each expert runs only on the rows whose
-mask selected it. ``backward`` replays the steps in reverse, allocating each
-gradient at its first contribution and skipping steps whose output the seed
-never reached. Every gradient array has one owner: a Var adopts the first
-contribution it gets, and a step hands its output gradient on uncopied at
-most once. Only leaves keep their gradients: a step's output gradient is
-released as soon as the step has run. Leaves left without a gradient get
-exact zeros, and running it twice gives bit-identical results. A tape built
-with ``record=False`` (the model's eval mode) records nothing, so its
-intermediates live only as long as the caller holds them, and it cannot run
-``backward``.
+one ``mix_experts`` step. There each expert runs only on the rows whose mask
+selected it and writes its outputs into its slice of one stacked
+(pairs, cols) buffer, one row per selected (expert, row) pair; one CSR
+product with the (rows, pairs) mixing matrix of renormalized scores then sums
+every row's experts. Inputs that take no gradient, such as the node
+features, enter as a ``Const`` and are not leaves. ``backward`` replays the
+steps in reverse, allocating each gradient at its first contribution and
+skipping steps whose output the seed never reached. Every gradient array has
+one owner: a Var adopts the first contribution it gets, and a step hands its
+output gradient on uncopied at most once. Only leaves keep their gradients: a
+step's output gradient is released as soon as the step has run. Leaves left
+without a gradient get exact zeros, and running it twice gives bit-identical
+results. A tape built with ``record=False`` (the model's eval mode) records
+nothing, so its intermediates live only as long as the caller holds them, and
+it cannot run ``backward``.
 
 Parameters live in float32 elsewhere in the package; ``Tape.leaf`` upcasts to
 float64 so finite-difference probes at step 1e-4 are not quantized away.
@@ -23,10 +27,10 @@ float64 so finite-difference probes at step 1e-4 are not quantized away.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 LOG_EPS = 1e-12      # floor inside log() calls
 BN_EPS = 1e-5        # batch-norm variance floor
@@ -63,6 +67,17 @@ def _as2d(a) -> np.ndarray:
     if out.ndim != 2:
         raise ShapeError(f"expected a rank-2 array, got shape {out.shape}")
     return out
+
+
+class Const(Var):
+    """An op input that takes no gradient, such as the node features: no op
+    computes or stores a gradient for it, and no tape holds it. Float64
+    arrays are aliased, as by ``Tape.leaf``."""
+
+    __slots__ = ()
+
+    def __init__(self, array):
+        super().__init__(_as2d(array))
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -130,8 +145,10 @@ class Tape:
         def back():
             if bias is not None:
                 _accum(bias, out.grad.sum(axis=0, keepdims=True))
-            _accum(a, out.grad @ b.value.T)
-            _accum(b, a.value.T @ out.grad)
+            if not isinstance(a, Const):
+                _accum(a, out.grad @ b.value.T)
+            if not isinstance(b, Const):
+                _accum(b, a.value.T @ out.grad)
 
         self._record(out, back)
         return out
@@ -171,11 +188,13 @@ class Tape:
         return out
 
     def relu(self, a: Var) -> Var:
+        """max(a, 0) elementwise. A NaN entry stays NaN (``np.maximum``
+        propagates it), so a non-finite value is never hidden as a zero."""
         keep = a.value > 0.0
-        out = Var(np.where(keep, a.value, 0.0))
+        out = Var(np.maximum(a.value, 0.0))
 
         def back():
-            _accum(a, np.where(keep, out.grad, 0.0))
+            _accum(a, out.grad * keep)
 
         self._record(out, back)
         return out
@@ -186,10 +205,10 @@ class Tape:
         if not 0.0 < keep <= 1.0:
             raise ValueError(f"dropout keep probability must be in (0, 1], got {keep}")
         kept = rng.random(a.shape) < keep
-        out = Var(a.value * np.where(kept, 1.0 / keep, 0.0))
+        out = Var(a.value * (kept * (1.0 / keep)))
 
         def back():
-            _accum(a, out.grad * np.where(kept, 1.0 / keep, 0.0))
+            _accum(a, out.grad * (kept * (1.0 / keep)))
 
         self._record(out, back)
         return out
@@ -214,10 +233,15 @@ class Tape:
         ``mask``-selected scores of ``pi`` rescaled to sum to 1. ``mask`` is a
         constant boolean array shaped like ``pi``.
 
-        Each expert runs only on the rows that selected it: its inputs' rows
-        are gathered, transformed and scatter-added, so an unselected row of
-        an ``x_j`` is never read and gets an exact-zero gradient from it.
-        Backward mirrors that row by row and runs experts K-1…0."""
+        Each expert runs only on the rows that selected it. The selected
+        (expert, row) pairs are taken in expert-major order, and expert i
+        writes z_i over its rows into its slice of one stacked (pairs, cols)
+        buffer Z, so an unselected row of an ``x_j`` is never read and gets an
+        exact-zero gradient from it. The output is one sparse product M·Z,
+        where the (rows, pairs) CSR mixing matrix M holds each pair's p̃ at
+        (row, pair). A CSR row lists its pairs in ascending expert order, so
+        every output row sums its experts in order 0…K-1. Backward runs
+        experts K-1…0, each over its own rows and its slice of Z."""
         rows, cols = pi.shape[0], experts[0][1].shape[1]
         conform = all(terms and b.shape == (1, cols) and all(
             x.shape[0] == rows and x.shape[1] == w.shape[0] and w.shape[1] == cols
@@ -231,22 +255,33 @@ class Tape:
         if np.any(s <= 0.0):
             raise ValueError("mix_experts: selected mass is zero in some row")
         p = kept / s
-        picked = [np.flatnonzero(mask[:, i]) for i in range(len(experts))]
-        zs = [reduce(np.add, [x.value[r] @ w.value for x, w in terms]) + b.value
-              for r, (terms, b) in zip(picked, experts)]
-        acc = np.zeros((rows, cols))
-        for i, (r, z) in enumerate(zip(picked, zs)):
-            acc[r] += p[r, i : i + 1] * z
-        out = Var(acc)
+        pair_expert, pair_row = np.nonzero(mask.T)
+        bounds = np.searchsorted(pair_expert, np.arange(len(experts) + 1))
+        spans = list(zip(bounds[:-1], bounds[1:]))
+        picked = [pair_row[lo:hi] for lo, hi in spans]
+        stacked = np.empty((pair_row.size, cols))
+        zs = [stacked[lo:hi] for lo, hi in spans]
+        for r, z, (terms, b) in zip(picked, zs, experts):
+            (x0, w0), *rest = terms
+            np.matmul(x0.value[r], w0.value, out=z)
+            for x, w in rest:
+                z += x.value[r] @ w.value
+            z += b.value
+        # Sorting the pairs by row (stably) lists each row's pairs in expert
+        # order: the CSR column indices, with p̃ read off row-major.
+        indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
+        mixing = sp.csr_array((p[mask], np.argsort(pair_row, kind="stable"), indptr),
+                              shape=(rows, pair_row.size))
+        out = Var(np.asarray(mixing @ stacked))
 
         def back():
             g = out.grad
             gp = np.zeros_like(p)
             for i, (terms, b) in reversed(list(enumerate(experts))):
                 r = picked[i]
-                gr = g[r]
-                gz = gr * p[r, i : i + 1]
-                gp[r, i] = (gr * zs[i]).sum(axis=1)
+                gz = g[r]
+                gp[r, i] = (gz * zs[i]).sum(axis=1)
+                gz *= p[r, i : i + 1]
                 _accum(b, gz.sum(axis=0, keepdims=True))
                 for x, w in reversed(terms):
                     if x.grad is None:
@@ -404,8 +439,9 @@ def grad_check(f: Callable[[], tuple[Tape, Var, dict[str, Var]]],
     ``f`` rebuilds the computation from scratch on each call and must read the
     float64 arrays in ``leaves`` by reference (so in-place perturbations are
     visible). It returns the tape, the scalar output, and the leaf Vars keyed
-    like ``leaves``. Determinism is verified by evaluating twice at the base
-    point; any non-finite value aborts the check.
+    like ``leaves``; an array with no leaf Var is one the computation holds
+    constant, so its analytic gradient is zero. Determinism is verified by
+    evaluating twice at the base point; any non-finite value aborts the check.
     """
     for name, arr in leaves.items():
         if arr.dtype != np.float64:
@@ -422,7 +458,7 @@ def grad_check(f: Callable[[], tuple[Tape, Var, dict[str, Var]]],
 
     per_leaf: dict[str, float] = {}
     for name, arr in leaves.items():
-        analytic = leaf_vars[name].grad
+        analytic = leaf_vars[name].grad if name in leaf_vars else np.zeros_like(arr)
         fd = np.zeros_like(arr)
         flat = arr.reshape(-1)
         fd_flat = fd.reshape(-1)

@@ -325,8 +325,7 @@ def _train_step(params: ModelParams, g: Graph, budget, dropout_rng: np.random.Ge
                    f"re={breakdown.routing_entropy}, lb={breakdown.load_balance})")
 
     fw.tape.backward(total_var)
-    grads = {name: fw.leaf_vars[name].grad
-             for name, _ in params.named_tensors() if ".running_" not in name}
+    grads = {name: leaf.grad for name, leaf in fw.leaf_vars.items()}
     clip_global_norm(grads, GRAD_CLIP)
     adamw_step(params, grads, adam, config)
     return breakdown, fw.probs.value, fw.trace

@@ -592,6 +592,36 @@ def test_evaluate_rejects_non_finite_probabilities(budget):
         evaluate(params, g, np.ones(g.n) if budget == "ones" else budget)
 
 
+def test_evaluate_rejects_nan_hidden_activation():
+    """A NaN in ``embed.b`` reaches the class probabilities: relu does not
+    zero it, so ``evaluate`` raises instead of scoring finite probabilities."""
+    g = small_graph(n=25, seed=15)
+    params = small_params(g, experts=4, layers=1, seed=7)
+    params.tensors["embed.b"][0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite class probabilities"):
+        evaluate(params, g)
+
+
+def test_evaluate_explicit_budget_entropy_is_of_reported_probs():
+    g = small_graph(n=25, seed=15)
+    params = small_params(g, experts=4, layers=1, seed=7)
+    rep = evaluate(params, g, np.full(g.n, 0.6))
+    assert rep.first_pass_entropy is None
+    np.testing.assert_array_equal(rep.entropy, predictive_entropy(rep.probs))
+
+
+def test_train_forward_leaves_are_the_trainable_tensors():
+    """The features are a constant and the batch-norm running statistics are
+    read as buffers: neither is a tape leaf, so backward computes no
+    gradient for them."""
+    g = small_graph()
+    params = small_params(g, experts=3, layers=2, use_batch_norm=True)
+    fw = forward(params, g, np.full(g.n, 0.7), mode="train")
+    names = [name for name, _ in params.named_tensors() if ".running_" not in name]
+    assert list(fw.leaf_vars) == names == [name for name, _ in params.trainable()]
+    assert fw.tape._leaves == list(fw.leaf_vars.values())
+
+
 # ---- checkpoints ---------------------------------------------------------
 
 

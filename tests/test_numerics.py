@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2moe.numerics import (
+    Const,
     GradCheckError,
     ShapeError,
     Tape,
@@ -194,6 +195,34 @@ def test_pointwise_trivia():
     np.testing.assert_array_equal(t.relu(t.leaf([[-3.0, 3.0]])).value, [[0.0, 3.0]])
 
 
+def test_relu_propagates_nan():
+    """np.maximum keeps a NaN, so relu never hides a non-finite value as 0;
+    the NaN entry's gradient is an exact zero, like any non-positive one."""
+    t = Tape()
+    a = t.leaf([[np.nan, -1.0, 2.0]])
+    out = t.relu(a)
+    np.testing.assert_array_equal(out.value, [[np.nan, 0.0, 2.0]])
+    t.backward(t.weighted_colsum(t.scale(out, 0.0), np.ones(3)))
+    np.testing.assert_array_equal(a.grad, [[0.0, 0.0, 0.0]])
+
+
+def test_constant_takes_no_gradient():
+    """A constant input is not a leaf and gets no gradient, and the matmul it
+    feeds computes none for it; the weights' gradients are unchanged."""
+    x = RNG(40).normal(size=(5, 3))
+    w, b = RNG(41).normal(size=(3, 2)), RNG(42).normal(size=(1, 2))
+    grads = {}
+    for wrap in ("leaf", "const"):
+        t = Tape()
+        xv = t.leaf(x) if wrap == "leaf" else Const(x)
+        wv, bv = t.leaf(w), t.leaf(b)
+        t.backward(t.weighted_colsum(t.matmul(xv, wv, bv), np.array([1.0, -2.0])))
+        grads[wrap] = (xv.grad, wv.grad, bv.grad, len(t._leaves))
+    assert grads["const"][0] is None and grads["const"][3] == 2
+    for leaf, const in zip(grads["leaf"][1:3], grads["const"][1:3]):
+        np.testing.assert_array_equal(leaf, const)
+
+
 def test_sigmoid_saturation_finite():
     out = sigmoid(np.array([-1000.0, 1000.0]))
     assert np.all(np.isfinite(out))
@@ -304,10 +333,26 @@ def _named(xs, experts):
     return out
 
 
-@pytest.mark.parametrize("term_counts", [(1,), (2,), (1, 1, 1), (2, 2, 2), (2, 1, 2, 1)],
-                         ids=lambda counts: "-".join(map(str, counts)))
-def test_mix_experts_matches_numpy_oracle(term_counts):
-    xs, experts, _, mask = _mixture_case(27, term_counts=term_counts)
+def _every_pattern_mask(busy=4, idle=2):
+    """(2**busy - 1, busy + 1): row r selects the busy experts in the bits of
+    r + 1, so every non-empty selection pattern occurs once; expert ``idle``
+    is selected by no row."""
+    bits = (np.arange(1, 2 ** busy)[:, None] >> np.arange(busy)) & 1
+    return np.insert(bits.astype(bool), idle, False, axis=1)
+
+
+@pytest.mark.parametrize("term_counts, every_pattern", [
+    *(pytest.param(counts, False, id="-".join(map(str, counts)))
+      for counts in [(1,), (2,), (1, 1, 1), (2, 2, 2), (2, 1, 2, 1)]),
+    pytest.param((1, 2, 1, 2, 1), True, id="every-pattern-of-4-with-idle"),
+])
+def test_mix_experts_matches_numpy_oracle(term_counts, every_pattern):
+    """Bit-exact against the per-expert oracle, so each output row sums its
+    selected experts in ascending order, also across an idle expert."""
+    xs, experts, _, mask = _mixture_case(27, n=15 if every_pattern else 6,
+                                         term_counts=term_counts)
+    if every_pattern:
+        mask = _every_pattern_mask()
     pi = RNG(28).uniform(0.05, 1, size=mask.shape)
     t = Tape()
     out, _, _ = _mixture_on_tape(t, xs, experts, t.leaf(pi), mask)

@@ -531,6 +531,28 @@ def test_fit_strict_proxy_runs_one_eval_forward_per_epoch(monkeypatch):
     assert modes == ["train", "eval"]
 
 
+@pytest.mark.parametrize("strict", [False, True])
+def test_fit_computes_one_entropy_per_epoch(monkeypatch, strict):
+    """The proxy entropy is computed once per epoch: of the train-mode
+    probabilities by default, of the scoring pass's under strict_proxy;
+    ``evaluate`` computes none that ``fit`` does not read."""
+    import d2moe.moe_core as moe_core
+    import d2moe.training as training
+
+    sources = []
+
+    def counting(where):
+        def entropy(probs):
+            sources.append(where)
+            return predictive_entropy(probs)
+        return entropy
+
+    monkeypatch.setattr(training, "predictive_entropy", counting("train"))
+    monkeypatch.setattr(moe_core, "predictive_entropy", counting("eval"))
+    fit(_sbm_graph(), _model_cfg(), TrainConfig(max_epochs=3, seed=9, strict_proxy=strict))
+    assert sources == ["eval" if strict else "train"] * 3
+
+
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])
 @pytest.mark.parametrize("layout", ["all_1hop", "half_half"])
 @pytest.mark.parametrize("batch_norm", [False, True])
