@@ -130,9 +130,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
-    def named_tensors(self):
-        return iter(self.tensors.items())
-
     def trainable(self):
         """(name, tensor) in store order for every tensor the optimizer
         updates: all but the batch-norm running statistics, which a
@@ -468,7 +465,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
     u32 and per tensor: name (u16 length + utf-8), rows u32, cols u32, and
     rows*cols float32 values row-major."""
     cfg = params.config
-    tensors = list(params.named_tensors())
+    tensors = list(params.tensors.items())
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))

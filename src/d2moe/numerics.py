@@ -8,7 +8,9 @@ one ``mix_experts`` step. There each expert runs only on the rows whose mask
 selected it and writes its outputs into its slice of one stacked
 (pairs, cols) buffer, one row per selected (expert, row) pair; one CSR
 product with the (rows, pairs) mixing matrix of renormalized scores then sums
-every row's experts. Inputs that take no gradient, such as the node
+every row's experts. The training objective is three steps: ``masked_nll``,
+one ``routing_penalty`` for the router penalties of every layer, and the
+``add`` of the two. Inputs that take no gradient, such as the node
 features, enter as a ``Const`` and are not leaves. ``backward`` replays the
 steps in reverse, allocating each gradient at its first contribution and
 skipping steps whose output the seed never reached. Every gradient array has
@@ -178,15 +180,6 @@ class Tape:
         self._record(out, back)
         return out
 
-    def scale(self, a: Var, c: float) -> Var:
-        out = Var(a.value * c)
-
-        def back():
-            _accum(a, out.grad * c)
-
-        self._record(out, back)
-        return out
-
     def relu(self, a: Var) -> Var:
         """max(a, 0) elementwise. A NaN entry stays NaN (``np.maximum``
         propagates it), so a non-finite value is never hidden as a zero."""
@@ -323,48 +316,49 @@ class Tape:
 
     def batchnorm_eval(self, x: Var, gamma: Var, beta: Var,
                        running_mean: np.ndarray, running_var: np.ndarray) -> Var:
-        """Affine transform with frozen running statistics."""
+        """Affine transform with frozen running statistics, for eval forwards
+        only: it has no backward, so a recording tape raises rather than
+        silently pass no gradient through the running statistics."""
+        if self.recording:
+            raise ValueError("batchnorm_eval: needs a tape built with record=False")
         inv = 1.0 / np.sqrt(running_var.astype(np.float64) + BN_EPS)
         mu = running_mean.astype(np.float64)
-        xhat = (x.value - mu) * inv
-        out = Var(xhat * gamma.value + beta.value)
+        return Var(((x.value - mu) * inv) * gamma.value + beta.value)
 
-        def back():
-            g = out.grad
-            _accum(gamma, (g * xhat).sum(axis=0, keepdims=True))
-            _accum(beta, g.sum(axis=0, keepdims=True))
-            _accum(x, g * gamma.value * inv)
+    # ---- scalar objective terms -----------------------------------------
 
-        self._record(out, back)
-        return out
-
-    # ---- scalar reductions ----------------------------------------------
-
-    def plogp_sum(self, m: Var) -> Var:
-        """Scalar sum of p*log(p) over all entries, natural log, with the log
-        floored at LOG_EPS so exact zeros contribute zero."""
-        clamped = np.maximum(m.value, LOG_EPS)
-        logc = np.log(clamped)
-        out = Var(np.array([[(m.value * logc).sum()]]))
+    def routing_penalty(self, pis: Sequence[Var], freqs: Sequence[np.ndarray],
+                        lam1: float, lam2: float) -> tuple[Var, float, float]:
+        """The router penalties of L layers of (n, K) scores ``pis``, as one
+        scalar step lam1*H + lam2*B, returned with H and B. H is the mean
+        router entropy over nodes and layers, -sum_l sum p*log(p) / (n*L),
+        with the log floored at LOG_EPS so exact zeros contribute zero. B is
+        the balance term summed over layers, K/n * sum_i colsum_i * f_i, where
+        the constant selection frequencies ``freqs[l]`` (one per expert) take
+        no gradient."""
+        n = pis[0].shape[0]
+        if len(freqs) != len(pis) or any(
+                pi.shape[0] != n or f.shape != (pi.shape[1],) for pi, f in zip(pis, freqs)):
+            raise ShapeError(f"routing_penalty: frequencies {[f.shape for f in freqs]} "
+                             f"for scores {[pi.shape for pi in pis]}")
+        c_ent = -1.0 / (n * len(pis))
+        logs = [np.log(np.maximum(pi.value, LOG_EPS)) for pi in pis]
+        plogp = [(pi.value * logc).sum() for pi, logc in zip(pis, logs)]
+        balance = [(pi.value.sum(axis=0) * f).sum() * (pi.shape[1] / n)
+                   for pi, f in zip(pis, freqs)]
+        # Left to right from layer 0: the outputs' bytes depend on the order.
+        ent = sum(plogp[1:], plogp[0]) * c_ent
+        lb = sum(balance[1:], balance[0])
+        out = Var(np.array([[ent * lam1 + lb * lam2]]))
 
         def back():
             g = out.grad[0, 0]
-            _accum(m, g * (logc + np.where(m.value >= LOG_EPS, 1.0, 0.0)))
+            for pi, f, logc in zip(pis, freqs, logs):
+                _accum(pi, np.tile((g * lam2) * (pi.shape[1] / n) * f, (n, 1)))
+                _accum(pi, ((g * lam1) * c_ent) * (logc + np.where(pi.value >= LOG_EPS, 1.0, 0.0)))
 
         self._record(out, back)
-        return out
-
-    def weighted_colsum(self, m: Var, w: np.ndarray) -> Var:
-        """Scalar sum_i w[i] * (column i sum of m); ``w`` is a constant."""
-        if w.shape != (m.shape[1],):
-            raise ShapeError(f"weighted_colsum: weights {w.shape} for {m.shape}")
-        out = Var(np.array([[(m.value.sum(axis=0) * w).sum()]]))
-
-        def back():
-            _accum(m, np.tile(out.grad[0, 0] * w, (m.shape[0], 1)))
-
-        self._record(out, back)
-        return out
+        return out, float(ent), float(lb)
 
     def masked_nll(self, probs: Var, labels: np.ndarray, idx: np.ndarray) -> Var:
         """Mean negative log-probability of the true class over the rows in

@@ -161,34 +161,22 @@ class LossBreakdown:
 
 def losses_on_tape(fw: ForwardResult, g: Graph, lam1: float, lam2: float
                    ) -> tuple[LossBreakdown, Var, Var]:
-    """Build the regularized objective on the forward tape: the mean true-class
-    NLL over training nodes, plus lam1 times the mean router entropy (natural
-    log) over nodes and layers, plus lam2 times the balance term, per layer
+    """Build the regularized objective on the forward tape in three steps:
+    ``masked_nll``, the mean true-class NLL over training nodes; then
+    ``routing_penalty``, lam1 times the mean router entropy (natural log) over
+    nodes and layers plus lam2 times the balance term, per layer
     K * sum_i f_i * Q_i (f_i the fraction of nodes selecting expert i, Q_i its
-    mean routing probability). Returns the value breakdown, the total scalar
-    Var, and the task scalar Var. The selection frequencies f_i are frozen
-    constants: the balance gradient reaches parameters only through Q_i."""
+    mean routing probability); then ``add``. Returns the value breakdown, the
+    total scalar Var, and the task scalar Var. The selection frequencies f_i
+    are frozen constants: the balance gradient reaches parameters only
+    through Q_i."""
     tape = fw.tape
-    n = fw.probs.shape[0]
-    n_layers = len(fw.layer_pis)
-
     task = tape.masked_nll(fw.probs, g.labels, g.mask_idx("train"))
-
-    ent = None
-    for pi in fw.layer_pis:
-        term = tape.plogp_sum(pi)
-        ent = term if ent is None else tape.add(ent, term)
-    ent = tape.scale(ent, -1.0 / (n * n_layers))
-
-    lb = None
-    for pi, lt in zip(fw.layer_pis, fw.trace.layers):
-        freq = lt.selected.mean(axis=0)  # constant: no gradient through f
-        term = tape.scale(tape.weighted_colsum(pi, freq), pi.shape[1] / n)
-        lb = term if lb is None else tape.add(lb, term)
-
-    total = tape.add(task, tape.add(tape.scale(ent, lam1), tape.scale(lb, lam2)))
-    breakdown = LossBreakdown(task=task.item(), routing_entropy=ent.item(),
-                              load_balance=lb.item(), total=total.item())
+    freqs = [lt.selected.mean(axis=0) for lt in fw.trace.layers]
+    penalty, ent, lb = tape.routing_penalty(fw.layer_pis, freqs, lam1, lam2)
+    total = tape.add(task, penalty)
+    breakdown = LossBreakdown(task=task.item(), routing_entropy=ent,
+                              load_balance=lb, total=total.item())
     return breakdown, total, task
 
 
@@ -234,7 +222,7 @@ def adamw_step(params: ModelParams, grads: dict[str, np.ndarray],
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    for name, arr in params.named_tensors():
+    for name, arr in params.tensors.items():
         if name not in grads:
             continue
         g = grads[name]

@@ -98,7 +98,7 @@ def test_gradient_fidelity(verdict):
                       dropout=0.0, use_batch_norm=False,
                       expert_layout="half_half", backbone="gcn")
     params = init_params(cfg, np.random.default_rng(8))
-    params64 = {name: arr.astype(np.float64) for name, arr in params.named_tensors()}
+    params64 = {name: arr.astype(np.float64) for name, arr in params.tensors.items()}
     thresholds = np.full(g.n, 0.8)
 
     def build():
@@ -198,15 +198,10 @@ def test_load_balance_calibration(verdict):
     fw = forward(params, g, np.full(g.n, 0.7), mode="train")
 
     def balance_grads(shift):
-        tape = fw.tape
-        total = None
-        for pi, lt in zip(fw.layer_pis, fw.trace.layers):
-            freq = lt.selected.mean(axis=0) + shift
-            term = tape.scale(tape.weighted_colsum(pi, freq), pi.shape[1] / g.n)
-            total = term if total is None else tape.add(total, term)
-        tape.backward(total)
-        return total.item(), {n: fw.leaf_vars[n].grad.copy()
-                              for n, _ in params.named_tensors()}
+        freqs = [lt.selected.mean(axis=0) + shift for lt in fw.trace.layers]
+        total = fw.tape.routing_penalty(fw.layer_pis, freqs, 0.0, 1.0)[0]
+        fw.tape.backward(total)
+        return total.item(), {n: fw.leaf_vars[n].grad.copy() for n in params.tensors}
 
     val0, g0 = balance_grads(0.0)
     val1, g1 = balance_grads(0.3)
@@ -294,8 +289,8 @@ def test_full_budget_equivalence(verdict, hetero_graph):
     preds = [evaluate(s.final_params, hetero_graph, budget=ones).predictions
              for s in (a, b, c)]
     params_equal = all(
-        np.array_equal(dict(a.final_params.named_tensors())[name], arr)
-        for other in (b, c) for name, arr in other.final_params.named_tensors())
+        np.array_equal(a.final_params.tensors[name], arr)
+        for other in (b, c) for name, arr in other.final_params.tensors.items())
     preds_equal = (np.array_equal(preds[0], preds[1])
                    and np.array_equal(preds[0], preds[2]))
     ok = preds_equal and params_equal

@@ -519,7 +519,7 @@ def test_full_model_grad_check_all_expert_kinds_norm_dropout():
                       layers=1, dropout=0.3, use_batch_norm=True,
                       expert_layout="half_half", backbone="sage")
     params = init_params(cfg, RNG(5))
-    params64 = {name: arr.astype(np.float64) for name, arr in params.named_tensors()}
+    params64 = {name: arr.astype(np.float64) for name, arr in params.tensors.items()}
     thresholds = np.full(g.n, 0.8)
     train_idx = g.mask_idx("train")
 
@@ -541,7 +541,7 @@ def test_full_model_grad_check_gcn_partial_masks(layout):
     cfg = ModelConfig(in_dim=g.dim, hidden=8, classes=g.n_classes, experts=4,
                       layers=2, dropout=0.0, expert_layout=layout, backbone="gcn")
     params64 = {name: arr.astype(np.float64)
-                for name, arr in init_params(cfg, RNG(6)).named_tensors()}
+                for name, arr in init_params(cfg, RNG(6)).tensors.items()}
     thresholds = np.full(g.n, 0.6)
     train_idx = g.mask_idx("train")
 
@@ -617,7 +617,7 @@ def test_train_forward_leaves_are_the_trainable_tensors():
     g = small_graph()
     params = small_params(g, experts=3, layers=2, use_batch_norm=True)
     fw = forward(params, g, np.full(g.n, 0.7), mode="train")
-    names = [name for name, _ in params.named_tensors() if ".running_" not in name]
+    names = [name for name in params.tensors if ".running_" not in name]
     assert list(fw.leaf_vars) == names == [name for name, _ in params.trainable()]
     assert fw.tape._leaves == list(fw.leaf_vars.values())
 
@@ -635,7 +635,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
     assert loaded.config == params.config
-    for (na, a), (nb, b) in zip(params.named_tensors(), loaded.named_tensors()):
+    for (na, a), (nb, b) in zip(params.tensors.items(), loaded.tensors.items()):
         assert na == nb
         np.testing.assert_array_equal(a, b)
     # and the loaded model scores identically, down to the bit
@@ -766,7 +766,7 @@ def test_any_checkpoint_bytes_load_or_raise_checkpoint_error(tmp_path_factory, r
         params = load_checkpoint(path)
     except CheckpointError:
         return
-    assert all(np.isfinite(arr).all() for _, arr in params.named_tensors())
+    assert all(np.isfinite(arr).all() for arr in params.tensors.values())
 
 
 def test_v1_checkpoint_loads_and_round_trips(tmp_path):
@@ -776,8 +776,7 @@ def test_v1_checkpoint_loads_and_round_trips(tmp_path):
     params = load_checkpoint(V1_CHECKPOINT)
     cfg = params.config
     assert (cfg.backbone, cfg.expert_layout, cfg.use_batch_norm) == ("sage", "half_half", True)
-    names = [name for name, _ in params.named_tensors()]
-    assert names == [name for name, _ in init_params(cfg, RNG(0)).named_tensors()]
+    assert list(params.tensors) == list(init_params(cfg, RNG(0)).tensors)
     for l in range(cfg.layers):
         assert np.all(params.tensors[f"layer{l}.norm.running_mean"] != 0.0)
         assert np.all(params.tensors[f"layer{l}.norm.running_var"] != 1.0)

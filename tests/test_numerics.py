@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2moe.numerics import (
+    LOG_EPS,
     Const,
     GradCheckError,
     ShapeError,
@@ -18,10 +19,11 @@ from d2moe.numerics import (
 RNG = np.random.default_rng
 
 
-def scalarize(tape, m, w):
-    """Reduce a matrix Var to a scalar with fixed random weights so the
-    finite-difference probe exercises the whole Jacobian, not just sums."""
-    return tape.weighted_colsum(m, w) if m.shape[1] == w.shape[0] else None
+def weighted_colsum(tape, m, w):
+    """The scalar sum_i w[i] * (column i sum of m) as two matmul steps with
+    constant weights, so a finite-difference probe with fixed random ``w``
+    exercises the whole Jacobian, not just sums."""
+    return tape.matmul(tape.matmul(Const(np.ones((1, m.shape[0]))), m), Const(w[:, None]))
 
 
 def run_check(build, leaves, tol=1e-4, step=1e-4):
@@ -58,7 +60,7 @@ def test_matmul_grad_of_sum_is_row_sums():
     b = RNG(2).uniform(-2, 2, size=(3, 4))
     t = Tape()
     va, vb = t.leaf(a), t.leaf(b)
-    out = t.weighted_colsum(t.matmul(va, vb), np.ones(4))
+    out = weighted_colsum(t, t.matmul(va, vb), np.ones(4))
     t.backward(out)
     np.testing.assert_allclose(va.grad, np.tile(b.sum(axis=1), (5, 1)), rtol=1e-12)
 
@@ -73,7 +75,7 @@ def test_matmul_fd():
             t = Tape()
             vs = {name: t.leaf(arr) for name, arr in leaves.items()}
             out = t.matmul(vs["a"], vs["b"], vs.get("bias"))
-            return t, t.weighted_colsum(out, w), vs
+            return t, weighted_colsum(t, out, w), vs
 
         report = run_check(build, leaves)
         assert set(report.per_leaf) == set(leaves)
@@ -135,7 +137,7 @@ def test_spmm_fd():
     def build():
         t = Tape()
         vx = t.leaf(x)
-        return t, t.weighted_colsum(t.spmm(adj, adj_t, vx), w), {"x": vx}
+        return t, weighted_colsum(t, t.spmm(adj, adj_t, vx), w), {"x": vx}
 
     run_check(build, {"x": x})
 
@@ -181,7 +183,7 @@ def test_softmax_fd():
     def build():
         t = Tape()
         vm = t.leaf(m)
-        return t, t.weighted_colsum(t.softmax_rows(vm), w), {"m": vm}
+        return t, weighted_colsum(t, t.softmax_rows(vm), w), {"m": vm}
 
     run_check(build, {"m": m})
 
@@ -202,7 +204,7 @@ def test_relu_propagates_nan():
     a = t.leaf([[np.nan, -1.0, 2.0]])
     out = t.relu(a)
     np.testing.assert_array_equal(out.value, [[np.nan, 0.0, 2.0]])
-    t.backward(t.weighted_colsum(t.scale(out, 0.0), np.ones(3)))
+    t.backward(weighted_colsum(t, out, np.zeros(3)))
     np.testing.assert_array_equal(a.grad, [[0.0, 0.0, 0.0]])
 
 
@@ -216,7 +218,7 @@ def test_constant_takes_no_gradient():
         t = Tape()
         xv = t.leaf(x) if wrap == "leaf" else Const(x)
         wv, bv = t.leaf(w), t.leaf(b)
-        t.backward(t.weighted_colsum(t.matmul(xv, wv, bv), np.array([1.0, -2.0])))
+        t.backward(weighted_colsum(t, t.matmul(xv, wv, bv), np.array([1.0, -2.0])))
         grads[wrap] = (xv.grad, wv.grad, bv.grad, len(t._leaves))
     assert grads["const"][0] is None and grads["const"][3] == 2
     for leaf, const in zip(grads["leaf"][1:3], grads["const"][1:3]):
@@ -236,7 +238,7 @@ def test_relu_sigmoid_fd():
     def build():
         t = Tape()
         vm = t.leaf(m)
-        return t, t.weighted_colsum(t.softmax_rows(t.relu(vm)), w), {"m": vm}
+        return t, weighted_colsum(t, t.softmax_rows(t.relu(vm)), w), {"m": vm}
 
     run_check(build, {"m": m})
 
@@ -273,7 +275,7 @@ def test_dropout_fd_fixed_mask():
         t = Tape()
         vx = t.leaf(x)
         out = t.dropout(vx, keep=0.7, rng=RNG(21))  # same mask every call
-        return t, t.weighted_colsum(out, w), {"x": vx}
+        return t, weighted_colsum(t, out, w), {"x": vx}
 
     run_check(build, {"x": x})
 
@@ -404,7 +406,7 @@ def _mixture_grads(xs, experts, pi, mask, w):
     t = Tape()
     pv = t.leaf(pi)
     out, xv, ev = _mixture_on_tape(t, xs, experts, pv, mask)
-    t.backward(t.weighted_colsum(out, w))
+    t.backward(weighted_colsum(t, out, w))
     return out.value, {"pi": pv.grad, **{k: v.grad for k, v in _named(xv, ev).items()}}
 
 
@@ -458,7 +460,7 @@ def test_mix_experts_fd():
         t = Tape()
         rv = t.leaf(raw)
         out, xv, ev = _mixture_on_tape(t, xs, experts, t.softmax_rows(rv), mask)
-        return t, t.weighted_colsum(out, w), {"raw": rv, **_named(xv, ev)}
+        return t, weighted_colsum(t, out, w), {"raw": rv, **_named(xv, ev)}
 
     report = run_check(build, leaves)
     assert set(report.per_leaf) == set(leaves)
@@ -497,67 +499,129 @@ def test_batchnorm_train_fd():
         t = Tape()
         vx, vg, vb = t.leaf(x), t.leaf(gamma), t.leaf(beta)
         out = t.batchnorm_train(vx, vg, vb, np.zeros(3, np.float32), np.ones(3, np.float32))
-        return t, t.weighted_colsum(out, w), {"x": vx, "gamma": vg, "beta": vb}
+        return t, weighted_colsum(t, out, w), {"x": vx, "gamma": vg, "beta": vb}
 
     run_check(build, {"x": x, "gamma": gamma, "beta": beta})
 
 
 def test_batchnorm_eval_fd_and_values():
+    """Values on an eval (non-recording) tape; a recording tape raises, as
+    the op has no backward through the running statistics."""
     x = RNG(37).uniform(-2, 2, size=(5, 3))
     gamma = np.full((1, 3), 2.0)
     beta = np.full((1, 3), 0.5)
     rm = np.array([0.1, -0.2, 0.3], np.float32)
     rv = np.array([1.5, 0.8, 1.1], np.float32)
-    t = Tape()
+    t = Tape(record=False)
     out = t.batchnorm_eval(t.leaf(x), t.leaf(gamma), t.leaf(beta), rm, rv)
     expect = 2.0 * (x - rm.astype(np.float64)) / np.sqrt(rv.astype(np.float64) + 1e-5) + 0.5
     np.testing.assert_allclose(out.value, expect, atol=1e-12)
 
-    w = RNG(38).normal(size=3)
-
-    def build():
-        tape = Tape()
-        vx, vg, vb = tape.leaf(x), tape.leaf(gamma), tape.leaf(beta)
-        o = tape.batchnorm_eval(vx, vg, vb, rm, rv)
-        return tape, tape.weighted_colsum(o, w), {"x": vx, "gamma": vg, "beta": vb}
-
-    run_check(build, {"x": x, "gamma": gamma, "beta": beta})
-
-
-# ---- scalar reductions ---------------------------------------------------
-
-
-def test_plogp_sum_value_and_fd():
-    p = np.array([[0.5, 0.5]])
     t = Tape()
-    out = t.plogp_sum(t.leaf(p))
-    assert out.item() == pytest.approx(-np.log(2.0), abs=1e-15)
+    with pytest.raises(ValueError, match="record=False"):
+        t.batchnorm_eval(t.leaf(x), t.leaf(gamma), t.leaf(beta), rm, rv)
 
-    m = RNG(39).uniform(0.05, 1.0, size=(3, 4))
 
-    def build():
-        tape = Tape()
-        vm = tape.leaf(m)
-        return tape, tape.plogp_sum(vm), {"m": vm}
+# ---- scalar objective terms ----------------------------------------------
 
-    run_check(build, {"m": m})
+
+def test_routing_penalty_values():
+    """H is the mean entropy over nodes and layers and B is
+    K/n * sum_i colsum_i * f_i summed over layers; the value weighs them by
+    lam1 and lam2."""
+    t = Tape()
+    half, onehot = t.leaf([[0.5, 0.5]]), t.leaf([[1.0, 0.0]])
+    out, ent, lb = t.routing_penalty([half, onehot], [np.array([1.0, 0.0])] * 2, 3.0, 5.0)
+    assert ent == pytest.approx(np.log(2.0) / 2.0, abs=1e-15)
+    assert lb == 3.0  # 2 * 0.5 + 2 * 1.0
+    assert out.item() == pytest.approx(3.0 * ent + 5.0 * lb, abs=1e-14)
 
 
 def test_plogp_sum_exact_zero_contributes_zero():
+    """The entropy term's log is floored, so an exact zero score adds zero."""
     t = Tape()
-    out = t.plogp_sum(t.leaf(np.array([[1.0, 0.0]])))
+    out, ent, _ = t.routing_penalty([t.leaf(np.array([[1.0, 0.0]]))], [np.zeros(2)], 1.0, 1.0)
+    assert ent == 0.0
     assert out.item() == 0.0
 
 
 def test_weighted_colsum():
+    """The balance term is K/n times the frequency-weighted column sums, and
+    its gradient is the frequencies tiled over rows."""
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
     w = np.array([10.0, 1.0])
     t = Tape()
     vm = t.leaf(m)
-    out = t.weighted_colsum(vm, w)
+    out, _, lb = t.routing_penalty([vm], [w], 0.0, 1.0)
+    assert lb == pytest.approx(46.0)
     assert out.item() == pytest.approx(46.0)
     t.backward(out)
     np.testing.assert_array_equal(vm.grad, np.tile(w, (2, 1)))
+
+
+def test_routing_penalty_fd():
+    pis = {f"pi{l}": RNG(39 + l).uniform(0.05, 1.0, size=(3, 4)) for l in range(2)}
+    freqs = [np.array([0.5, 0.0, 1.0, 0.25]), np.array([1.0, 1.0, 0.0, 0.5])]
+
+    def build():
+        tape = Tape()
+        vs = {name: tape.leaf(p) for name, p in pis.items()}
+        return tape, tape.routing_penalty(list(vs.values()), freqs, 0.7, 1.3)[0], vs
+
+    run_check(build, pis)
+
+
+def test_routing_penalty_rejects_mismatched_frequencies():
+    t = Tape()
+    pis = [t.leaf(np.full((3, 2), 0.5)), t.leaf(np.full((3, 2), 0.5))]
+    for freqs in ([np.ones(2)], [np.ones(2), np.ones(3)]):
+        with pytest.raises(ShapeError, match="routing_penalty"):
+            t.routing_penalty(pis, freqs, 1.0, 1.0)
+    with pytest.raises(ShapeError, match="routing_penalty"):
+        t.routing_penalty([pis[0], t.leaf(np.full((2, 2), 0.5))], [np.ones(2)] * 2, 1.0, 1.0)
+
+
+def _composed_penalty(pis, freqs, lam1, lam2):
+    """Value, H, B and score gradients of the penalty composed term by term
+    in plain numpy: the per-layer sums of p*log(p) added up and scaled by
+    -1/(n*L); the per-layer weighted column sums each scaled by K/n and added
+    up; then the lam1 and lam2 scalings and their sum. Each gradient is the
+    tiled balance field first, then the entropy field."""
+    n, n_layers = pis[0].shape[0], len(pis)
+    logs = [np.log(np.maximum(p, LOG_EPS)) for p in pis]
+    ent = (pis[0] * logs[0]).sum()
+    for p, logc in zip(pis[1:], logs[1:]):
+        ent = ent + (p * logc).sum()
+    ent = ent * (-1.0 / (n * n_layers))
+    lb = (pis[0].sum(axis=0) * freqs[0]).sum() * (pis[0].shape[1] / n)
+    for p, f in zip(pis[1:], freqs[1:]):
+        lb = lb + (p.sum(axis=0) * f).sum() * (p.shape[1] / n)
+    grads = []
+    for p, f, logc in zip(pis, freqs, logs):
+        grad = np.tile(((1.0 * lam2) * (p.shape[1] / n)) * f, (n, 1))
+        g_ent = (1.0 * lam1) * (-1.0 / (n * n_layers))
+        grad += g_ent * (logc + np.where(p >= LOG_EPS, 1.0, 0.0))
+        grads.append(grad)
+    return ent * lam1 + lb * lam2, ent, lb, grads
+
+
+@pytest.mark.parametrize("lam1", [0.0, 0.3])
+def test_routing_penalty_matches_composed_terms(lam1):
+    """The one-step penalty equals the term-by-term composition bit for bit,
+    with an exact-zero score and a frequency of zero."""
+    raw = [RNG(49 + l).uniform(0.05, 1.0, size=(7, 3)) for l in range(3)]
+    raw[0][2, 1] = 0.0
+    pis = [r / r.sum(axis=1, keepdims=True) for r in raw]
+    freqs = [np.array([0.5, 0.0, 1.0]), np.array([1.0, 2 / 7, 0.75]), np.array([3 / 7, 1.0, 1.0])]
+    t = Tape()
+    vs = [t.leaf(p) for p in pis]
+    out, ent, lb = t.routing_penalty(vs, freqs, lam1, 0.02)
+    t.backward(out)
+    value, want_ent, want_lb, want_grads = _composed_penalty(pis, freqs, lam1, 0.02)
+    np.testing.assert_array_equal(out.value, [[value]])
+    np.testing.assert_array_equal([ent, lb], [want_ent, want_lb])
+    for v, want in zip(vs, want_grads):
+        np.testing.assert_array_equal(v.grad, want)
 
 
 def test_masked_nll_hand_case():
@@ -597,8 +661,9 @@ def test_backward_replay_bit_identical():
     x = t.leaf(RNG(5).normal(size=(5, 3)))
     w = t.leaf(RNG(6).normal(size=(3, 4)))
     h = t.relu(t.matmul(x, w))
-    p = t.softmax_rows(t.add(h, t.scale(h, 0.5)))
-    out = t.add(t.masked_nll(p, np.array([0, 1, 2, 3, 0]), np.arange(5)), t.plogp_sum(p))
+    p = t.softmax_rows(t.add(h, t.relu(h)))
+    penalty, _, _ = t.routing_penalty([p], [np.full(4, 0.5)], 0.1, 1.0)
+    out = t.add(t.masked_nll(p, np.array([0, 1, 2, 3, 0]), np.arange(5)), penalty)
     t.backward(out)
     first = [v.grad.copy() for v in (x, w)]
     t.backward(out)
@@ -613,7 +678,7 @@ def test_untouched_leaf_gets_exact_zero_grad():
     unused = t.leaf(np.ones((3, 3)))
     side_w = t.leaf(np.ones((3, 5)))
     side = t.relu(t.matmul(used, side_w))  # recorded, never reaches the seed
-    out = t.weighted_colsum(used, np.array([1.0, -2.0, 0.5]))
+    out = weighted_colsum(t, used, np.array([1.0, -2.0, 0.5]))
     t.backward(out)
     assert np.all(unused.grad == 0.0)
     assert side_w.grad.shape == (3, 5)
@@ -630,8 +695,8 @@ def test_pass_through_gradients_do_not_alias():
     eye = t.leaf(np.eye(2))
     bias = t.leaf(RNG(4).normal(size=(1, 2)))
     s = t.add(a, b)
-    out = t.weighted_colsum(t.add(t.matmul(s, eye, bias), t.scale(a, 3.0)),
-                            np.array([1.0, 2.0]))
+    tripled = t.matmul(a, Const(3.0 * np.eye(2)))
+    out = weighted_colsum(t, t.add(t.matmul(s, eye, bias), tripled), np.array([1.0, 2.0]))
     t.backward(out)
     grads = [a.grad, b.grad, bias.grad, eye.grad]
     for i, gi in enumerate(grads):
@@ -645,7 +710,7 @@ def test_pass_through_gradients_do_not_alias():
     t = Tape()
     c = t.leaf(np.ones((2, 2)))
     doubled = t.add(c, c)
-    t.backward(t.weighted_colsum(doubled, np.array([1.0, 3.0])))
+    t.backward(weighted_colsum(t, doubled, np.array([1.0, 3.0])))
     assert doubled.grad is None
     np.testing.assert_array_equal(c.grad, np.tile([2.0, 6.0], (2, 1)))
 
@@ -653,8 +718,8 @@ def test_pass_through_gradients_do_not_alias():
 def test_seed_recorded_before_later_steps():
     t = Tape()
     x = t.leaf(RNG(7).normal(size=(4, 2)))
-    first = t.weighted_colsum(x, np.array([1.0, 1.0]))
-    later = t.weighted_colsum(t.scale(x, 2.0), np.array([3.0, 0.0]))
+    first = weighted_colsum(t, x, np.array([1.0, 1.0]))
+    later = weighted_colsum(t, t.matmul(x, Const(2.0 * np.eye(2))), np.array([3.0, 0.0]))
     t.backward(first)
     np.testing.assert_array_equal(x.grad, np.ones((4, 2)))
     assert later.grad is None
@@ -704,7 +769,7 @@ def test_grad_check_flags_nondeterminism():
         t = Tape()
         v = t.leaf(x)
         out = t.dropout(v, keep=0.5, rng=RNG(next(seeds)))  # re-seeded on every call
-        return t, t.weighted_colsum(out, np.ones(3)), {"x": v}
+        return t, weighted_colsum(t, out, np.ones(3)), {"x": v}
 
     with pytest.raises(GradCheckError):
         grad_check(build, {"x": x})
@@ -729,7 +794,7 @@ def test_grad_check_rejects_float32_leaves():
     def build():
         t = Tape()
         v = t.leaf(x)
-        return t, t.weighted_colsum(v, np.ones(2)), {"x": v}
+        return t, weighted_colsum(t, v, np.ones(2)), {"x": v}
 
     with pytest.raises(GradCheckError):
         grad_check(build, {"x": x})

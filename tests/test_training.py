@@ -165,9 +165,9 @@ def test_task_loss_empty_mask_rejected():
 # ---- losses on tape vs plain values --------------------------------------
 
 
-def _tiny_forward(seed=0, **cfg_kw):
+def _tiny_forward(seed=0, layers=2, **cfg_kw):
     g = _sbm_graph(n=40, classes=2, dim=4, p_in=0.3, p_out=0.05, signal=2.0, seed=seed)
-    cfg = ModelConfig(in_dim=4, hidden=8, classes=2, experts=3, layers=2,
+    cfg = ModelConfig(in_dim=4, hidden=8, classes=2, experts=3, layers=layers,
                       dropout=0.0, **cfg_kw)
     params = init_params(cfg, np.random.default_rng(seed + 10))
     fw = forward(params, g, np.full(g.n, 0.7), mode="train")
@@ -197,15 +197,24 @@ def test_tape_losses_match_plain_values():
     assert task_var.item() == pytest.approx(breakdown.task, rel=1e-12)
 
 
+@pytest.mark.parametrize("layers", [1, 2, 3], ids=lambda l: f"L={l}")
+def test_objective_records_three_steps(layers):
+    """The objective is masked_nll, routing_penalty and add at any depth."""
+    g, _, fw = _tiny_forward(layers=layers)
+    before = len(fw.tape._steps)
+    losses_on_tape(fw, g, lam1=0.01, lam2=0.1)
+    assert len(fw.tape._steps) - before == 3
+
+
 def test_zero_lambda_gradients_match_task_only():
     """With both weights at zero the regularizer branches contribute exact
     zeros, so parameter gradients equal a pure task backward bitwise."""
     g, params, fw = _tiny_forward(seed=4)
     _, total_var, task_var = losses_on_tape(fw, g, lam1=0.0, lam2=0.0)
     fw.tape.backward(total_var)
-    with_reg = {n: fw.leaf_vars[n].grad.copy() for n, _ in params.named_tensors()}
+    with_reg = {n: fw.leaf_vars[n].grad.copy() for n in params.tensors}
     fw.tape.backward(task_var)
-    for name, _ in params.named_tensors():
+    for name in params.tensors:
         assert np.array_equal(with_reg[name], fw.leaf_vars[name].grad), name
 
 
@@ -213,19 +222,13 @@ def test_balance_gradient_flows_only_through_mean_probability():
     """d L_LB / d pi must be the constant field K * f / N: shifting every
     selection frequency by the same amount changes the loss value but not
     any parameter gradient, because the rows of pi each sum to one."""
-    g, params, fw = _tiny_forward(seed=2)
-    n = g.n
+    _, params, fw = _tiny_forward(seed=2)
 
     def lb_grads(shift):
-        tape = fw.tape
-        lb = None
-        for pi, lt in zip(fw.layer_pis, fw.trace.layers):
-            freq = lt.selected.mean(axis=0) + shift
-            term = tape.scale(tape.weighted_colsum(pi, freq), pi.shape[1] / n)
-            lb = term if lb is None else tape.add(lb, term)
-        tape.backward(lb)
-        return lb.item(), {n_: fw.leaf_vars[n_].grad.copy()
-                           for n_, _ in params.named_tensors()}
+        freqs = [lt.selected.mean(axis=0) + shift for lt in fw.trace.layers]
+        lb = fw.tape.routing_penalty(fw.layer_pis, freqs, 0.0, 1.0)[0]
+        fw.tape.backward(lb)
+        return lb.item(), {name: fw.leaf_vars[name].grad.copy() for name in params.tensors}
 
     val0, g0 = lb_grads(0.0)
     val1, g1 = lb_grads(0.25)
@@ -240,7 +243,7 @@ def test_balance_gradient_wrt_pi_is_k_f_over_n():
     tape = Tape()
     pi = tape.leaf(raw / raw.sum(axis=1, keepdims=True))
     f = np.array([0.5, 0.25, 0.25])
-    lb = tape.scale(tape.weighted_colsum(pi, f), 3 / 6)
+    lb = tape.routing_penalty([pi], [f], 0.0, 1.0)[0]
     tape.backward(lb)
     # The router distribution is a leaf here, so its gradient is kept: it is
     # K*f/N for every row.
@@ -272,9 +275,6 @@ class _FlatParams:
 
     def __init__(self, tensors):
         self.tensors = {k: np.asarray(v, dtype=np.float32) for k, v in tensors.items()}
-
-    def named_tensors(self):
-        yield from self.tensors.items()
 
 
 def test_adamw_zero_gradient_only_decays_weights():
@@ -438,8 +438,8 @@ def test_fit_deterministic_across_runs():
     a = fit(g, _model_cfg(), cfg)
     b = fit(g, _model_cfg(), cfg)
     assert [r.to_json() for r in a.history] == [r.to_json() for r in b.history]
-    for (name, ta), (_, tb) in zip(a.final_params.named_tensors(),
-                                   b.final_params.named_tensors()):
+    for (name, ta), (_, tb) in zip(a.final_params.tensors.items(),
+                                   b.final_params.tensors.items()):
         assert np.array_equal(ta, tb), name
 
 
@@ -698,9 +698,9 @@ def test_fit_full_budget_paths_agree_bitwise():
         fit(g, mcfg, tcfg, variant=StaticTopK(3)),
         fit(g, mcfg, tcfg, threshold_override=np.ones(g.n)),
     ]
-    base = dict(runs[0].final_params.named_tensors())
+    base = runs[0].final_params.tensors
     for other in runs[1:]:
-        for name, arr in other.final_params.named_tensors():
+        for name, arr in other.final_params.tensors.items():
             assert np.array_equal(base[name], arr), name
 
 
@@ -725,14 +725,14 @@ def test_fit_early_stopping_restores_best_epoch_params():
     snapshots = {}
 
     def hook(epoch, params, **kw):
-        snapshots[epoch] = {n: a.copy() for n, a in params.named_tensors()}
+        snapshots[epoch] = {n: a.copy() for n, a in params.tensors.items()}
 
     state = fit(g, _model_cfg(), TrainConfig(max_epochs=60, patience=5, seed=0),
                 epoch_hook=hook)
     assert state.best_val_acc == pytest.approx(max(r.acc_val for r in state.history))
     assert state.history[state.best_epoch].acc_val == state.best_val_acc
     best = snapshots[state.best_epoch]
-    for name, arr in state.params.named_tensors():
+    for name, arr in state.params.tensors.items():
         assert np.array_equal(arr, best[name]), name
     if state.stopped_early:
         assert len(state.history) == state.best_epoch + 1 + 5
