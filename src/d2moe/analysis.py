@@ -15,20 +15,7 @@ import numpy as np
 
 from .graph import Graph
 from .moe_core import ModelConfig, RoutingTrace, evaluate, predictive_entropy
-from .training import (  # noqa: F401  (re-exported: the ablation vocabulary)
-    FixedTopP,
-    Full,
-    NoLoadBalance,
-    NoRoutingEntropy,
-    RandomTopP,
-    StaticTopK,
-    TrainConfig,
-    TrainState,
-    Variant,
-    fit,
-    make_variant,
-    variant_label,
-)
+from .training import TrainConfig, TrainState, Variant, fit, variant_label
 
 
 @dataclass(frozen=True)

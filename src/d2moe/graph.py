@@ -174,7 +174,7 @@ def split_nodes(g: Graph, fractions: tuple[float, float, float], seed: int) -> G
     follow cumulative rounding of the fractions; any remainder (fractions
     summing below 1) stays unassigned."""
     fr = tuple(float(f) for f in fractions)
-    if len(fr) != 3 or any(f < 0 for f in fr):
+    if len(fr) != 3 or not all(f >= 0 for f in fr):  # NaN fails f >= 0
         raise ValueError(f"need three nonnegative fractions, got {fractions}")
     if sum(fr) > 1.0 + 1e-9:
         raise ValueError(f"fractions sum to {sum(fr)} > 1")

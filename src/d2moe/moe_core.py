@@ -175,24 +175,26 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
 def predictive_entropy(probs: np.ndarray) -> np.ndarray:
     """Normalized Shannon entropy per row, in [0, 1]. Base-2 logs make the
     normalizer exact for power-of-two class counts; zero probabilities
-    contribute exactly zero."""
+    contribute exactly zero. A non-finite probability raises ValueError."""
     probs = np.asarray(probs, dtype=np.float64)
     c = probs.shape[1]
     if c < 2:
         raise ValueError(f"entropy needs at least 2 classes, got {c}")
+    bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
+    if bad.size:
+        raise ValueError(f"entropy: {bad.size} row(s) with non-finite probabilities, "
+                         f"first row {bad[0]}")
     terms = np.where(probs > 0.0, probs * np.log2(np.maximum(probs, ENTROPY_EPS)), 0.0)
     return np.clip(-terms.sum(axis=1) / np.log2(c), 0.0, 1.0)
 
 
-def map_budget(entropy: np.ndarray, gamma: float, epoch: int) -> np.ndarray:
-    """Per-node budget thresholds. Epoch 0 is the cold start: every budget is
-    1 (full activation). Later epochs center the entropies on their mean over
-    all nodes and squash through a sigmoid with steepness gamma."""
+def map_budget(entropy: np.ndarray, gamma: float) -> np.ndarray:
+    """Per-node budget thresholds: the entropies centered on their mean over
+    all nodes and squashed through a sigmoid with steepness gamma. Training's
+    epoch-0 cold start (every budget 1) maps no entropies; ``fit`` applies it."""
     entropy = np.asarray(entropy, dtype=np.float64)
     if entropy.size == 0:
         raise ValueError("map_budget: empty entropy vector")
-    if epoch == 0:
-        return np.ones_like(entropy)
     return sigmoid(gamma * (entropy - entropy.mean()))
 
 
@@ -222,7 +224,9 @@ def top_k_mask(pi: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TopK:
-    """Budget rule selecting a fixed number of experts for every node."""
+    """Budget rule selecting the k highest-scoring experts for every node: the
+    static, uniform budget of earlier Graph MoEs. As a training variant it
+    applies from epoch 0, with no cold start. ``top_k_mask`` checks k."""
 
     k: int
 
@@ -307,10 +311,7 @@ def forward(params: ModelParams, g: Graph, budget, mode: str = "train",
     use_dropout = train and cfg.dropout > 0.0
     if use_dropout and rng is None:
         raise ValueError("train-mode forward with dropout needs an RNG stream")
-    if isinstance(budget, TopK):
-        if not 1 <= budget.k <= cfg.experts:
-            raise ValueError(f"TopK budget {budget.k} outside [1, {cfg.experts}]")
-    else:
+    if not isinstance(budget, TopK):
         budget = np.asarray(budget, dtype=np.float64)
         if budget.shape != (g.n,):
             raise ValueError(f"threshold vector must have shape ({g.n},), got {budget.shape}")
@@ -415,7 +416,7 @@ def evaluate(params: ModelParams, g: Graph, budget=None) -> EvalReport:
     if budget is None:
         first = checked_forward(np.ones(g.n), "full-activation")
         entropy = predictive_entropy(first.probs.value)
-        thresholds = map_budget(entropy, params.config.gamma, epoch=1)
+        thresholds = map_budget(entropy, params.config.gamma)
         fw = checked_forward(thresholds, "reported")
     else:
         fw = checked_forward(budget, "reported")

@@ -1,10 +1,11 @@
 """Objectives, optimizer, and the four-phase training loop.
 
 Each epoch: (1) map last epoch's per-node entropies to budgets (epoch 0 runs
-fully activated), (2) a train-mode forward under those budgets, (3) one
-clipped AdamW step on the regularized objective, (4) refresh the entropies
-from this epoch's predictions for the next round. Early stopping keeps the
-parameters with the best validation accuracy.
+fully activated; a TopK variant keeps its k throughout), (2) a train-mode
+forward under those budgets, (3) one clipped AdamW step on the regularized
+objective, (4) refresh the entropies from this epoch's predictions for the
+next round. Early stopping keeps the parameters with the best validation
+accuracy.
 """
 
 from __future__ import annotations
@@ -58,13 +59,6 @@ class Full:
 
 
 @dataclass(frozen=True)
-class StaticTopK:
-    """Fixed expert count for every node at every epoch (no cold start)."""
-
-    k: int
-
-
-@dataclass(frozen=True)
 class FixedTopP:
     """One global threshold for every node and epoch (after the cold start)."""
 
@@ -91,10 +85,10 @@ class NoLoadBalance:
     """Full method with the load-balance regularizer disabled."""
 
 
-Variant = Full | StaticTopK | FixedTopP | RandomTopP | NoRoutingEntropy | NoLoadBalance
+Variant = Full | TopK | FixedTopP | RandomTopP | NoRoutingEntropy | NoLoadBalance
 
 VARIANT_NAMES = {
-    "full": Full, "static_topk": StaticTopK, "fixed_topp": FixedTopP,
+    "full": Full, "static_topk": TopK, "fixed_topp": FixedTopP,
     "random_topp": RandomTopP, "no_re": NoRoutingEntropy, "no_lb": NoLoadBalance,
 }
 
@@ -105,7 +99,7 @@ def make_variant(name: str, k: int | None = None, p: float | None = None) -> Var
     if name == "static_topk":
         if k is None:
             raise ValueError("static_topk needs k")
-        return StaticTopK(k)
+        return TopK(k)
     if name == "fixed_topp":
         if p is None:
             raise ValueError("fixed_topp needs p")
@@ -116,7 +110,7 @@ def make_variant(name: str, k: int | None = None, p: float | None = None) -> Var
 def variant_label(variant: Variant) -> str:
     """The variant's table name, with its k or p: ``static_topk(1)``."""
     name = {cls: n for n, cls in VARIANT_NAMES.items()}[type(variant)]
-    if isinstance(variant, StaticTopK):
+    if isinstance(variant, TopK):
         return f"{name}({variant.k})"
     if isinstance(variant, FixedTopP):
         return f"{name}({variant.p:g})"
@@ -172,8 +166,8 @@ def losses_on_tape(fw: ForwardResult, g: Graph, lam1: float, lam2: float
     through Q_i."""
     tape = fw.tape
     task = tape.masked_nll(fw.probs, g.labels, g.mask_idx("train"))
-    freqs = [lt.selected.mean(axis=0) for lt in fw.trace.layers]
-    penalty, ent, lb = tape.routing_penalty(fw.layer_pis, freqs, lam1, lam2)
+    penalty, ent, lb = tape.routing_penalty(fw.layer_pis, fw.trace.selection_freq(),
+                                            lam1, lam2)
     total = tape.add(task, penalty)
     breakdown = LossBreakdown(task=task.item(), routing_entropy=ent,
                               load_balance=lb, total=total.item())
@@ -277,15 +271,19 @@ class TrainState:
 def _epoch_budget(variant: Variant, epoch: int, entropy: np.ndarray | None,
                   cfg: ModelConfig, n: int, routing_rng: np.random.Generator,
                   threshold_override: np.ndarray | None):
+    """The budget ``forward`` runs under at ``epoch``: the override if given;
+    a TopK variant itself at every epoch; otherwise the epoch-0 cold start
+    (every threshold 1, full activation), then the variant's thresholds from
+    last epoch's entropies. Checking the budget is left to ``forward``."""
     if threshold_override is not None:
         return threshold_override
-    if isinstance(variant, StaticTopK):
-        return TopK(variant.k)
+    if isinstance(variant, TopK):
+        return variant
     if epoch == 0:
         return np.ones(n)
     if isinstance(variant, FixedTopP):
         return np.full(n, variant.p)
-    thresholds = map_budget(entropy, cfg.gamma, epoch)
+    thresholds = map_budget(entropy, cfg.gamma)
     if isinstance(variant, RandomTopP):
         return thresholds[routing_rng.permutation(n)]
     return thresholds
@@ -334,12 +332,6 @@ def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
         raise ValueError("fit: graph has no training nodes")
     if not g.val_mask.any():
         raise ValueError("fit: graph has no validation nodes")
-    if isinstance(variant, StaticTopK) and not 1 <= variant.k <= model_config.experts:
-        raise ValueError(f"static_topk k={variant.k} outside [1, {model_config.experts}]")
-    if threshold_override is not None:
-        threshold_override = np.asarray(threshold_override, dtype=np.float64)
-        if threshold_override.shape != (g.n,):
-            raise ValueError(f"threshold_override must have shape ({g.n},)")
 
     seq = np.random.SeedSequence(config.seed)
     init_ss, dropout_ss, data_ss, routing_ss = seq.spawn(4)
@@ -354,7 +346,7 @@ def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
 
     entropy: np.ndarray | None = None
     history: list[EpochReport] = []
-    best_params = params.copy()
+    best_params: ModelParams | None = None
     best_val = -np.inf
     best_epoch = -1
     bad_epochs = 0

@@ -19,9 +19,6 @@ import numpy as np
 import pytest
 
 from d2moe.analysis import (
-    FixedTopP,
-    Full,
-    StaticTopK,
     activation_stats,
     decile_activation_spearman,
     run_ablation,
@@ -44,6 +41,8 @@ from d2moe.numerics import grad_check
 from d2moe.theory import ScalingParams, fit_scaling_exponent, optimal_k_bruteforce, \
     optimal_k_closed_form
 from d2moe.training import (
+    FixedTopP,
+    TopK,
     TrainConfig,
     fit,
     losses_on_tape,
@@ -267,7 +266,7 @@ def test_ablation_direction(verdict, hetero_graph, full_states):
     full_accs = [s.history[s.best_epoch].acc_test for s in full_states]
     full_mean = float(np.mean(full_accs))
     mcfg = ModelConfig(**FIXTURE_MODEL)
-    topk = run_ablation(hetero_graph, mcfg, FIXTURE_TRAIN, StaticTopK(1),
+    topk = run_ablation(hetero_graph, mcfg, FIXTURE_TRAIN, TopK(1),
                         seeds=FIXTURE_SEEDS)
     topp = run_ablation(hetero_graph, mcfg, FIXTURE_TRAIN, FixedTopP(0.5),
                         seeds=FIXTURE_SEEDS)
@@ -283,7 +282,7 @@ def test_full_budget_equivalence(verdict, hetero_graph):
     mcfg = ModelConfig(**FIXTURE_MODEL)
     tcfg = dataclasses.replace(FIXTURE_TRAIN, max_epochs=10, seed=1)
     a = fit(hetero_graph, mcfg, tcfg, variant=FixedTopP(1.0))
-    b = fit(hetero_graph, mcfg, tcfg, variant=StaticTopK(4))
+    b = fit(hetero_graph, mcfg, tcfg, variant=TopK(4))
     c = fit(hetero_graph, mcfg, tcfg, threshold_override=np.ones(hetero_graph.n))
     ones = np.ones(hetero_graph.n)
     preds = [evaluate(s.final_params, hetero_graph, budget=ones).predictions

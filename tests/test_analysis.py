@@ -12,23 +12,25 @@ import pytest
 from d2moe.analysis import (
     ActivationStats,
     DecileReport,
-    FixedTopP,
-    Full,
-    NoLoadBalance,
-    NoRoutingEntropy,
-    RandomTopP,
-    StaticTopK,
-    TrainConfig,
     activation_stats,
     decile_activation_spearman,
     proxy_config,
     run_ablation,
     stratify_by_entropy,
     train_proxy,
-    variant_label,
 )
 from d2moe.graph import SbmSpec, generate_sbm, split_nodes
 from d2moe.moe_core import LayerTrace, ModelConfig, RoutingTrace
+from d2moe.training import (
+    FixedTopP,
+    Full,
+    NoLoadBalance,
+    NoRoutingEntropy,
+    RandomTopP,
+    TopK,
+    TrainConfig,
+    variant_label,
+)
 
 
 def _graph(n=200, classes=4, dim=8, p_in=0.15, p_out=0.01, signal=3.0, seed=3):
@@ -216,7 +218,7 @@ def test_train_proxy_returns_probabilities():
 
 def test_variant_labels():
     assert variant_label(Full()) == "full"
-    assert variant_label(StaticTopK(2)) == "static_topk(2)"
+    assert variant_label(TopK(2)) == "static_topk(2)"
     assert variant_label(FixedTopP(0.5)) == "fixed_topp(0.5)"
     assert variant_label(RandomTopP()) == "random_topp"
     assert variant_label(NoRoutingEntropy()) == "no_re"
@@ -241,14 +243,14 @@ def test_run_ablation_reports_per_seed_values():
 
 def test_run_ablation_deterministic():
     g, mcfg, tcfg = _small_setup()
-    a = run_ablation(g, mcfg, tcfg, StaticTopK(1), seeds=(0, 1))
-    b = run_ablation(g, mcfg, tcfg, StaticTopK(1), seeds=(0, 1))
+    a = run_ablation(g, mcfg, tcfg, TopK(1), seeds=(0, 1))
+    b = run_ablation(g, mcfg, tcfg, TopK(1), seeds=(0, 1))
     assert a == b
 
 
 def test_run_ablation_full_budget_equivalence():
     g, mcfg, tcfg = _small_setup()
-    topk = run_ablation(g, mcfg, tcfg, StaticTopK(3), seeds=(0, 1))
+    topk = run_ablation(g, mcfg, tcfg, TopK(3), seeds=(0, 1))
     topp = run_ablation(g, mcfg, tcfg, FixedTopP(1.0), seeds=(0, 1))
     assert topk.per_seed == topp.per_seed
 

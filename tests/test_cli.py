@@ -60,6 +60,14 @@ def test_gen_rejects_malformed_spec(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_gen_rejects_nan_split_fraction(tmp_path, capsys):
+    rc = main(["gen", "--sbm", "50,2,4,0.1,0.1,1", "--split", "nan,0.5,0.2",
+               "--out-dir", str(tmp_path / "g")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: need three nonnegative fractions, got (nan, 0.5, 0.2)"]
+
+
 def test_out_of_memory_is_one_line_error(tmp_path, capsys, monkeypatch):
     def oversize(spec):
         raise MemoryError()

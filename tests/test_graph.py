@@ -181,6 +181,12 @@ def test_split_rejects_oversubscribed_fractions():
         split_nodes(g, (0.8, 0.3, 0.2), seed=0)
 
 
+def test_split_rejects_nan_fraction():
+    g = build_graph([], np.zeros((10, 1)), np.zeros(10, dtype=np.int64), n_classes=2)
+    with pytest.raises(ValueError, match="need three nonnegative fractions"):
+        split_nodes(g, (np.nan, 0.5, 0.2), seed=0)
+
+
 # ---- file round trip -----------------------------------------------------
 
 

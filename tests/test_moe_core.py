@@ -81,35 +81,37 @@ def test_entropy_bounded(seed, c, n):
     assert np.all(u >= 0.0) and np.all(u <= 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_entropy_rejects_non_finite_probabilities(bad):
+    probs = np.array([[0.5, 0.5], [bad, 0.5], [0.25, 0.75]])
+    with pytest.raises(ValueError, match=r"1 row\(s\) with non-finite probabilities, first row 1$"):
+        predictive_entropy(probs)
+
+
 # ---- budget mapping ------------------------------------------------------
-
-
-def test_budget_cold_start():
-    u = RNG(0).random(10)
-    np.testing.assert_array_equal(map_budget(u, gamma=5.0, epoch=0), np.ones(10))
 
 
 def test_budget_midpoint():
     u = np.array([0.3, 0.3, 0.3])
-    np.testing.assert_allclose(map_budget(u, gamma=5.0, epoch=3), 0.5)
+    np.testing.assert_allclose(map_budget(u, gamma=5.0), 0.5)
 
 
 def test_budget_gamma_scale():
     # one node half an entropy unit above the mean of {0.25, 0.75}: centered +0.25
     u = np.array([0.25, 0.75])
-    p = map_budget(u, gamma=10.0, epoch=1)
+    p = map_budget(u, gamma=10.0)
     assert p[1] == pytest.approx(1.0 / (1.0 + np.exp(-2.5)), abs=1e-12)
 
 
 def test_budget_strictly_increasing_in_entropy():
     u = np.linspace(0.0, 1.0, 50)
-    p = map_budget(u, gamma=5.0, epoch=2)
+    p = map_budget(u, gamma=5.0)
     assert np.all(np.diff(p) > 0)
 
 
 def test_budget_empty_vector():
     with pytest.raises(ValueError):
-        map_budget(np.array([]), gamma=5.0, epoch=1)
+        map_budget(np.array([]), gamma=5.0)
 
 
 # ---- top-p selection -----------------------------------------------------

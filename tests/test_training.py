@@ -16,7 +16,6 @@ from d2moe.moe_core import (
     LayerTrace,
     ModelConfig,
     RoutingTrace,
-    TopK,
     forward,
     init_params,
     map_budget,
@@ -34,7 +33,7 @@ from d2moe.training import (
     NoLoadBalance,
     NoRoutingEntropy,
     RandomTopP,
-    StaticTopK,
+    TopK,
     TrainConfig,
     TrainingDivergence,
     adamw_step,
@@ -354,7 +353,7 @@ def test_clip_global_norm_below_threshold_untouched():
 
 def test_make_variant_mapping():
     assert make_variant("full") == Full()
-    assert make_variant("static_topk", k=3) == StaticTopK(3)
+    assert make_variant("static_topk", k=3) == TopK(3)
     assert make_variant("fixed_topp", p=0.5) == FixedTopP(0.5)
     assert make_variant("random_topp") == RandomTopP()
     assert make_variant("no_re") == NoRoutingEntropy()
@@ -427,9 +426,23 @@ def test_fit_single_epoch_cold_start():
 
 def test_fit_static_topk_has_no_cold_start():
     g = _sbm_graph()
-    state = fit(g, _model_cfg(), TrainConfig(max_epochs=2, seed=0), variant=StaticTopK(1))
+    state = fit(g, _model_cfg(), TrainConfig(max_epochs=2, seed=0), variant=TopK(1))
     for rep in state.history:
         assert rep.mean_active_experts == 1.0
+
+
+def test_fit_topk_variant_is_the_budget_at_every_epoch():
+    g = _sbm_graph()
+    variant = TopK(2)
+    seen = {}
+
+    def hook(epoch, budget, prev_entropy, report, params):
+        seen[epoch] = (budget, report.mean_active_experts)
+
+    fit(g, _model_cfg(), TrainConfig(max_epochs=3, seed=0), variant=variant, epoch_hook=hook)
+    assert sorted(seen) == [0, 1, 2]
+    for budget, active in seen.values():
+        assert budget is variant and active == 2.0
 
 
 def test_fit_deterministic_across_runs():
@@ -493,7 +506,7 @@ def test_fit_budget_bootstrap_causality():
     assert np.array_equal(budget0, np.ones(g.n))
     budget1, prev1 = seen[1]
     assert np.array_equal(prev1, expected_entropy)
-    assert np.array_equal(budget1, map_budget(expected_entropy, mcfg.gamma, epoch=1))
+    assert np.array_equal(budget1, map_budget(expected_entropy, mcfg.gamma))
 
 
 def test_fit_strict_proxy_uses_post_update_eval_entropy():
@@ -687,7 +700,7 @@ def test_fit_threshold_override_applies_every_epoch():
 
 
 def test_fit_full_budget_paths_agree_bitwise():
-    """FixedTopP(1.0), StaticTopK(K), and an all-ones override must follow the
+    """FixedTopP(1.0), TopK(K), and an all-ones override must follow the
     same trajectory: every path selects all experts with identical
     renormalization and identical stream consumption."""
     g = _sbm_graph(n=80, seed=6)
@@ -695,7 +708,7 @@ def test_fit_full_budget_paths_agree_bitwise():
     tcfg = TrainConfig(max_epochs=4, seed=2)
     runs = [
         fit(g, mcfg, tcfg, variant=FixedTopP(1.0)),
-        fit(g, mcfg, tcfg, variant=StaticTopK(3)),
+        fit(g, mcfg, tcfg, variant=TopK(3)),
         fit(g, mcfg, tcfg, threshold_override=np.ones(g.n)),
     ]
     base = runs[0].final_params.tensors
@@ -750,7 +763,7 @@ def test_fit_divergence_raises():
 def test_fit_rejects_bad_inputs():
     g = _sbm_graph(n=60, seed=7)
     with pytest.raises(ValueError):
-        fit(g, _model_cfg(), TrainConfig(max_epochs=1), variant=StaticTopK(9))
+        fit(g, _model_cfg(), TrainConfig(max_epochs=1), variant=TopK(9))
     with pytest.raises(ValueError):
         fit(g, _model_cfg(), TrainConfig(max_epochs=1),
             threshold_override=np.ones(3))
