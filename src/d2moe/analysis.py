@@ -1,5 +1,6 @@
-"""Measurement utilities: entropy-decile stratification, activation
-statistics, the proxy teacher, and multi-seed ablation runs.
+"""Measurement utilities: entropy-decile stratification (accuracy and
+selected-expert counts per decile), the proxy teacher, and multi-seed
+ablation runs.
 
 Difficulty is always judged by a fixed proxy model, not by the model under
 study; the proxy here is the same architecture collapsed to a single expert.
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .moe_core import ModelConfig, RoutingTrace, evaluate, predictive_entropy
+from .moe_core import ModelConfig, RoutingTrace, evaluate
 from .training import TrainConfig, TrainState, Variant, fit, variant_label
 
 
@@ -24,35 +25,26 @@ class DecileBucket:
     entropy_hi: float
     count: int
     accuracy: float
+    mean_active: float  # each node's mean over layers, averaged over the bucket
     mean_active_per_layer: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class DecileReport:
-    buckets: tuple[DecileBucket, ...]
-
-    @property
-    def counts(self) -> list[int]:
-        return [b.count for b in self.buckets]
-
-    @property
-    def mean_active(self) -> list[float]:
-        """Per-bucket activation averaged over layers."""
-        return [float(np.mean(b.mean_active_per_layer)) for b in self.buckets]
-
-
-def stratify_by_entropy(proxy_probs: np.ndarray, eval_mask: np.ndarray,
+def stratify_by_entropy(entropy: np.ndarray, eval_mask: np.ndarray,
                         predictions: np.ndarray, labels: np.ndarray,
-                        trace: RoutingTrace) -> DecileReport:
-    """Sort the masked nodes by proxy predictive entropy and cut them into 10
-    equal buckets (stable order on ties, remainder to the earliest buckets);
-    report per-bucket accuracy and mean selected-expert count per layer."""
+                        trace: RoutingTrace) -> tuple[DecileBucket, ...]:
+    """Sort the masked nodes by their difficulty entropy (one value per node)
+    and cut them into 10 equal buckets (stable order on ties, remainder to
+    the earliest buckets); report per-bucket accuracy and mean selected-expert
+    count, layer-averaged and per layer."""
+    if entropy.shape != eval_mask.shape:
+        raise ValueError(f"need one entropy per node, shape {eval_mask.shape}; "
+                         f"got shape {entropy.shape}")
     idx = np.flatnonzero(eval_mask)
     if idx.size < 10:
         raise ValueError(f"need at least 10 nodes to form deciles, got {idx.size}")
-    entropy = predictive_entropy(proxy_probs)
     order = idx[np.argsort(entropy[idx], kind="stable")]
     active = trace.active_counts()  # (L, n)
+    node_active = active.mean(axis=0)
 
     buckets = []
     for members in np.array_split(order, 10):  # remainder to the earliest buckets
@@ -61,42 +53,17 @@ def stratify_by_entropy(proxy_probs: np.ndarray, eval_mask: np.ndarray,
         per_layer = tuple(float(active[l, members].mean()) for l in range(active.shape[0]))
         buckets.append(DecileBucket(entropy_lo=float(ent.min()), entropy_hi=float(ent.max()),
                                     count=members.size, accuracy=acc,
+                                    mean_active=float(node_active[members].mean()),
                                     mean_active_per_layer=per_layer))
-    return DecileReport(buckets=tuple(buckets))
+    return tuple(buckets)
 
 
-@dataclass(frozen=True)
-class ActivationStats:
-    decile_mean_active: tuple[float, ...]  # 10 values, layer-averaged
-    heat: np.ndarray                       # (K, 4) mean routing weight per quartile
-
-
-def activation_stats(trace: RoutingTrace, entropy: np.ndarray,
-                     mask: np.ndarray | None = None) -> ActivationStats:
-    """Activation count per entropy decile and the K x 4 quartile heat matrix
-    of mean routing weight (raw router rows averaged over layers, so every
-    quartile column sums to one)."""
-    n = trace.layers[0].pi.shape[0]
-    idx = np.arange(n) if mask is None else np.flatnonzero(mask)
-    if idx.size < 10:
-        raise ValueError(f"need at least 10 nodes for decile statistics, got {idx.size}")
-    order = idx[np.argsort(entropy[idx], kind="stable")]
-
-    active = trace.active_counts().mean(axis=0)
-    deciles = tuple(float(active[members].mean()) for members in np.array_split(order, 10))
-
-    pi = np.mean([lt.pi for lt in trace.layers], axis=0)  # (n, K), rows sum to 1
-    heat = np.stack([pi[members].mean(axis=0) for members in np.array_split(order, 4)],
-                    axis=1)
-    return ActivationStats(decile_mean_active=deciles, heat=heat)
-
-
-def decile_activation_spearman(stats: ActivationStats) -> float:
-    """Rank correlation between decile index and mean activation count; the
-    difficulty-aware router should make this positive."""
+def decile_activation_spearman(buckets: tuple[DecileBucket, ...]) -> float:
+    """Rank correlation between decile index and layer-averaged activation
+    count; the difficulty-aware router should make this positive."""
     from scipy.stats import spearmanr  # deferred: scipy.stats dominates import time
 
-    rho, _ = spearmanr(np.arange(10), np.asarray(stats.decile_mean_active))
+    rho, _ = spearmanr(np.arange(len(buckets)), [b.mean_active for b in buckets])
     return float(rho)
 
 

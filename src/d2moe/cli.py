@@ -31,7 +31,6 @@ from .graph import (
     LABELS_FILE,
     MASKS_FILE,
     Graph,
-    GraphFormatError,
     SbmSpec,
     edge_homophily,
     generate_sbm,
@@ -42,10 +41,10 @@ from .graph import (
 from .moe_core import (
     BACKBONES,
     EXPERT_LAYOUTS,
-    CheckpointError,
     ModelConfig,
     evaluate,
     load_checkpoint,
+    predictive_entropy,
     save_checkpoint,
 )
 from .theory import ScalingParams, ScalingRow, scaling_rows
@@ -309,15 +308,15 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 def cmd_stratify(ns: argparse.Namespace) -> int:
     seed, g, inputs, params, proxy = _scoring_setup(ns, "checkpoint", "proxy_checkpoint")
     report = evaluate(params, g)
-    proxy_probs = evaluate(proxy, g, budget=np.ones(g.n)).probs
-    deciles = stratify_by_entropy(proxy_probs, g.test_mask, report.predictions,
+    proxy_entropy = predictive_entropy(evaluate(proxy, g, budget=np.ones(g.n)).probs)
+    deciles = stratify_by_entropy(proxy_entropy, g.test_mask, report.predictions,
                                   g.labels, report.trace)
 
-    n_layers = len(deciles.buckets[0].mean_active_per_layer)
+    n_layers = len(deciles[0].mean_active_per_layer)
     _write_table(ns, "deciles", ["bucket", "entropy_lo", "entropy_hi", "count", "accuracy"]
                  + [f"active_l{i}" for i in range(n_layers)],
                  ([i, b.entropy_lo, b.entropy_hi, b.count, b.accuracy, *b.mean_active_per_layer]
-                  for i, b in enumerate(deciles.buckets)),
+                  for i, b in enumerate(deciles)),
                  "stratify", seed, {"model": dataclasses.asdict(params.config),
                                     "proxy": dataclasses.asdict(proxy.config)}, inputs)
     return 0
@@ -465,8 +464,7 @@ def main(argv=None) -> int:
     except MemoryError as err:
         print(f"error: out of memory{f': {err}' if str(err) else ''}", file=sys.stderr)
         return 1
-    except (GraphFormatError, CheckpointError, ValueError,
-            OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -72,6 +72,12 @@ def optimal_k_bruteforce(sp: ScalingParams, u: float, k_max: float) -> float:
     return float(grid[int(np.argmin(generalization_error(sp, u, grid)))])
 
 
+def _stationary_k(sp: ScalingParams, u: float) -> float:
+    """Unclamped stationary point kappa * U^(1/(mu+phi)) of the continuous model."""
+    kappa = (sp.phi * (1.0 - sp.rho) * sp.alpha / (sp.mu * sp.beta)) ** (1.0 / (sp.mu + sp.phi))
+    return kappa * u ** (1.0 / (sp.mu + sp.phi))
+
+
 def optimal_k_closed_form(sp: ScalingParams, u: float, k_max: float) -> float:
     """Stationary point kappa * U^(1/(mu+phi)) of the continuous model,
     clamped to [1, k_max]; at U=0 the model is increasing in k, so 1."""
@@ -79,8 +85,7 @@ def optimal_k_closed_form(sp: ScalingParams, u: float, k_max: float) -> float:
     _check_k_max(k_max)
     if u == 0.0:
         return 1.0
-    kappa = (sp.phi * (1.0 - sp.rho) * sp.alpha / (sp.mu * sp.beta)) ** (1.0 / (sp.mu + sp.phi))
-    return float(np.clip(kappa * u ** (1.0 / (sp.mu + sp.phi)), 1.0, k_max))
+    return float(np.clip(_stationary_k(sp, u), 1.0, k_max))
 
 
 def optimal_k_int(sp: ScalingParams, u: float, k_max: int) -> int:
@@ -92,8 +97,7 @@ def optimal_k_int(sp: ScalingParams, u: float, k_max: int) -> int:
 def _default_k_max(sp: ScalingParams, u_grid: np.ndarray) -> float:
     # Twice the unclamped stationary point at the largest U keeps every
     # optimum interior to the search interval.
-    kappa = (sp.phi * (1.0 - sp.rho) * sp.alpha / (sp.mu * sp.beta)) ** (1.0 / (sp.mu + sp.phi))
-    return max(2.0, 2.0 * kappa * float(u_grid.max()) ** (1.0 / (sp.mu + sp.phi)))
+    return max(2.0, 2.0 * _stationary_k(sp, float(u_grid.max())))
 
 
 def fit_scaling_exponent(sp: ScalingParams, u_grid, k_max: float | None = None) -> float:

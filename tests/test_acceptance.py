@@ -19,9 +19,9 @@ import numpy as np
 import pytest
 
 from d2moe.analysis import (
-    activation_stats,
     decile_activation_spearman,
     run_ablation,
+    stratify_by_entropy,
     train_proxy,
 )
 from d2moe.graph import SbmSpec, generate_sbm, split_nodes
@@ -252,8 +252,9 @@ def test_difficulty_activation_alignment(verdict, hetero_graph, proxy_entropy,
     rhos = []
     for state in full_states:
         report = evaluate(state.params, hetero_graph)
-        stats = activation_stats(report.trace, entropy, hetero_graph.test_mask)
-        rhos.append(decile_activation_spearman(stats))
+        buckets = stratify_by_entropy(entropy, hetero_graph.test_mask, report.predictions,
+                                      hetero_graph.labels, report.trace)
+        rhos.append(decile_activation_spearman(buckets))
     positive = sum(r > 0 for r in rhos)
     ok = positive >= 4
     verdict(f"[ 7/11] difficulty-activation alignment: {'PASS' if ok else 'FAIL'} "

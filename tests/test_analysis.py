@@ -10,9 +10,6 @@ import numpy as np
 import pytest
 
 from d2moe.analysis import (
-    ActivationStats,
-    DecileReport,
-    activation_stats,
     decile_activation_spearman,
     proxy_config,
     run_ablation,
@@ -20,7 +17,7 @@ from d2moe.analysis import (
     train_proxy,
 )
 from d2moe.graph import SbmSpec, generate_sbm, split_nodes
-from d2moe.moe_core import LayerTrace, ModelConfig, RoutingTrace
+from d2moe.moe_core import LayerTrace, ModelConfig, RoutingTrace, predictive_entropy
 from d2moe.training import (
     FixedTopP,
     Full,
@@ -59,47 +56,42 @@ def _trace_with_counts(counts, k=4, layers=2):
 
 def test_stratify_100_nodes_gives_equal_deciles():
     n = 100
-    probs = np.tile(np.linspace(0.3, 0.9, n)[:, None], (1, 4))
-    probs = probs / probs.sum(axis=1, keepdims=True)
     rng = np.random.default_rng(0)
     entropy_probs = np.stack([np.array([p, (1 - p) / 3, (1 - p) / 3, (1 - p) / 3])
                               for p in rng.uniform(0.3, 0.95, n)])
     labels = rng.integers(0, 4, n)
-    report = stratify_by_entropy(entropy_probs, np.ones(n, bool), labels.copy(),
-                                 labels, _trace_with_counts([2] * n))
-    assert report.counts == [10] * 10
-    assert sum(report.counts) == n
+    buckets = stratify_by_entropy(predictive_entropy(entropy_probs), np.ones(n, bool),
+                                  labels.copy(), labels, _trace_with_counts([2] * n))
+    assert [b.count for b in buckets] == [10] * 10
 
 
 def test_stratify_remainder_goes_to_earliest_buckets():
     n = 23
-    probs = _uniform_probs(n)
     labels = np.zeros(n, dtype=np.int64)
-    report = stratify_by_entropy(probs, np.ones(n, bool), labels, labels,
-                                 _trace_with_counts([1] * n))
-    assert report.counts == [3, 3, 3, 2, 2, 2, 2, 2, 2, 2]
+    buckets = stratify_by_entropy(predictive_entropy(_uniform_probs(n)), np.ones(n, bool),
+                                  labels, labels, _trace_with_counts([1] * n))
+    assert [b.count for b in buckets] == [3, 3, 3, 2, 2, 2, 2, 2, 2, 2]
 
 
 def test_stratify_ties_keep_stable_node_order():
     # Identical entropies everywhere: buckets must follow node index order.
     n = 30
-    probs = _uniform_probs(n)
     labels = np.zeros(n, dtype=np.int64)
     preds = np.zeros(n, dtype=np.int64)
     preds[3:] = 1  # only the first three nodes are correct
-    report = stratify_by_entropy(probs, np.ones(n, bool), preds, labels,
-                                 _trace_with_counts([1] * n))
-    assert report.buckets[0].accuracy == 1.0
-    assert all(b.accuracy == 0.0 for b in report.buckets[1:])
+    buckets = stratify_by_entropy(predictive_entropy(_uniform_probs(n)), np.ones(n, bool),
+                                  preds, labels, _trace_with_counts([1] * n))
+    assert buckets[0].accuracy == 1.0
+    assert all(b.accuracy == 0.0 for b in buckets[1:])
 
 
 def test_stratify_perfect_classifier_all_ones():
     g = _graph(n=100)
     rng = np.random.default_rng(1)
     probs = rng.dirichlet(np.ones(4), size=g.n)
-    report = stratify_by_entropy(probs, g.test_mask, g.labels.copy(), g.labels,
-                                 _trace_with_counts([2] * g.n))
-    assert all(b.accuracy == 1.0 for b in report.buckets)
+    buckets = stratify_by_entropy(predictive_entropy(probs), g.test_mask, g.labels.copy(),
+                                  g.labels, _trace_with_counts([2] * g.n))
+    assert all(b.accuracy == 1.0 for b in buckets)
 
 
 def test_stratify_orders_buckets_by_entropy():
@@ -107,89 +99,82 @@ def test_stratify_orders_buckets_by_entropy():
     rng = np.random.default_rng(2)
     probs = rng.dirichlet(np.full(4, 0.6), size=n)
     labels = np.zeros(n, dtype=np.int64)
-    report = stratify_by_entropy(probs, np.ones(n, bool), labels, labels,
-                                 _trace_with_counts([1] * n))
-    for a, b in zip(report.buckets[:-1], report.buckets[1:]):
+    buckets = stratify_by_entropy(predictive_entropy(probs), np.ones(n, bool), labels,
+                                  labels, _trace_with_counts([1] * n))
+    for a, b in zip(buckets[:-1], buckets[1:]):
         assert a.entropy_hi <= b.entropy_lo + 1e-15
         assert a.entropy_lo <= a.entropy_hi
 
 
 def test_stratify_reports_per_layer_activation():
     n = 20
-    probs = _uniform_probs(n)
     labels = np.zeros(n, dtype=np.int64)
     l0 = _trace_with_counts([1] * n).layers[0]
     l1 = _trace_with_counts([3] * n).layers[0]
-    report = stratify_by_entropy(probs, np.ones(n, bool), labels, labels,
-                                 RoutingTrace([l0, l1]))
-    for b in report.buckets:
+    buckets = stratify_by_entropy(predictive_entropy(_uniform_probs(n)), np.ones(n, bool),
+                                  labels, labels, RoutingTrace([l0, l1]))
+    for b in buckets:
         assert b.mean_active_per_layer == (1.0, 3.0)
-    assert isinstance(report, DecileReport)
-    assert report.mean_active == [2.0] * 10
+        assert b.mean_active == 2.0
+
+
+def test_stratify_mean_active_averages_each_node_over_layers():
+    # Each bucket holds nodes whose layer-1 counts are 1, 1, 2: node means
+    # 1, 1, 1.5 average to exactly 7/6, while the mean of the per-layer means
+    # (1 and 4/3) rounds one ulp lower.
+    n = 30
+    labels = np.zeros(n, dtype=np.int64)
+    l0 = _trace_with_counts([1] * n).layers[0]
+    l1 = _trace_with_counts([1, 1, 2] * 10).layers[0]
+    buckets = stratify_by_entropy(np.zeros(n), np.ones(n, bool), labels, labels,
+                                  RoutingTrace([l0, l1]))
+    for b in buckets:
+        assert b.mean_active == 7 / 6
+        assert np.mean(b.mean_active_per_layer) < 7 / 6
 
 
 def test_stratify_rejects_small_mask():
-    probs = _uniform_probs(9)
     labels = np.zeros(9, dtype=np.int64)
     with pytest.raises(ValueError):
-        stratify_by_entropy(probs, np.ones(9, bool), labels, labels,
-                            _trace_with_counts([1] * 9))
+        stratify_by_entropy(predictive_entropy(_uniform_probs(9)), np.ones(9, bool), labels,
+                            labels, _trace_with_counts([1] * 9))
 
 
-# ---- activation statistics -----------------------------------------------
+def test_stratify_rejects_probabilities_in_place_of_entropy():
+    n = 20
+    labels = np.zeros(n, dtype=np.int64)
+    with pytest.raises(ValueError, match="one entropy per node"):
+        stratify_by_entropy(_uniform_probs(n), np.ones(n, bool), labels, labels,
+                            _trace_with_counts([1] * n))
 
 
-def test_activation_stats_full_budget_counts_k_everywhere():
+def test_stratify_full_budget_counts_k_everywhere():
     n, k = 40, 4
-    entropy = np.linspace(0.0, 1.0, n)
-    stats = activation_stats(_trace_with_counts([k] * n, k=k), entropy)
-    assert stats.decile_mean_active == tuple([float(k)] * 10)
+    labels = np.zeros(n, dtype=np.int64)
+    buckets = stratify_by_entropy(np.linspace(0.0, 1.0, n), np.ones(n, bool), labels,
+                                  labels, _trace_with_counts([k] * n, k=k))
+    assert [b.mean_active for b in buckets] == [float(k)] * 10
 
 
-def test_activation_heat_columns_are_mixtures():
-    n, k = 80, 5
-    rng = np.random.default_rng(3)
-    pi = rng.dirichlet(np.ones(k), size=n)
-    selected = np.ones((n, k), dtype=bool)
-    trace = RoutingTrace([LayerTrace(pi=pi, selected=selected)] * 2)
-    stats = activation_stats(trace, rng.uniform(0, 1, n))
-    assert stats.heat.shape == (k, 4)
-    assert np.all(stats.heat >= 0.0) and np.all(stats.heat <= 1.0)
-    assert np.allclose(stats.heat.sum(axis=0), 1.0, atol=1e-6)
-
-
-def test_activation_heat_rows_average_to_global_mean():
-    # Equal-sized quartiles: the unweighted mean over columns equals the
-    # global mean routing weight per expert.
-    n, k = 80, 3
-    rng = np.random.default_rng(4)
-    pi = rng.dirichlet(np.ones(k), size=n)
-    trace = RoutingTrace([LayerTrace(pi=pi, selected=np.ones((n, k), bool))])
-    stats = activation_stats(trace, rng.uniform(0, 1, n))
-    assert np.allclose(stats.heat.mean(axis=1), pi.mean(axis=0), atol=1e-12)
-
-
-def test_activation_stats_respects_mask():
+def test_stratify_respects_mask():
     n = 40
-    entropy = np.linspace(0, 1, n)
+    labels = np.zeros(n, dtype=np.int64)
     counts = [1] * 20 + [4] * 20
     mask = np.zeros(n, dtype=bool)
     mask[20:] = True  # only the 4-expert nodes
-    stats = activation_stats(_trace_with_counts(counts), entropy, mask)
-    assert stats.decile_mean_active == tuple([4.0] * 10)
+    buckets = stratify_by_entropy(np.linspace(0, 1, n), mask, labels, labels,
+                                  _trace_with_counts(counts))
+    assert [b.mean_active for b in buckets] == [4.0] * 10
+    assert sum(b.count for b in buckets) == 20
 
 
 def test_activation_monotone_pattern_has_positive_spearman():
     n = 40
-    entropy = np.linspace(0.0, 1.0, n)
+    labels = np.zeros(n, dtype=np.int64)
     counts = [1] * 10 + [2] * 10 + [3] * 10 + [4] * 10  # more experts when harder
-    stats = activation_stats(_trace_with_counts(counts), entropy)
-    assert decile_activation_spearman(stats) > 0.9
-
-
-def test_activation_stats_rejects_small_sets():
-    with pytest.raises(ValueError):
-        activation_stats(_trace_with_counts([1] * 5), np.linspace(0, 1, 5))
+    buckets = stratify_by_entropy(np.linspace(0.0, 1.0, n), np.ones(n, bool), labels,
+                                  labels, _trace_with_counts(counts))
+    assert decile_activation_spearman(buckets) > 0.9
 
 
 # ---- proxy teacher -------------------------------------------------------
