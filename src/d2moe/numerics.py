@@ -8,11 +8,13 @@ one ``mix_experts`` step. There each expert runs only on the rows whose mask
 selected it and writes its outputs into its slice of one stacked
 (pairs, cols) buffer, one row per selected (expert, row) pair; one CSR
 product with the (rows, pairs) mixing matrix of renormalized scores then sums
-every row's experts. The training objective is three steps: ``masked_nll``,
-one ``routing_penalty`` for the router penalties of every layer, and the
-``add`` of the two. Inputs that take no gradient, such as the node
-features, enter as a ``Const`` and are not leaves. ``backward`` replays the
-steps in reverse, allocating each gradient at its first contribution and
+every row's experts. That buffer is freed once the product is taken: backward
+recovers each expert's g·z_i from the products its input gradient needs, so
+the tape keeps no expert output. The training objective is three steps:
+``masked_nll``, one ``routing_penalty`` for the router penalties of every
+layer, and the ``add`` of the two. Inputs that take no gradient, such as the
+node features, enter as a ``Const`` and are not leaves. ``backward`` replays
+the steps in reverse, allocating each gradient at its first contribution and
 skipping steps whose output the seed never reached. Every gradient array has
 one owner: a Var adopts the first contribution it gets, and a step hands its
 output gradient on uncopied at most once. Only leaves keep their gradients: a
@@ -233,8 +235,13 @@ class Tape:
         exact-zero gradient from it. The output is one sparse product M·Z,
         where the (rows, pairs) CSR mixing matrix M holds each pair's p̃ at
         (row, pair). A CSR row lists its pairs in ascending expert order, so
-        every output row sums its experts in order 0…K-1. Backward runs
-        experts K-1…0, each over its own rows and its slice of Z."""
+        every output row sums its experts in order 0…K-1, and Z is freed once
+        the product is taken. Backward runs experts K-1…0, each over its own
+        rows r, and recovers the score gradient's g·z_i without Z: since
+        z_i = sum_j x_j·W_j + b, g·z_i = sum_j (g·W_jᵀ)·x_j + g·b, and g·W_jᵀ
+        is the product the input gradient p̃·(g·W_jᵀ) needs anyway. It is
+        never read back from a p̃-scaled product, so a selected score of
+        exactly 0.0 still gets its gradient."""
         rows, cols = pi.shape[0], experts[0][1].shape[1]
         conform = all(terms and b.shape == (1, cols) and all(
             x.shape[0] == rows and x.shape[1] == w.shape[0] and w.shape[1] == cols
@@ -268,19 +275,29 @@ class Tape:
         out = Var(np.asarray(mixing @ stacked))
 
         def back():
+            # gz = g·z_i = sum_j (g·W_jᵀ)·x_j + g·b: Z is not kept.
             g = out.grad
             gp = np.zeros_like(p)
             for i, (terms, b) in reversed(list(enumerate(experts))):
                 r = picked[i]
-                gz = g[r]
-                gp[r, i] = (gz * zs[i]).sum(axis=1)
-                gz *= p[r, i : i + 1]
-                _accum(b, gz.sum(axis=0, keepdims=True))
+                pr = p[r, i : i + 1]
+                gr = g[r]
+                gz = gr @ b.value[0]
+                xrs = []
                 for x, w in reversed(terms):
+                    u = gr @ w.value.T
+                    xr = x.value[r]
+                    gz += np.einsum("ij,ij->i", u, xr)
+                    u *= pr
                     if x.grad is None:
                         x.grad = np.zeros_like(x.value)
-                    x.grad[r] += gz @ w.value.T
-                    _accum(w, x.value[r].T @ gz)
+                    x.grad[r] += u
+                    xrs.append(xr)
+                gp[r, i] = gz
+                gr *= pr
+                _accum(b, gr.sum(axis=0, keepdims=True))
+                for (x, w), xr in zip(reversed(terms), xrs):
+                    _accum(w, xr.T @ gr)
             _accum(pi, (m / s) * (gp - (gp * p).sum(axis=1, keepdims=True)))
 
         self._record(out, back)

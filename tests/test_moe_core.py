@@ -382,6 +382,17 @@ def test_extra_expert_memory_under_two_activations():
     assert per_expert < 2.0, per_expert
 
 
+def test_tape_keeps_no_expert_output():
+    """An extra expert adds under one n×hidden float64 array per layer to the
+    forward-plus-backward peak: the mixture step's backward recovers g·z_i
+    from its own products, so no expert output stays on the tape (keeping
+    each one read 1.34 here)."""
+    n, hidden, layers = 500, 32, 2
+    peak = {k: _forward_backward_peak(k, n, hidden, layers) for k in (2, 6)}
+    per_expert = (peak[6] - peak[2]) / ((6 - 2) * layers * n * hidden * 8)
+    assert per_expert < 1.0, per_expert
+
+
 def test_sage_isolated_node_is_self_plus_own_mean():
     g = build_graph([(0, 1)], np.zeros((3, 2)), np.zeros(3, dtype=np.int64), n_classes=2)
     h = RNG(6).normal(size=(3, 4))

@@ -466,6 +466,67 @@ def test_mix_experts_fd():
     assert set(report.per_leaf) == set(leaves)
 
 
+@pytest.mark.parametrize("term_counts, idle", [
+    ((1, 1, 1), None), ((2, 2), None), ((1, 2, 1, 2), 2), ((2, 1, 2), 1)])
+def test_mix_experts_score_gradient_matches_oracle(term_counts, idle):
+    """The score gradient against plain numpy with every z_i formed
+    explicitly: gp = g·z_i, then (m/s) * (gp - sum(gp * p̃)). One selected
+    score is exactly 0.0, so its p̃ is 0 but its gradient is not."""
+    xs, experts, _, mask = _mixture_case(39, n=7, term_counts=term_counts, idle=idle)
+    pi = RNG(40).uniform(0.05, 1, size=mask.shape)
+    assert mask[1, 0] and mask[1].sum() > 1  # row 1 selects every busy expert
+    pi[1, 0] = 0.0
+    w = RNG(41).normal(size=4)
+    t = Tape()
+    pv = t.leaf(pi)
+    out, _, _ = _mixture_on_tape(t, xs, experts, pv, mask)
+    t.backward(weighted_colsum(t, out, w))
+
+    g = np.tile(w, (mask.shape[0], 1))
+    m = mask.astype(float)
+    s = (pi * m).sum(axis=1, keepdims=True)
+    p = pi * m / s
+    gp = np.zeros_like(pi)
+    for i, (terms, b) in enumerate(experts):
+        z = sum(x @ w for x, w in terms) + b
+        gp[:, i] = (g * z).sum(axis=1)
+    want = (m / s) * (gp - (gp * p).sum(axis=1, keepdims=True))
+    np.testing.assert_allclose(pv.grad, want, rtol=1e-12, atol=0)
+    assert pv.grad[1, 0] != 0.0
+    if idle is not None:
+        assert not pv.grad[:, idle].any()
+
+
+def test_mix_experts_backward_replay_bit_identical():
+    """Two mixture layers of 1- and 2-term experts (the second layer's
+    experts read h and an aggregate of h, as a SAGE layer does): a second
+    backward gives every leaf the same gradient bytes."""
+    xs, experts, raw1, mask1 = _mixture_case(43, n=8, term_counts=(2, 1, 2), idle=1)
+    rng = RNG(44)
+    adj, adj_t, _ = _random_csr(8, 45)
+    layer2 = [([(0, rng.uniform(-1, 1, size=(4, 3)))]
+               + ([(1, rng.uniform(-1, 1, size=(4, 3)))] if t == 2 else []),
+               rng.uniform(-1, 1, size=(1, 3))) for t in (1, 2, 2, 1)]
+    raw2 = rng.uniform(-1, 1, size=(8, 4))
+    mask2 = rng.random((8, 4)) < 0.5
+    mask2[np.arange(8), rng.integers(0, 4, size=8)] = True
+
+    t = Tape()
+    r1, r2 = t.leaf(raw1), t.leaf(raw2)
+    h, xv, ev1 = _mixture_on_tape(t, xs, experts, t.softmax_rows(r1), mask1)
+    ins = (h, t.spmm(adj, adj_t, h))
+    ev2 = [([(ins[j], t.leaf(w)) for j, w in terms], t.leaf(b)) for terms, b in layer2]
+    out = t.mix_experts(ev2, t.softmax_rows(r2), mask2)
+    loss = t.masked_nll(t.softmax_rows(out), np.arange(8) % 3, np.arange(8))
+    leaves = [r1, r2, *_named(xv, ev1).values(), *_named([], ev2).values()]
+    t.backward(loss)
+    first = [v.grad.copy() for v in leaves]
+    t.backward(loss)
+    assert all(v.grad is not None for v in leaves)
+    for before, v in zip(first, leaves):
+        assert before.tobytes() == v.grad.tobytes()
+
+
 # ---- batch norm ----------------------------------------------------------
 
 
