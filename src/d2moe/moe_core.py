@@ -10,11 +10,16 @@ softmax produces class probabilities.
 Within a layer the experts share their neighbourhood aggregation: A_sym·h and,
 for SAGE experts, mean_adj·h are computed once per layer. One tape step,
 ``Tape.mix_experts``, applies every expert's weights to the shared aggregate
-((A·h)·W rather than A·(h·W)), renormalizes the selected scores and mixes.
-Each expert's weights are applied only to the rows of the nodes that selected
-it, so a node that activates fewer experts costs fewer FLOPs. Only a two-hop
-expert records steps of its own: its inner hop and second aggregation run on
-every node, and only its final product is restricted to the selecting rows.
+((A·h)·W rather than A·(h·W)), renormalizes the selected scores, mixes and
+adds the residual input h. Each expert's weights are applied only to the rows
+of the nodes that selected it, so a node that activates fewer experts costs
+fewer FLOPs. Only a two-hop expert records steps of its own: its inner hop
+and second aggregation run on every node, and only its final product is
+restricted to the selecting rows. A train forward without dropout or batch
+norm records 4 + 7L steps: the embedding's matmul and relu, per layer the
+aggregation, the router's two matmuls, relu and softmax, the mixture and its
+relu, and the head's matmul and softmax (dropout adds 1 + L steps, batch norm
+L, and each two-hop expert 3 per layer).
 
 Per-node budgets come from the normalized entropy of an earlier prediction:
 high-entropy (hard) nodes get budgets near 1 and activate many experts,
@@ -298,7 +303,9 @@ def forward(params: ModelParams, g: Graph, budget, mode: str = "train",
     selection) or a TopK rule. Train mode applies dropout (requires ``rng``)
     and batch statistics, folds those into the running statistics, and
     records the tape for ``backward``: each dense layer (embedding, router
-    layers, head) is one ``matmul`` step with its bias. Eval mode is
+    layers, head) is one ``matmul`` step with its bias, and each mixture layer
+    with its residual add is one ``mix_experts`` step, so without dropout or
+    batch norm the tape holds 4 + 7L steps. Eval mode is
     deterministic, uses running statistics and records nothing (its tape was
     built with ``record=False``), so each intermediate is freed once the next
     layer no longer reads it.
@@ -342,7 +349,7 @@ def forward(params: ModelParams, g: Graph, budget, mode: str = "train",
             mask = top_k_mask(pi.value, budget.k)
         else:
             mask = select_top_p_batch(pi.value, budget)
-        h = tape.add(h, tape.mix_experts(experts, pi, mask))
+        h = tape.mix_experts(experts, pi, mask, h)
         if cfg.use_batch_norm:
             gamma, beta = lv[f"layer{l}.norm.gamma"], lv[f"layer{l}.norm.beta"]
             running_mean = params.tensors[f"layer{l}.norm.running_mean"][0]

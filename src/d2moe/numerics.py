@@ -3,14 +3,15 @@
 Values are numpy float64 arrays of shape (rows, cols); scalars travel as (1, 1).
 Sparse adjacencies are scipy CSR and are never differentiated through. A Tape
 records one forward pass: a dense layer x·W + b as one ``matmul`` step, a
-whole mixture layer (experts, renormalized scores and their weighted sum) as
-one ``mix_experts`` step. There each expert runs only on the rows whose mask
-selected it and writes its outputs into its slice of one stacked
-(pairs, cols) buffer, one row per selected (expert, row) pair; one CSR
-product with the (rows, pairs) mixing matrix of renormalized scores then sums
-every row's experts. That buffer is freed once the product is taken: backward
-recovers each expert's g·z_i from the products its input gradient needs, so
-the tape keeps no expert output. The training objective is three steps:
+whole residual mixture layer (experts, renormalized scores, their weighted
+sum and the residual input) as one ``mix_experts`` step. There each expert
+runs only on the rows whose mask selected it and writes its outputs into its
+slice of one stacked (pairs, cols) buffer, one row per selected (expert, row)
+pair; one CSR product with the (rows, pairs) mixing matrix of renormalized
+scores then sums every row's experts, and the residual is added in place.
+That buffer is freed once the product is taken: backward recovers each
+expert's g·z_i from the products its input gradient needs, so the tape keeps
+no expert output. The training objective is three steps:
 ``masked_nll``, one ``routing_penalty`` for the router penalties of every
 layer, and the ``add`` of the two. Inputs that take no gradient, such as the
 node features, enter as a ``Const`` and are not leaves. ``backward`` replays
@@ -20,9 +21,14 @@ one owner: a Var adopts the first contribution it gets, and a step hands its
 output gradient on uncopied at most once. Only leaves keep their gradients: a
 step's output gradient is released as soon as the step has run. Leaves left
 without a gradient get exact zeros, and running it twice gives bit-identical
-results. A tape built with ``record=False`` (the model's eval mode) records
-nothing, so its intermediates live only as long as the caller holds them, and
-it cannot run ``backward``.
+results. Each step declares the input Vars whose values its backward reads,
+and ``backward`` starts by releasing every other step output except the seed:
+its value becomes a read-only NaN view of the same shape with no memory
+behind it, so reading it gives NaN and writing to it raises. A caller that
+needs a step output after backward takes it first. A tape built with
+``record=False`` (the model's eval mode) records nothing, so its
+intermediates live only as long as the caller holds them, and it cannot run
+``backward``.
 
 Parameters live in float32 elsewhere in the package; ``Tape.leaf`` upcasts to
 float64 so finite-difference probes at step 1e-4 are not quantized away.
@@ -120,10 +126,15 @@ class Tape:
         self.recording = record
         self._steps: list[tuple[Var, Callable[[], None]]] = []
         self._leaves: list[Var] = []
+        self._read: set[int] = set()   # ids of the Vars some backward reads
 
-    def _record(self, out: Var, back: Callable[[], None]) -> None:
+    def _record(self, out: Var, back: Callable[[], None], reads: Sequence[Var]) -> None:
+        """Keep the step ``out`` came from. ``reads`` lists the input Vars
+        whose ``.value`` ``back`` reads; every other step output is released
+        when backward starts."""
         if self.recording:
             self._steps.append((out, back))
+            self._read.update(id(v) for v in reads)
 
     def leaf(self, array) -> Var:
         """Register an input value. Float64 arrays are aliased, not copied."""
@@ -154,7 +165,7 @@ class Tape:
             if not isinstance(b, Const):
                 _accum(b, a.value.T @ out.grad)
 
-        self._record(out, back)
+        self._record(out, back, (a, b))
         return out
 
     def spmm(self, adj, adj_t, x: Var) -> Var:
@@ -167,7 +178,7 @@ class Tape:
         def back():
             _accum(x, adj_t @ out.grad)
 
-        self._record(out, back)
+        self._record(out, back, ())
         return out
 
     def add(self, a: Var, b: Var) -> Var:
@@ -179,7 +190,7 @@ class Tape:
             _accum(a, out.grad.copy())
             _accum(b, out.grad)
 
-        self._record(out, back)
+        self._record(out, back, ())
         return out
 
     def relu(self, a: Var) -> Var:
@@ -191,7 +202,7 @@ class Tape:
         def back():
             _accum(a, out.grad * keep)
 
-        self._record(out, back)
+        self._record(out, back, ())
         return out
 
     def dropout(self, a: Var, keep: float, rng: np.random.Generator) -> Var:
@@ -205,7 +216,7 @@ class Tape:
         def back():
             _accum(a, out.grad * (kept * (1.0 / keep)))
 
-        self._record(out, back)
+        self._record(out, back, ())
         return out
 
     def softmax_rows(self, m: Var) -> Var:
@@ -218,15 +229,17 @@ class Tape:
             g = out.grad
             _accum(m, p * (g - (g * p).sum(axis=1, keepdims=True)))
 
-        self._record(out, back)
+        self._record(out, back, ())
         return out
 
     def mix_experts(self, experts: Sequence[tuple[Sequence[tuple[Var, Var]], Var]],
-                    pi: Var, mask: np.ndarray) -> Var:
-        """One mixture layer in one step: sum_i p̃[:, i] * z_i, where expert i
-        is ``(terms, b)`` with z_i = sum_j x_j·W_j + b, and p̃ keeps each row's
-        ``mask``-selected scores of ``pi`` rescaled to sum to 1. ``mask`` is a
-        constant boolean array shaped like ``pi``.
+                    pi: Var, mask: np.ndarray, residual: Var) -> Var:
+        """One residual mixture layer in one step: residual + sum_i p̃[:, i] * z_i,
+        where expert i is ``(terms, b)`` with z_i = sum_j x_j·W_j + b, and p̃
+        keeps each row's ``mask``-selected scores of ``pi`` rescaled to sum to
+        1. ``mask`` is a constant boolean array shaped like ``pi``, and
+        ``residual`` is shaped like the output. The residual is added after
+        the mixture, into its buffer, so no separate mixture output is kept.
 
         Each expert runs only on the rows that selected it. The selected
         (expert, row) pairs are taken in expert-major order, and expert i
@@ -241,14 +254,17 @@ class Tape:
         z_i = sum_j x_j·W_j + b, g·z_i = sum_j (g·W_jᵀ)·x_j + g·b, and g·W_jᵀ
         is the product the input gradient p̃·(g·W_jᵀ) needs anyway. It is
         never read back from a p̃-scaled product, so a selected score of
-        exactly 0.0 still gets its gradient."""
+        exactly 0.0 still gets its gradient. The residual takes its gradient
+        before the experts do."""
         rows, cols = pi.shape[0], experts[0][1].shape[1]
         conform = all(terms and b.shape == (1, cols) and all(
             x.shape[0] == rows and x.shape[1] == w.shape[0] and w.shape[1] == cols
             for x, w in terms) for terms, b in experts)
-        if not conform or pi.shape != (rows, len(experts)) or mask.shape != pi.shape:
+        if (not conform or pi.shape != (rows, len(experts)) or mask.shape != pi.shape
+                or residual.shape != (rows, cols)):
             raise ShapeError(f"mix_experts: {len(experts)} experts do not map to "
-                             f"{(rows, cols)} under scores {pi.shape}, mask {mask.shape}")
+                             f"{(rows, cols)} under scores {pi.shape}, mask {mask.shape}, "
+                             f"residual {residual.shape}")
         m = mask.astype(np.float64)
         kept = pi.value * m
         s = kept.sum(axis=1, keepdims=True)
@@ -273,10 +289,12 @@ class Tape:
         mixing = sp.csr_array((p[mask], np.argsort(pair_row, kind="stable"), indptr),
                               shape=(rows, pair_row.size))
         out = Var(np.asarray(mixing @ stacked))
+        out.value += residual.value
 
         def back():
             # gz = g·z_i = sum_j (g·W_jᵀ)·x_j + g·b: Z is not kept.
             g = out.grad
+            _accum(residual, g.copy())
             gp = np.zeros_like(p)
             for i, (terms, b) in reversed(list(enumerate(experts))):
                 r = picked[i]
@@ -300,7 +318,8 @@ class Tape:
                     _accum(w, xr.T @ gr)
             _accum(pi, (m / s) * (gp - (gp * p).sum(axis=1, keepdims=True)))
 
-        self._record(out, back)
+        self._record(out, back, [v for terms, b in experts for term in terms for v in term]
+                     + [b for _, b in experts])
         return out
 
     def batchnorm_train(self, x: Var, gamma: Var, beta: Var,
@@ -328,7 +347,7 @@ class Tape:
             _accum(x, inv * (gx - gx.mean(axis=0, keepdims=True)
                              - xhat * (gx * xhat).mean(axis=0, keepdims=True)))
 
-        self._record(out, back)
+        self._record(out, back, (gamma,))
         return out
 
     def batchnorm_eval(self, x: Var, gamma: Var, beta: Var,
@@ -374,7 +393,7 @@ class Tape:
                 _accum(pi, np.tile((g * lam2) * (pi.shape[1] / n) * f, (n, 1)))
                 _accum(pi, ((g * lam1) * c_ent) * (logc + np.where(pi.value >= LOG_EPS, 1.0, 0.0)))
 
-        self._record(out, back)
+        self._record(out, back, pis)
         return out, float(ent), float(lb)
 
     def masked_nll(self, probs: Var, labels: np.ndarray, idx: np.ndarray) -> Var:
@@ -393,7 +412,7 @@ class Tape:
                 probs.grad = np.zeros_like(probs.value)
             np.add.at(probs.grad, (idx, labels[idx]), g * contrib)
 
-        self._record(out, back)
+        self._record(out, back, (probs,))
         return out
 
     # ---- reverse pass ----------------------------------------------------
@@ -409,7 +428,14 @@ class Tape:
         released once the step has run, as reverse recording order means every
         contribution to it has arrived by then, so every other Var ends with
         ``grad`` None. Leaves the seed does not reach get exact zeros at the
-        end. Raises ValueError on a tape built with ``record=False``."""
+        end. Raises ValueError on a tape built with ``record=False``.
+
+        Backward is where the tape knows the forward is done, so it first
+        releases every step output that no recorded step's backward reads,
+        except the seed: its ``.value`` becomes a read-only all-NaN view of
+        the same shape with no memory behind it. Shapes, ``zeros_like``, a
+        replay and a second backward from another seed on the same tape
+        still work; writing to a released value raises."""
         if not self.recording:
             raise ValueError("backward: this tape recorded no steps (built with record=False)")
         if out.shape != (1, 1):
@@ -418,6 +444,8 @@ class Tape:
             v.grad = None
         for produced, _ in self._steps:
             produced.grad = None
+            if produced is not out and id(produced) not in self._read:
+                produced.value = np.broadcast_to(np.nan, produced.shape)
         out.grad = np.ones_like(out.value)
         for produced, back in reversed(self._steps):
             if produced.grad is not None:

@@ -31,7 +31,8 @@ from d2moe.moe_core import (
     select_top_p_batch,
     top_k_mask,
 )
-from d2moe.numerics import Tape, grad_check
+from d2moe.numerics import Const, Tape, grad_check
+from d2moe.training import losses_on_tape
 
 RNG = np.random.default_rng
 V1_CHECKPOINT = Path(__file__).parent / "data" / "v1_sage_half_half_bn.bin"
@@ -238,7 +239,8 @@ def _expert_via_tape(kind, tensors, h, g):
     agg = _layer_aggregates(tape, hv, g, [kind])
     expert = _expert_terms(tape, kind, lv, "e", hv, agg, g)
     return tape.mix_experts([expert], tape.leaf(np.ones((g.n, 1))),
-                            np.ones((g.n, 1), dtype=bool)).value
+                            np.ones((g.n, 1), dtype=bool),
+                            Const(np.zeros((g.n, tensors["b"].shape[1])))).value
 
 
 def test_gcn_one_hop_identity_graph():
@@ -317,9 +319,9 @@ def test_forward_records_one_mixture_step_per_layer(monkeypatch, backbone, layou
     calls = []
     real = Tape.mix_experts
 
-    def counting(self, experts, pi, mask):
+    def counting(self, experts, pi, mask, residual):
         calls.append(len(experts))
-        return real(self, experts, pi, mask)
+        return real(self, experts, pi, mask, residual)
 
     monkeypatch.setattr(Tape, "mix_experts", counting)
     g = small_graph()
@@ -337,12 +339,13 @@ def test_forward_records_one_mixture_step_per_layer(monkeypatch, backbone, layou
 @pytest.mark.parametrize("layers", [1, 2, 3])
 def test_forward_records_one_step_per_dense_layer(layers):
     """Embedding, router layers and head are one matmul step each, bias
-    included: without dropout or batch norm a train forward records 4 + 8L
-    steps (embedding 2, each layer spmm + router 4 + mix + add + relu, head 2)."""
+    included, and the residual add is part of the mixture step: without
+    dropout or batch norm a train forward records 4 + 7L steps (embedding 2,
+    each layer spmm + router 4 + mix + relu, head 2)."""
     g = small_graph()
     params = small_params(g, experts=3, layers=layers)
     fw = forward(params, g, np.full(g.n, 0.7), mode="train")
-    assert len(fw.tape._steps) == 4 + 8 * layers
+    assert len(fw.tape._steps) == 4 + 7 * layers
 
 
 def test_eval_forward_records_nothing():
@@ -391,6 +394,71 @@ def test_tape_keeps_no_expert_output():
     peak = {k: _forward_backward_peak(k, n, hidden, layers) for k in (2, 6)}
     per_expert = (peak[6] - peak[2]) / ((6 - 2) * layers * n * hidden * 8)
     assert per_expert < 1.0, per_expert
+
+
+def _released(v) -> bool:
+    """True if ``Tape.backward`` released ``v``: a read-only view, no memory."""
+    return v.value.strides == (0, 0) and not v.value.flags.writeable
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+@pytest.mark.parametrize("batch_norm", [False, True])
+def test_backward_keeps_only_values_a_step_reads(backbone, batch_norm):
+    """After backward on a train forward, every step output that still holds
+    data is the seed or read by some recorded step. The released ones read
+    as NaN and cannot be written; among them are the embedding's
+    pre-activation and relu and each layer's mixture and relu outputs. The
+    gradients are those of the same tape with nothing released."""
+    g = small_graph(n=30)
+    params = small_params(g, experts=4, layers=2, dropout=0.5, backbone=backbone,
+                          expert_layout="half_half", use_batch_norm=batch_norm)
+
+    def backward(release):
+        fw = forward(params, g, np.full(g.n, 0.5), mode="train", rng=RNG(3))
+        seed = losses_on_tape(fw, g, 1e-4, 1e-3)[1]
+        if not release:
+            fw.tape._read.update(id(v) for v, _ in fw.tape._steps)
+        fw.tape.backward(seed)
+        return fw, seed
+
+    fw, seed = backward(release=True)
+    outputs = [v for v, _ in fw.tape._steps]
+    for v in outputs:
+        assert _released(v) == (v is not seed and id(v) not in fw.tape._read)
+    released = [v for v in outputs if _released(v)]
+    assert sum(v.shape == (g.n, params.config.hidden) for v in released) >= 2 + 2 * 2
+    for v in released:
+        assert np.isnan(v.value).all()
+        with pytest.raises(ValueError, match="read-only"):
+            v.value[0, 0] = 0.0
+    kept, _ = backward(release=False)
+    assert not any(_released(v) for v, _ in kept.tape._steps)
+    for name, leaf in kept.leaf_vars.items():
+        assert leaf.grad.tobytes() == fw.leaf_vars[name].grad.tobytes(), name
+
+
+def _objective_backward_peak(layers, n=500, hidden=32):
+    g = small_graph(n=n, seed=21)
+    params = small_params(g, experts=4, layers=layers, hidden=hidden, seed=2, dropout=0.5)
+    tracemalloc.start()
+    try:
+        fw = forward(params, g, np.full(g.n, 0.5), mode="train", rng=RNG(3))
+        fw.tape.backward(losses_on_tape(fw, g, 1e-4, 1e-3)[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_extra_layer_peak_under_six_and_a_half_activations():
+    """An extra mixture layer adds under 6.5 n×hidden float64 arrays to the
+    peak of a train forward, its objective and backward: backward releases
+    the values no step reads and the residual add is part of the mixture
+    step (keeping every output until the tape is freed read 7.78 here)."""
+    n, hidden = 500, 32
+    growth = _objective_backward_peak(3, n, hidden) - _objective_backward_peak(1, n, hidden)
+    per_layer = growth / (2 * n * hidden * 8)
+    assert per_layer < 6.5, per_layer
 
 
 def test_sage_isolated_node_is_self_plus_own_mean():

@@ -324,7 +324,8 @@ def _mixture_on_tape(t, xs, experts, pi, mask):
     leaves and the experts over leaves."""
     xv = {id(x): t.leaf(x) for x in xs}
     ev = [([(xv[id(x)], t.leaf(w)) for x, w in terms], t.leaf(b)) for terms, b in experts]
-    return t.mix_experts(ev, pi, mask), [xv[id(x)] for x in xs], ev
+    zero = Const(np.zeros((pi.shape[0], experts[0][1].shape[1])))
+    return t.mix_experts(ev, pi, mask, zero), [xv[id(x)] for x in xs], ev
 
 
 def _named(xs, experts):
@@ -367,9 +368,10 @@ def test_mix_experts_weights_hand_case():
     t = Tape()
     one = t.leaf(np.ones((1, 1)))
     experts = [([(one, t.leaf([[v]]))], t.leaf([[0.0]])) for v in (8.0, 16.0, 1e6)]
-    out = t.mix_experts(experts, t.leaf([[0.5, 0.3, 0.2]]), np.array([[True, True, False]]))
+    zero = Const(np.zeros((1, 1)))
+    out = t.mix_experts(experts, t.leaf([[0.5, 0.3, 0.2]]), np.array([[True, True, False]]), zero)
     assert out.item() == pytest.approx(0.625 * 8.0 + 0.375 * 16.0, abs=1e-12)
-    out = t.mix_experts(experts, t.leaf([[0.6, 0.3, 0.1]]), np.array([[False, True, False]]))
+    out = t.mix_experts(experts, t.leaf([[0.6, 0.3, 0.1]]), np.array([[False, True, False]]), zero)
     assert out.item() == 16.0
 
 
@@ -377,7 +379,8 @@ def test_mix_experts_zero_mass_guarded():
     t = Tape()
     x, w, b = t.leaf(np.ones((1, 1))), t.leaf(np.ones((1, 1))), t.leaf(np.zeros((1, 1)))
     with pytest.raises(ValueError, match="zero"):
-        t.mix_experts([([(x, w)], b)] * 2, t.leaf([[0.0, 1.0]]), np.array([[True, False]]))
+        t.mix_experts([([(x, w)], b)] * 2, t.leaf([[0.0, 1.0]]), np.array([[True, False]]),
+                      Const(np.zeros((1, 1))))
 
 
 def test_mix_experts_shape_errors():
@@ -385,19 +388,20 @@ def test_mix_experts_shape_errors():
     leaf = lambda r, c: t.leaf(np.ones((r, c)))
     x, w, b = leaf(3, 2), leaf(2, 4), leaf(1, 4)
     pi, mask = leaf(3, 2), np.ones((3, 2), bool)
-    good = ([(x, w)], b)
+    good, zero = ([(x, w)], b), Const(np.zeros((3, 4)))
     bad = [
-        ([good, good], pi, np.ones((3, 3), bool)),            # mask shape
-        ([good], pi, mask),                                   # scores per expert
-        ([good, ([(x, leaf(3, 4))], b)], pi, mask),           # x @ W does not conform
-        ([good, ([(x, w)], leaf(1, 3))], pi, mask),           # bias width
-        ([good, ([(leaf(2, 2), w)], b)], pi, mask),           # rows
-        ([good, ([(x, w), (x, leaf(2, 3))], b)], pi, mask),   # terms disagree
-        ([good, ([], b)], pi, mask),                          # no terms
+        ([good, good], pi, np.ones((3, 3), bool), zero),            # mask shape
+        ([good], pi, mask, zero),                                   # scores per expert
+        ([good, ([(x, leaf(3, 4))], b)], pi, mask, zero),           # x @ W does not conform
+        ([good, ([(x, w)], leaf(1, 3))], pi, mask, zero),           # bias width
+        ([good, ([(leaf(2, 2), w)], b)], pi, mask, zero),           # rows
+        ([good, ([(x, w), (x, leaf(2, 3))], b)], pi, mask, zero),   # terms disagree
+        ([good, ([], b)], pi, mask, zero),                          # no terms
+        ([good, good], pi, mask, Const(np.zeros((3, 3)))),          # residual shape
     ]
-    for experts, p, m in bad:
+    for experts, p, m, residual in bad:
         with pytest.raises(ShapeError):
-            t.mix_experts(experts, p, m)
+            t.mix_experts(experts, p, m, residual)
 
 
 def _mixture_grads(xs, experts, pi, mask, w):
@@ -516,7 +520,7 @@ def test_mix_experts_backward_replay_bit_identical():
     h, xv, ev1 = _mixture_on_tape(t, xs, experts, t.softmax_rows(r1), mask1)
     ins = (h, t.spmm(adj, adj_t, h))
     ev2 = [([(ins[j], t.leaf(w)) for j, w in terms], t.leaf(b)) for terms, b in layer2]
-    out = t.mix_experts(ev2, t.softmax_rows(r2), mask2)
+    out = t.mix_experts(ev2, t.softmax_rows(r2), mask2, Const(np.zeros((8, 3))))
     loss = t.masked_nll(t.softmax_rows(out), np.arange(8) % 3, np.arange(8))
     leaves = [r1, r2, *_named(xv, ev1).values(), *_named([], ev2).values()]
     t.backward(loss)
@@ -733,6 +737,33 @@ def test_backward_replay_bit_identical():
     assert h.grad is None and p.grad is None  # only leaves keep a gradient
 
 
+def test_backward_releases_values_no_backward_reads():
+    """Backward first releases every step output that no recorded step reads,
+    except the seed: it reads as NaN of the same shape and cannot be written,
+    while the values a backward reads stay, so a replay is bit-identical."""
+    t = Tape()
+    x = t.leaf(RNG(8).normal(size=(5, 3)))
+    w1, w2 = t.leaf(RNG(9).normal(size=(3, 4))), t.leaf(RNG(10).normal(size=(4, 3)))
+    pre = t.matmul(x, w1)            # relu keeps a mask: released
+    h = t.relu(pre)                  # read by the next matmul: kept
+    logits = t.matmul(h, w2)         # softmax keeps its output: released
+    p = t.softmax_rows(logits)       # read by masked_nll: kept
+    loss = t.masked_nll(p, np.array([0, 1, 2, 0, 1]), np.arange(5))
+    kept = [v.value for v in (h, p, loss)]
+    t.backward(loss)
+    for v, shape in ((pre, (5, 4)), (logits, (5, 3))):
+        assert v.shape == shape and np.isnan(v.value).all()
+        with pytest.raises(ValueError, match="read-only"):
+            v.value[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            v.value += 1.0
+    assert all(v.value is value for v, value in zip((h, p, loss), kept))
+    first = [v.grad.copy() for v in (x, w1, w2)]
+    t.backward(loss)
+    for before, v in zip(first, (x, w1, w2)):
+        assert np.isfinite(before).all() and before.tobytes() == v.grad.tobytes()
+
+
 def test_untouched_leaf_gets_exact_zero_grad():
     t = Tape()
     used = t.leaf(RNG(1).normal(size=(4, 3)))
@@ -803,7 +834,7 @@ def _sum_of_squares(t, v):
     """w² of a (1,1) Var: a one-expert, all-selected mixture whose input and
     weight are both ``v``."""
     return t.mix_experts([([(v, v)], t.leaf(np.zeros((1, 1))))], t.leaf(np.ones((1, 1))),
-                         np.ones((1, 1), dtype=bool))
+                         np.ones((1, 1), dtype=bool), Const(np.zeros((1, 1))))
 
 
 def test_grad_check_quadratic():
