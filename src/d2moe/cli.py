@@ -127,6 +127,8 @@ def _resolve(ns: argparse.Namespace) -> dict:
     for key, (_, default) in CONFIG_KEYS.items():
         flag = getattr(ns, key, None)
         out[key] = flag if flag is not None else file_cfg.get(key, default)
+    if out["seed"] < 0:
+        raise ValueError(f"seed must be >= 0, got {out['seed']}")
     return out
 
 

@@ -41,10 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .numerics import Const, Tape, Var, sigmoid
+from .numerics import LOG_EPS, Const, Tape, Var, sigmoid
 
 TOP_P_SLACK = 1e-9   # absorbs float summation error in the cumulative cutoff
-ENTROPY_EPS = 1e-12
 
 CHECKPOINT_MAGIC = b"D2MO"
 CHECKPOINT_VERSION = 1
@@ -189,7 +188,7 @@ def predictive_entropy(probs: np.ndarray) -> np.ndarray:
     if bad.size:
         raise ValueError(f"entropy: {bad.size} row(s) with non-finite probabilities, "
                          f"first row {bad[0]}")
-    terms = np.where(probs > 0.0, probs * np.log2(np.maximum(probs, ENTROPY_EPS)), 0.0)
+    terms = np.where(probs > 0.0, probs * np.log2(np.maximum(probs, LOG_EPS)), 0.0)
     return np.clip(-terms.sum(axis=1) / np.log2(c), 0.0, 1.0)
 
 

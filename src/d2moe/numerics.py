@@ -11,24 +11,23 @@ pair; one CSR product with the (rows, pairs) mixing matrix of renormalized
 scores then sums every row's experts, and the residual is added in place.
 That buffer is freed once the product is taken: backward recovers each
 expert's g·z_i from the products its input gradient needs, so the tape keeps
-no expert output. The training objective is three steps:
-``masked_nll``, one ``routing_penalty`` for the router penalties of every
-layer, and the ``add`` of the two. Inputs that take no gradient, such as the
-node features, enter as a ``Const`` and are not leaves. ``backward`` replays
-the steps in reverse, allocating each gradient at its first contribution and
-skipping steps whose output the seed never reached. Every gradient array has
-one owner: a Var adopts the first contribution it gets, and a step hands its
-output gradient on uncopied at most once. Only leaves keep their gradients: a
-step's output gradient is released as soon as the step has run. Leaves left
-without a gradient get exact zeros, and running it twice gives bit-identical
-results. Each step declares the input Vars whose values its backward reads,
-and ``backward`` starts by releasing every other step output except the seed:
-its value becomes a read-only NaN view of the same shape with no memory
-behind it, so reading it gives NaN and writing to it raises. A caller that
-needs a step output after backward takes it first. A tape built with
-``record=False`` (the model's eval mode) records nothing, so its
-intermediates live only as long as the caller holds them, and it cannot run
-``backward``.
+no expert output. The training objective is two steps: ``masked_nll``, then
+one ``routing_penalty`` that adds the router penalties of every layer to it.
+Inputs that take no gradient, such as the node features, enter as a ``Const``
+and are not leaves. ``backward`` replays the steps in reverse, allocating each
+gradient at its first contribution and skipping steps whose output the seed
+never reached. Every gradient array has one owner: a Var adopts the first
+contribution it gets, and a step hands its output gradient on uncopied at most
+once. Only leaves keep their gradients: a step's output gradient is released
+as soon as the step has run. Leaves left without a gradient get exact zeros,
+and running it twice gives bit-identical results. Each step declares the input
+Vars whose values its backward reads, and ``backward`` starts by releasing
+every other step output except the seed: its value becomes a read-only NaN
+view of the same shape with no memory behind it, so reading it gives NaN and
+writing to it raises. A caller that needs a step output after backward takes
+it first. A tape built with ``record=False`` (the model's eval mode) records
+nothing, so its intermediates live only as long as the caller holds them, and
+it cannot run ``backward``.
 
 Parameters live in float32 elsewhere in the package; ``Tape.leaf`` upcasts to
 float64 so finite-difference probes at step 1e-4 are not quantized away.
@@ -177,18 +176,6 @@ class Tape:
 
         def back():
             _accum(x, adj_t @ out.grad)
-
-        self._record(out, back, ())
-        return out
-
-    def add(self, a: Var, b: Var) -> Var:
-        if a.shape != b.shape:
-            raise ShapeError(f"add: {a.shape} vs {b.shape}")
-        out = Var(a.value + b.value)
-
-        def back():
-            _accum(a, out.grad.copy())
-            _accum(b, out.grad)
 
         self._record(out, back, ())
         return out
@@ -363,20 +350,22 @@ class Tape:
 
     # ---- scalar objective terms -----------------------------------------
 
-    def routing_penalty(self, pis: Sequence[Var], freqs: Sequence[np.ndarray],
+    def routing_penalty(self, task: Var, pis: Sequence[Var], freqs: Sequence[np.ndarray],
                         lam1: float, lam2: float) -> tuple[Var, float, float]:
-        """The router penalties of L layers of (n, K) scores ``pis``, as one
-        scalar step lam1*H + lam2*B, returned with H and B. H is the mean
-        router entropy over nodes and layers, -sum_l sum p*log(p) / (n*L),
-        with the log floored at LOG_EPS so exact zeros contribute zero. B is
-        the balance term summed over layers, K/n * sum_i colsum_i * f_i, where
-        the constant selection frequencies ``freqs[l]`` (one per expert) take
-        no gradient."""
+        """The regularized objective task + (lam1*H + lam2*B) as one scalar
+        step, returned with H and B: the router penalties of L layers of
+        (n, K) scores ``pis`` are summed first and then added to the (1, 1)
+        ``task`` scalar. H is the mean router entropy over nodes and layers,
+        -sum_l sum p*log(p) / (n*L), with the log floored at LOG_EPS so exact
+        zeros contribute zero. B is the balance term summed over layers,
+        K/n * sum_i colsum_i * f_i, where the constant selection frequencies
+        ``freqs[l]`` (one per expert) take no gradient. Backward hands the
+        output gradient on to ``task`` uncopied; a ``Const`` task takes none."""
         n = pis[0].shape[0]
-        if len(freqs) != len(pis) or any(
+        if task.shape != (1, 1) or len(freqs) != len(pis) or any(
                 pi.shape[0] != n or f.shape != (pi.shape[1],) for pi, f in zip(pis, freqs)):
-            raise ShapeError(f"routing_penalty: frequencies {[f.shape for f in freqs]} "
-                             f"for scores {[pi.shape for pi in pis]}")
+            raise ShapeError(f"routing_penalty: task {task.shape}, frequencies "
+                             f"{[f.shape for f in freqs]} for scores {[pi.shape for pi in pis]}")
         c_ent = -1.0 / (n * len(pis))
         logs = [np.log(np.maximum(pi.value, LOG_EPS)) for pi in pis]
         plogp = [(pi.value * logc).sum() for pi, logc in zip(pis, logs)]
@@ -385,10 +374,12 @@ class Tape:
         # Left to right from layer 0: the outputs' bytes depend on the order.
         ent = sum(plogp[1:], plogp[0]) * c_ent
         lb = sum(balance[1:], balance[0])
-        out = Var(np.array([[ent * lam1 + lb * lam2]]))
+        out = Var(task.value + np.array([[ent * lam1 + lb * lam2]]))
 
         def back():
             g = out.grad[0, 0]
+            if not isinstance(task, Const):
+                _accum(task, out.grad)
             for pi, f, logc in zip(pis, freqs, logs):
                 _accum(pi, np.tile((g * lam2) * (pi.shape[1] / n) * f, (n, 1)))
                 _accum(pi, ((g * lam1) * c_ent) * (logc + np.where(pi.value >= LOG_EPS, 1.0, 0.0)))

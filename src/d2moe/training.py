@@ -134,6 +134,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_epochs < 1 or self.patience < 1:
             raise ValueError("max_epochs and patience must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.lr < math.inf:
             raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
         for name in ("lambda_re", "lambda_lb", "weight_decay"):
@@ -155,20 +157,19 @@ class LossBreakdown:
 
 def losses_on_tape(fw: ForwardResult, g: Graph, lam1: float, lam2: float
                    ) -> tuple[LossBreakdown, Var, Var]:
-    """Build the regularized objective on the forward tape in three steps:
+    """Build the regularized objective on the forward tape in two steps:
     ``masked_nll``, the mean true-class NLL over training nodes; then
-    ``routing_penalty``, lam1 times the mean router entropy (natural log) over
-    nodes and layers plus lam2 times the balance term, per layer
-    K * sum_i f_i * Q_i (f_i the fraction of nodes selecting expert i, Q_i its
-    mean routing probability); then ``add``. Returns the value breakdown, the
-    total scalar Var, and the task scalar Var. The selection frequencies f_i
-    are frozen constants: the balance gradient reaches parameters only
-    through Q_i."""
+    ``routing_penalty``, which adds to it lam1 times the mean router entropy
+    (natural log) over nodes and layers plus lam2 times the balance term, per
+    layer K * sum_i f_i * Q_i (f_i the fraction of nodes selecting expert i,
+    Q_i its mean routing probability). Returns the value breakdown, the total
+    scalar Var, and the task scalar Var. The selection frequencies f_i are
+    frozen constants: the balance gradient reaches parameters only through
+    Q_i."""
     tape = fw.tape
     task = tape.masked_nll(fw.probs, g.labels, g.mask_idx("train"))
-    penalty, ent, lb = tape.routing_penalty(fw.layer_pis, fw.trace.selection_freq(),
-                                            lam1, lam2)
-    total = tape.add(task, penalty)
+    total, ent, lb = tape.routing_penalty(task, fw.layer_pis, fw.trace.selection_freq(),
+                                          lam1, lam2)
     breakdown = LossBreakdown(task=task.item(), routing_entropy=ent,
                               load_balance=lb, total=total.item())
     return breakdown, total, task

@@ -37,7 +37,7 @@ from d2moe.moe_core import (
     save_checkpoint,
     select_top_p_batch,
 )
-from d2moe.numerics import grad_check
+from d2moe.numerics import Const, grad_check
 from d2moe.theory import ScalingParams, fit_scaling_exponent, optimal_k_bruteforce, \
     optimal_k_closed_form
 from d2moe.training import (
@@ -198,7 +198,8 @@ def test_load_balance_calibration(verdict):
 
     def balance_grads(shift):
         freqs = [lt.selected.mean(axis=0) + shift for lt in fw.trace.layers]
-        total = fw.tape.routing_penalty(fw.layer_pis, freqs, 0.0, 1.0)[0]
+        total = fw.tape.routing_penalty(Const(np.zeros((1, 1))), fw.layer_pis, freqs,
+                                        0.0, 1.0)[0]
         fw.tape.backward(total)
         return total.item(), {n: fw.leaf_vars[n].grad.copy() for n in params.tensors}
 

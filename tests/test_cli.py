@@ -4,7 +4,11 @@ temporary directories, with determinism and chance-level sanity checks."""
 import csv
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +108,23 @@ def test_train_same_seed_byte_identical_metrics(tmp_path):
     b = _train(tmp_path, "b")
     assert (a / "metrics.jsonl").read_bytes() == (b / "metrics.jsonl").read_bytes()
     assert (a / "checkpoint.bin").read_bytes() == (b / "checkpoint.bin").read_bytes()
+
+
+def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The same train run writes the same checkpoint and metrics under one
+    and under two OpenBLAS threads, on expert products large enough to be
+    split across threads. Only these two thread counts are tested."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outs = [tmp_path / f"threads{n}" for n in (1, 2)]
+    for n, out in zip((1, 2), outs):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(n),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "d2moe.cli", "train",
+                        "--sbm", "1500,4,64,0.01,0.03,1.25", "--hidden", "128",
+                        "--experts", "8", "--epochs", "4", "--seed", "3", "--out-dir", str(out)],
+                       env=env, capture_output=True, check=True)
+    for name in ("checkpoint.bin", "metrics.jsonl"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_train_from_graph_dir(tmp_path):
@@ -228,6 +249,7 @@ def test_train_requires_data_source(tmp_path, capsys):
     ("--lr", "-1", "learning rate"),
     ("--weight-decay", "-1", "weight_decay"),
     ("--lambda-re", "nan", "lambda_re"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
 ])
 def test_train_rejects_bad_input_with_one_line_error(tmp_path, capsys, flag, value, word):
     rc = main(["train", "--sbm", SBM_SMALL, "--epochs", "1", flag, value,
@@ -236,6 +258,19 @@ def test_train_rejects_bad_input_with_one_line_error(tmp_path, capsys, flag, val
     err = capsys.readouterr().err
     assert err.startswith("error:") and word in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--sbm", SBM_SMALL, "--seed", "-1"],
+    ["ablate", "--sbm", SBM_SMALL, "--epochs", "1", "--seeds", "0", "--seed", "-1"],
+    ["train", "--sbm", SBM_SMALL, "--epochs", "1", "--config", "{cfg}"],
+], ids=["gen", "ablate", "config"])
+def test_negative_seed_is_named_at_the_boundary(tmp_path, capsys, argv):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": -1}))
+    argv = [a.format(cfg=cfg_path) for a in argv] + ["--out-dir", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -26,6 +26,12 @@ def weighted_colsum(tape, m, w):
     return tape.matmul(tape.matmul(Const(np.ones((1, m.shape[0]))), m), Const(w[:, None]))
 
 
+def no_task():
+    """A zero (1, 1) task for ``routing_penalty``, whose output is then the
+    penalty alone, bit for bit: 0.0 + x == x."""
+    return Const(np.zeros((1, 1)))
+
+
 def run_check(build, leaves, tol=1e-4, step=1e-4):
     report = grad_check(build, leaves, step=step)
     assert report.max_rel_err < tol, report.per_leaf
@@ -596,7 +602,8 @@ def test_routing_penalty_values():
     lam1 and lam2."""
     t = Tape()
     half, onehot = t.leaf([[0.5, 0.5]]), t.leaf([[1.0, 0.0]])
-    out, ent, lb = t.routing_penalty([half, onehot], [np.array([1.0, 0.0])] * 2, 3.0, 5.0)
+    out, ent, lb = t.routing_penalty(no_task(), [half, onehot], [np.array([1.0, 0.0])] * 2,
+                                     3.0, 5.0)
     assert ent == pytest.approx(np.log(2.0) / 2.0, abs=1e-15)
     assert lb == 3.0  # 2 * 0.5 + 2 * 1.0
     assert out.item() == pytest.approx(3.0 * ent + 5.0 * lb, abs=1e-14)
@@ -605,7 +612,8 @@ def test_routing_penalty_values():
 def test_plogp_sum_exact_zero_contributes_zero():
     """The entropy term's log is floored, so an exact zero score adds zero."""
     t = Tape()
-    out, ent, _ = t.routing_penalty([t.leaf(np.array([[1.0, 0.0]]))], [np.zeros(2)], 1.0, 1.0)
+    pi = t.leaf(np.array([[1.0, 0.0]]))
+    out, ent, _ = t.routing_penalty(no_task(), [pi], [np.zeros(2)], 1.0, 1.0)
     assert ent == 0.0
     assert out.item() == 0.0
 
@@ -617,7 +625,7 @@ def test_weighted_colsum():
     w = np.array([10.0, 1.0])
     t = Tape()
     vm = t.leaf(m)
-    out, _, lb = t.routing_penalty([vm], [w], 0.0, 1.0)
+    out, _, lb = t.routing_penalty(no_task(), [vm], [w], 0.0, 1.0)
     assert lb == pytest.approx(46.0)
     assert out.item() == pytest.approx(46.0)
     t.backward(out)
@@ -631,7 +639,7 @@ def test_routing_penalty_fd():
     def build():
         tape = Tape()
         vs = {name: tape.leaf(p) for name, p in pis.items()}
-        return tape, tape.routing_penalty(list(vs.values()), freqs, 0.7, 1.3)[0], vs
+        return tape, tape.routing_penalty(no_task(), list(vs.values()), freqs, 0.7, 1.3)[0], vs
 
     run_check(build, pis)
 
@@ -641,9 +649,13 @@ def test_routing_penalty_rejects_mismatched_frequencies():
     pis = [t.leaf(np.full((3, 2), 0.5)), t.leaf(np.full((3, 2), 0.5))]
     for freqs in ([np.ones(2)], [np.ones(2), np.ones(3)]):
         with pytest.raises(ShapeError, match="routing_penalty"):
-            t.routing_penalty(pis, freqs, 1.0, 1.0)
+            t.routing_penalty(no_task(), pis, freqs, 1.0, 1.0)
     with pytest.raises(ShapeError, match="routing_penalty"):
-        t.routing_penalty([pis[0], t.leaf(np.full((2, 2), 0.5))], [np.ones(2)] * 2, 1.0, 1.0)
+        t.routing_penalty(no_task(), [pis[0], t.leaf(np.full((2, 2), 0.5))], [np.ones(2)] * 2,
+                          1.0, 1.0)
+    for shape in ((1, 2), (2, 1)):
+        with pytest.raises(ShapeError, match=rf"routing_penalty: task \({shape[0]}, {shape[1]}\)"):
+            t.routing_penalty(Const(np.zeros(shape)), pis, [np.ones(2)] * 2, 1.0, 1.0)
 
 
 def _composed_penalty(pis, freqs, lam1, lam2):
@@ -680,13 +692,33 @@ def test_routing_penalty_matches_composed_terms(lam1):
     freqs = [np.array([0.5, 0.0, 1.0]), np.array([1.0, 2 / 7, 0.75]), np.array([3 / 7, 1.0, 1.0])]
     t = Tape()
     vs = [t.leaf(p) for p in pis]
-    out, ent, lb = t.routing_penalty(vs, freqs, lam1, 0.02)
+    out, ent, lb = t.routing_penalty(no_task(), vs, freqs, lam1, 0.02)
     t.backward(out)
     value, want_ent, want_lb, want_grads = _composed_penalty(pis, freqs, lam1, 0.02)
     np.testing.assert_array_equal(out.value, [[value]])
     np.testing.assert_array_equal([ent, lb], [want_ent, want_lb])
     for v, want in zip(vs, want_grads):
         np.testing.assert_array_equal(v.grad, want)
+
+
+def test_routing_penalty_adds_penalty_to_task():
+    """The objective is task + (lam1*H + lam2*B), the penalty summed first;
+    the task takes the output gradient, and the scores take the same
+    gradients as under a zero task."""
+    raw = RNG(51).uniform(0.05, 1.0, size=(5, 3))
+    pis = raw / raw.sum(axis=1, keepdims=True)
+    freqs = [np.array([0.6, 0.2, 0.4])]
+    t = Tape()
+    task, pi = t.leaf([[0.7]]), t.leaf(pis)
+    out, ent, lb = t.routing_penalty(task, [pi], freqs, 0.3, 0.02)
+    assert out.item() == 0.7 + (ent * 0.3 + lb * 0.02)
+    t.backward(out)
+    np.testing.assert_array_equal(task.grad, [[1.0]])
+    assert not np.shares_memory(task.grad, pi.grad)
+    alone = Tape()
+    pi_alone = alone.leaf(pis)
+    alone.backward(alone.routing_penalty(no_task(), [pi_alone], freqs, 0.3, 0.02)[0])
+    assert pi.grad.tobytes() == pi_alone.grad.tobytes()
 
 
 def test_masked_nll_hand_case():
@@ -726,9 +758,10 @@ def test_backward_replay_bit_identical():
     x = t.leaf(RNG(5).normal(size=(5, 3)))
     w = t.leaf(RNG(6).normal(size=(3, 4)))
     h = t.relu(t.matmul(x, w))
-    p = t.softmax_rows(t.add(h, t.relu(h)))
-    penalty, _, _ = t.routing_penalty([p], [np.full(4, 0.5)], 0.1, 1.0)
-    out = t.add(t.masked_nll(p, np.array([0, 1, 2, 3, 0]), np.arange(5)), penalty)
+    p = t.softmax_rows(t.relu(h))
+    q = t.softmax_rows(h)            # h takes a second contribution through q
+    task = t.masked_nll(p, np.array([0, 1, 2, 3, 0]), np.arange(5))
+    out, _, _ = t.routing_penalty(task, [p, q], [np.full(4, 0.5)] * 2, 0.1, 1.0)
     t.backward(out)
     first = [v.grad.copy() for v in (x, w)]
     t.backward(out)
@@ -781,29 +814,44 @@ def test_untouched_leaf_gets_exact_zero_grad():
 
 
 def test_pass_through_gradients_do_not_alias():
+    """The two steps that hand an output gradient on: the objective gives it
+    to the task uncopied, and ``mix_experts`` copies it for the residual,
+    here a SAGE-style layer whose input h is both the residual and an expert
+    input, so the experts' share accumulates into a buffer of its own."""
     t = Tape()
     a = t.leaf(RNG(2).normal(size=(3, 2)))
     b = t.leaf(RNG(3).normal(size=(3, 2)))
     eye = t.leaf(np.eye(2))
+    three = t.leaf(3.0 * np.eye(2))
     bias = t.leaf(RNG(4).normal(size=(1, 2)))
-    s = t.add(a, b)
-    tripled = t.matmul(a, Const(3.0 * np.eye(2)))
-    out = weighted_colsum(t, t.add(t.matmul(s, eye, bias), tripled), np.array([1.0, 2.0]))
+    pi = t.leaf(np.ones((3, 1)))
+    mixed = t.mix_experts([([(a, three), (b, eye)], bias)], pi, np.ones((3, 1), bool), a)
+    task = weighted_colsum(t, mixed, np.array([1.0, 2.0]))
+    out, _, _ = t.routing_penalty(task, [pi], [np.ones(1)], 0.0, 0.0)
     t.backward(out)
-    grads = [a.grad, b.grad, bias.grad, eye.grad]
+    grads = [a.grad, b.grad, eye.grad, three.grad, bias.grad, pi.grad]
     for i, gi in enumerate(grads):
         for gj in grads[i + 1:]:
             assert not np.shares_memory(gi, gj)
-    assert s.grad is None
+    assert mixed.grad is None and task.grad is None
     np.testing.assert_array_equal(b.grad, np.tile([1.0, 2.0], (3, 1)))
     np.testing.assert_array_equal(a.grad, np.tile([4.0, 8.0], (3, 1)))
     np.testing.assert_array_equal(bias.grad, [[3.0, 6.0]])
 
+    # Two experts read c, which is also the residual: had the residual kept
+    # the output gradient itself, the first expert's write into c.grad would
+    # change what the second reads.
     t = Tape()
     c = t.leaf(np.ones((2, 2)))
-    doubled = t.add(c, c)
-    t.backward(weighted_colsum(t, doubled, np.array([1.0, 3.0])))
-    assert doubled.grad is None
+    experts = [([(c, t.leaf(np.eye(2)))], t.leaf(np.zeros((1, 2)))) for _ in range(2)]
+    pi = t.leaf(np.full((2, 2), 0.5))
+    mixed = t.mix_experts(experts, pi, np.ones((2, 2), bool), c)
+    t.backward(weighted_colsum(t, mixed, np.array([1.0, 3.0])))
+    grads = [c.grad, pi.grad] + [v.grad for terms, bias in experts for v in (terms[0][1], bias)]
+    for i, gi in enumerate(grads):
+        for gj in grads[i + 1:]:
+            assert not np.shares_memory(gi, gj)
+    assert mixed.grad is None
     np.testing.assert_array_equal(c.grad, np.tile([2.0, 6.0], (2, 1)))
 
 

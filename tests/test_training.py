@@ -21,7 +21,7 @@ from d2moe.moe_core import (
     map_budget,
     predictive_entropy,
 )
-from d2moe.numerics import Tape
+from d2moe.numerics import Const, Tape
 from d2moe.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -197,12 +197,12 @@ def test_tape_losses_match_plain_values():
 
 
 @pytest.mark.parametrize("layers", [1, 2, 3], ids=lambda l: f"L={l}")
-def test_objective_records_three_steps(layers):
-    """The objective is masked_nll, routing_penalty and add at any depth."""
+def test_objective_records_two_steps(layers):
+    """The objective is masked_nll, then routing_penalty, at any depth."""
     g, _, fw = _tiny_forward(layers=layers)
     before = len(fw.tape._steps)
     losses_on_tape(fw, g, lam1=0.01, lam2=0.1)
-    assert len(fw.tape._steps) - before == 3
+    assert len(fw.tape._steps) - before == 2
 
 
 def test_zero_lambda_gradients_match_task_only():
@@ -225,7 +225,8 @@ def test_balance_gradient_flows_only_through_mean_probability():
 
     def lb_grads(shift):
         freqs = [lt.selected.mean(axis=0) + shift for lt in fw.trace.layers]
-        lb = fw.tape.routing_penalty(fw.layer_pis, freqs, 0.0, 1.0)[0]
+        lb = fw.tape.routing_penalty(Const(np.zeros((1, 1))), fw.layer_pis, freqs,
+                                     0.0, 1.0)[0]
         fw.tape.backward(lb)
         return lb.item(), {name: fw.leaf_vars[name].grad.copy() for name in params.tensors}
 
@@ -242,7 +243,7 @@ def test_balance_gradient_wrt_pi_is_k_f_over_n():
     tape = Tape()
     pi = tape.leaf(raw / raw.sum(axis=1, keepdims=True))
     f = np.array([0.5, 0.25, 0.25])
-    lb = tape.routing_penalty([pi], [f], 0.0, 1.0)[0]
+    lb = tape.routing_penalty(Const(np.zeros((1, 1))), [pi], [f], 0.0, 1.0)[0]
     tape.backward(lb)
     # The router distribution is a leaf here, so its gradient is kept: it is
     # K*f/N for every row.
@@ -380,6 +381,8 @@ def test_train_config_validation():
         TrainConfig(patience=0)
     with pytest.raises(ValueError):
         TrainConfig(lambda_re=-1e-6)
+    with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
     for lr in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="learning rate"):
             TrainConfig(lr=lr)
