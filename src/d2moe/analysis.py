@@ -70,18 +70,17 @@ def decile_activation_spearman(buckets: tuple[DecileBucket, ...]) -> float:
 # ---- proxy teacher -------------------------------------------------------
 
 
-def proxy_config(g: Graph, hidden: int = 64, dropout: float = 0.5) -> ModelConfig:
+def proxy_config(g: Graph, hidden: int = 64) -> ModelConfig:
     """The main architecture collapsed to one expert: a plain two-layer
-    residual GCN whose router is a constant."""
-    return ModelConfig(in_dim=g.dim, hidden=hidden, classes=g.n_classes,
-                       experts=1, layers=2, dropout=dropout)
+    residual GCN whose router is a constant, with the default dropout."""
+    return ModelConfig(in_dim=g.dim, hidden=hidden, classes=g.n_classes, experts=1, layers=2)
 
 
-def train_proxy(g: Graph, config: TrainConfig, hidden: int = 64,
-                dropout: float = 0.5) -> tuple[TrainState, np.ndarray]:
+def train_proxy(g: Graph, config: TrainConfig,
+                hidden: int = 64) -> tuple[TrainState, np.ndarray]:
     """Fit the single-expert teacher and return its state and eval-mode
     class probabilities for every node (the difficulty reference)."""
-    state = fit(g, proxy_config(g, hidden, dropout), config)
+    state = fit(g, proxy_config(g, hidden), config)
     report = evaluate(state.params, g, budget=np.ones(g.n))
     return state, report.probs
 

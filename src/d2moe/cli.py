@@ -356,6 +356,9 @@ def cmd_ablate(ns: argparse.Namespace) -> int:
 def cmd_theory(ns: argparse.Namespace) -> int:
     mus = [float(x) for x in ns.mu.split(",")]
     phis = [float(x) for x in ns.phi.split(",")]
+    if not 0.0 < ns.u_min < ns.u_max <= 1.0:  # NaN fails too
+        raise ValueError(f"--u-min and --u-max need 0 < u_min < u_max <= 1, "
+                         f"got --u-min {ns.u_min} --u-max {ns.u_max}")
     u_grid = np.geomspace(ns.u_min, ns.u_max, ns.u_points)
     rows = []
     for mu in mus:

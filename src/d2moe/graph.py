@@ -1,10 +1,12 @@
 """Graphs: synthetic block-model generation, text-file IO, and split management.
 
-A Graph is immutable after construction. Topology is kept three ways: the raw
-undirected edge list (canonical i<j, deduplicated, no self-edges), a
-symmetrically normalized adjacency with self-loops for convolution experts,
-and a row-stochastic mean aggregator (self-loop included in the neighborhood)
-for mean-aggregation experts.
+A Graph is immutable after construction. Topology is kept as the raw
+undirected edge list (canonical i<j, deduplicated, no self-edges) and as two
+normalized operators on one sparsity pattern, A+I: a symmetrically normalized
+adjacency for convolution experts and a row-stochastic mean aggregator
+(self-loop included in the neighborhood) for mean-aggregation experts. Both
+are canonical CSR arrays sharing one read-only pair of index arrays; no
+transpose is stored, as backward takes ``.T``, a CSC view.
 
 On disk a graph is four UTF-8 tables, each read by one ``np.loadtxt`` call:
 edges (whitespace-separated, '#' starts a comment anywhere on a line),
@@ -75,10 +77,10 @@ class Graph:
     features: np.ndarray     # (n, d) float64
     labels: np.ndarray       # (n,) int64 in [0, n_classes)
     raw_edges: np.ndarray    # (E, 2) int64, i < j, unique, sorted
-    adj: sp.csr_array        # D^{-1/2} (A+I) D^{-1/2}; exactly symmetric
-    adj_t: sp.csr_array
+    # Both operators share one read-only, canonical pair of index arrays
+    # (the pattern of A+I); their transposes are taken as ``.T`` views.
+    adj: sp.csr_array        # D^{-1/2} (A+I) D^{-1/2}
     mean_adj: sp.csr_array   # D^{-1} (A+I)
-    mean_adj_t: sp.csr_array
     train_mask: np.ndarray   # (n,) bool, pairwise disjoint with val/test
     val_mask: np.ndarray
     test_mask: np.ndarray
@@ -106,21 +108,19 @@ def _canonical_edges(edges: np.ndarray, n: int) -> np.ndarray:
 
 
 def _normalized_adjacencies(edges: np.ndarray, n: int):
-    """Build both normalized operators from the canonical edge list. The
-    symmetric one stores the value d_i*d_j per entry, which is bitwise
-    symmetric, so its transpose is itself."""
+    """Build both normalized operators from the canonical edge list on one
+    CSR pattern: ``sym`` is the one COO->CSR conversion, and ``mean`` reuses
+    its index arrays, which are made read-only."""
     src = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)])
     dst = np.concatenate([edges[:, 1], edges[:, 0], np.arange(n)])
-    ones = np.ones(src.size, dtype=np.float64)
-    a_tilde = sp.csr_array(sp.coo_array((ones, (src, dst)), shape=(n, n)))
-    deg = np.asarray(a_tilde.sum(axis=1)).reshape(-1)  # >= 1 by the self-loop
+    deg = np.bincount(src, minlength=n).astype(np.float64)  # >= 1 by the self-loop
     dinv_sqrt = 1.0 / np.sqrt(deg)
     sym = sp.csr_array(
         sp.coo_array((dinv_sqrt[src] * dinv_sqrt[dst], (src, dst)), shape=(n, n)))
-    mean = sp.csr_array(
-        sp.coo_array((1.0 / deg[src], (src, dst)), shape=(n, n)))
-    mean_t = sp.csr_array(mean.T)
-    return sym, mean, mean_t
+    sym.indices.flags.writeable = sym.indptr.flags.writeable = False
+    rows = np.repeat(np.arange(n), np.diff(sym.indptr))
+    mean = sp.csr_array((1.0 / deg[rows], sym.indices, sym.indptr), shape=(n, n))
+    return sym, mean
 
 
 def build_graph(edges, features, labels, n_classes: int | None = None,
@@ -137,7 +137,7 @@ def build_graph(edges, features, labels, n_classes: int | None = None,
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(f"labels must lie in [0, {n_classes})")
     pairs = _canonical_edges(edges, n)
-    sym, mean, mean_t = _normalized_adjacencies(pairs, n)
+    sym, mean = _normalized_adjacencies(pairs, n)
     if masks is None:
         zeros = np.zeros(n, dtype=bool)
         masks = (zeros, zeros.copy(), zeros.copy())
@@ -145,7 +145,7 @@ def build_graph(edges, features, labels, n_classes: int | None = None,
     if (train & val).any() or (train & test).any() or (val & test).any():
         raise ValueError("train/val/test masks overlap")
     return Graph(n=n, n_classes=n_classes, features=features, labels=labels,
-                 raw_edges=pairs, adj=sym, adj_t=sym, mean_adj=mean, mean_adj_t=mean_t,
+                 raw_edges=pairs, adj=sym, mean_adj=mean,
                  train_mask=train, val_mask=val, test_mask=test)
 
 

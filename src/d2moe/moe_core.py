@@ -273,9 +273,9 @@ def _layer_aggregates(tape: Tape, h: Var, g: Graph,
     ``"mean"`` is mean_adj·h (every SAGE expert's neighbour term)."""
     agg = {}
     if any(k is not ExpertKind.SAGE_MEAN_ONE_HOP for k in kinds):
-        agg["sym"] = tape.spmm(g.adj, g.adj_t, h)
+        agg["sym"] = tape.spmm(g.adj, g.adj.T, h)
     if ExpertKind.SAGE_MEAN_ONE_HOP in kinds:
-        agg["mean"] = tape.spmm(g.mean_adj, g.mean_adj_t, h)
+        agg["mean"] = tape.spmm(g.mean_adj, g.mean_adj.T, h)
     return agg
 
 
@@ -290,7 +290,7 @@ def _expert_terms(tape: Tape, kind: ExpertKind, lv: dict[str, Var],
         return [(agg["sym"], t["w"])], t["b"]
     if kind is ExpertKind.GCN_TWO_HOP:
         inner = tape.relu(tape.matmul(agg["sym"], t["wa"]))
-        return [(tape.spmm(g.adj, g.adj_t, inner), t["wb"])], t["b"]
+        return [(tape.spmm(g.adj, g.adj.T, inner), t["wb"])], t["b"]
     return [(h, t["w_self"]), (agg["mean"], t["w_nbr"])], t["b"]
 
 

@@ -80,8 +80,8 @@ def _as2d(a) -> np.ndarray:
 
 class Const(Var):
     """An op input that takes no gradient, such as the node features: no op
-    computes or stores a gradient for it, and no tape holds it. Float64
-    arrays are aliased, as by ``Tape.leaf``."""
+    stores a gradient for it (``_accum`` drops any contribution), and no tape
+    holds it. Float64 arrays are aliased, as by ``Tape.leaf``."""
 
     __slots__ = ()
 
@@ -101,9 +101,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _accum(v: Var, g: np.ndarray) -> None:
-    """Add a gradient contribution to ``v``. The first contribution becomes
-    the buffer itself, so ``g`` must be a writable array no other Var holds:
-    a fresh result, or a released output gradient handed on once."""
+    """Add a gradient contribution to ``v``; one to a ``Const`` is dropped.
+    The first contribution becomes the buffer itself, so ``g`` must be a
+    writable array no other Var holds: a fresh result, or a released output
+    gradient handed on once."""
+    if isinstance(v, Const):
+        return
     if v.grad is None:
         v.grad = g
     else:
@@ -168,8 +171,11 @@ class Tape:
         return out
 
     def spmm(self, adj, adj_t, x: Var) -> Var:
-        """Sparse @ dense. ``adj_t`` must be the CSR transpose of ``adj``;
-        the adjacency is a constant, gradients flow to ``x`` only."""
+        """Sparse @ dense. ``adj_t`` must be the transpose of ``adj``; it may
+        be a view such as ``adj.T`` (CSC over the same arrays), which costs no
+        copy. The adjacency is a constant, gradients flow to ``x`` only. The
+        two-operator signature is pinned by the benchmark's tracer, which reads
+        the positional arguments."""
         if adj.shape[1] != x.shape[0]:
             raise ShapeError(f"spmm: {adj.shape} x {x.shape}")
         out = Var(np.asarray(adj @ x.value))
@@ -293,10 +299,11 @@ class Tape:
                     u = gr @ w.value.T
                     xr = x.value[r]
                     gz += np.einsum("ij,ij->i", u, xr)
-                    u *= pr
-                    if x.grad is None:
-                        x.grad = np.zeros_like(x.value)
-                    x.grad[r] += u
+                    if not isinstance(x, Const):
+                        u *= pr
+                        if x.grad is None:
+                            x.grad = np.zeros_like(x.value)
+                        x.grad[r] += u
                     xrs.append(xr)
                 gp[r, i] = gz
                 gr *= pr
@@ -378,8 +385,7 @@ class Tape:
 
         def back():
             g = out.grad[0, 0]
-            if not isinstance(task, Const):
-                _accum(task, out.grad)
+            _accum(task, out.grad)
             for pi, f, logc in zip(pis, freqs, logs):
                 _accum(pi, np.tile((g * lam2) * (pi.shape[1] / n) * f, (n, 1)))
                 _accum(pi, ((g * lam1) * c_ent) * (logc + np.where(pi.value >= LOG_EPS, 1.0, 0.0)))
@@ -399,9 +405,9 @@ class Tape:
         def back():
             g = out.grad[0, 0]
             contrib = np.where(picked >= LOG_EPS, -1.0 / (idx.size * clamped), 0.0)
-            if probs.grad is None:
-                probs.grad = np.zeros_like(probs.value)
-            np.add.at(probs.grad, (idx, labels[idx]), g * contrib)
+            grad = np.zeros_like(probs.value)
+            np.add.at(grad, (idx, labels[idx]), g * contrib)
+            _accum(probs, grad)
 
         self._record(out, back, (probs,))
         return out

@@ -88,35 +88,26 @@ def optimal_k_closed_form(sp: ScalingParams, u: float, k_max: float) -> float:
     return float(np.clip(_stationary_k(sp, u), 1.0, k_max))
 
 
-def optimal_k_int(sp: ScalingParams, u: float, k_max: int) -> int:
-    """Nearest integer budget to the grid optimum, for comparison against the
-    model's discrete expert counts."""
-    return int(np.clip(round(optimal_k_bruteforce(sp, u, k_max)), 1, int(k_max)))
-
-
-def _default_k_max(sp: ScalingParams, u_grid: np.ndarray) -> float:
-    # Twice the unclamped stationary point at the largest U keeps every
-    # optimum interior to the search interval.
-    return max(2.0, 2.0 * _stationary_k(sp, float(u_grid.max())))
-
-
-def fit_scaling_exponent(sp: ScalingParams, u_grid, k_max: float | None = None) -> float:
-    """Least-squares slope of log k* against log U, with k* from the grid
-    search. The grid must hold at least 10 strictly positive values spanning
-    a decade. For the model this slope is 1/(mu+phi), independent of beta,
-    alpha, rho, and eps."""
-    u_grid = np.asarray(u_grid, dtype=np.float64)
+def _fit(sp: ScalingParams, u_grid: np.ndarray, k_max: float) -> tuple[float, np.ndarray]:
+    """The fitted slope and the grid-search optimum at each value of the
+    validated ``u_grid``."""
     if u_grid.size < 10:
         raise ValueError(f"need at least 10 uncertainty values, got {u_grid.size}")
     if np.any(u_grid <= 0.0):
         raise ValueError("uncertainty grid must be strictly positive")
     if u_grid.max() / u_grid.min() < 10.0:
         raise ValueError("uncertainty grid must span at least one decade")
-    if k_max is None:
-        k_max = _default_k_max(sp, u_grid)
     ks = np.array([optimal_k_bruteforce(sp, u, k_max) for u in u_grid])
     slope, _ = np.polyfit(np.log(u_grid), np.log(ks), 1)
-    return float(slope)
+    return float(slope), ks
+
+
+def fit_scaling_exponent(sp: ScalingParams, u_grid, k_max: float) -> float:
+    """Least-squares slope of log k* against log U, with k* from the grid
+    search over [1, k_max]. The grid must hold at least 10 strictly positive
+    values spanning a decade. For the model this slope is 1/(mu+phi),
+    independent of beta, alpha, rho, and eps."""
+    return _fit(sp, np.asarray(u_grid, dtype=np.float64), k_max)[0]
 
 
 @dataclass(frozen=True)
@@ -130,17 +121,13 @@ class ScalingRow:
     fitted_slope: float
 
 
-def scaling_rows(sp: ScalingParams, u_grid, k_max: float | None = None) -> list[ScalingRow]:
+def scaling_rows(sp: ScalingParams, u_grid, k_max: float) -> list[ScalingRow]:
     """One row per uncertainty value: both optimizers plus the common fitted
-    exponent for this parameter set."""
+    exponent for this parameter set; the grid search runs once per value."""
     u_grid = np.asarray(u_grid, dtype=np.float64)
-    if k_max is None:
-        k_max = _default_k_max(sp, u_grid)
-    slope = fit_scaling_exponent(sp, u_grid, k_max)
+    slope, ks = _fit(sp, u_grid, k_max)
     return [
-        ScalingRow(mu=sp.mu, phi=sp.phi, rho=sp.rho, u=float(u),
-                   k_bruteforce=optimal_k_bruteforce(sp, u, k_max),
-                   k_closed_form=optimal_k_closed_form(sp, u, k_max),
-                   fitted_slope=slope)
-        for u in u_grid
+        ScalingRow(mu=sp.mu, phi=sp.phi, rho=sp.rho, u=float(u), k_bruteforce=float(k),
+                   k_closed_form=optimal_k_closed_form(sp, u, k_max), fitted_slope=slope)
+        for u, k in zip(u_grid, ks)
     ]

@@ -511,7 +511,7 @@ def test_theory_multiple_exponent_blocks(tmp_path):
 @pytest.mark.parametrize("flag,value,word", [
     ("--mu", "nan", "mu"), ("--beta", "nan", "beta"), ("--alpha", "inf", "alpha"),
     ("--phi", "inf", "phi"), ("--noise", "inf", "eps"), ("--noise", "nan", "eps"),
-    ("--k-max", "nan", "k_max"),
+    ("--k-max", "nan", "k_max"), ("--u-min", "0", "--u-min"), ("--u-max", "inf", "--u-max"),
 ])
 def test_theory_rejects_non_finite_with_one_line_error(tmp_path, capsys, flag, value, word):
     rc = main(["theory", flag, value, "--u-points", "12", "--out-dir", str(tmp_path / "th")])

@@ -2,8 +2,11 @@
 
 import warnings
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,6 +56,48 @@ def test_adjacency_normalization_values():
     np.testing.assert_allclose(dense[2, 2], 1.0)
     mean = g.mean_adj.toarray()
     np.testing.assert_allclose(mean.sum(axis=1), 1.0)  # row-stochastic
+
+
+def _operators_three_conversions(g: Graph):
+    """Oracle: both operators and the mean operator's transpose built as
+    separate matrices, each its own COO->CSR conversion, with the degrees
+    read off a unit-weighted A+I."""
+    n, e = g.n, g.raw_edges
+    src = np.concatenate([e[:, 0], e[:, 1], np.arange(n)])
+    dst = np.concatenate([e[:, 1], e[:, 0], np.arange(n)])
+    a_tilde = sp.csr_array(sp.coo_array((np.ones(src.size), (src, dst)), shape=(n, n)))
+    deg = np.asarray(a_tilde.sum(axis=1)).reshape(-1)
+    dinv_sqrt = 1.0 / np.sqrt(deg)
+    sym = sp.csr_array(
+        sp.coo_array((dinv_sqrt[src] * dinv_sqrt[dst], (src, dst)), shape=(n, n)))
+    mean = sp.csr_array(sp.coo_array((1.0 / deg[src], (src, dst)), shape=(n, n)))
+    return sym, mean, sp.csr_array(mean.T)
+
+
+@pytest.mark.parametrize("make", [
+    two_cliques, bipartite,
+    lambda: build_graph([], np.arange(5.0)[:, None], [0, 1, 0, 1, 0]),
+], ids=["two-cliques", "bipartite", "edgeless"])
+def test_operators_share_one_pattern_and_store_no_transpose(make):
+    """Both operators sit on one canonical CSR pattern, hold the same arrays
+    as separately built ones, and backward's ``.T`` views give the CSR
+    transpose's products bit for bit; ``Graph`` stores no transpose."""
+    g = make()
+    sym, mean, mean_t = _operators_three_conversions(g)
+    for got, want in ((g.adj, sym), (g.mean_adj, mean)):
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert got.has_canonical_format
+    assert np.array_equal(g.adj.indptr, g.mean_adj.indptr)
+    assert np.array_equal(g.adj.indices, g.mean_adj.indices)
+    assert np.shares_memory(g.adj.indices, g.mean_adj.indices)
+    assert not g.adj.indices.flags.writeable and not g.adj.indptr.flags.writeable
+    x = np.random.default_rng(3).normal(size=(g.n, 7))
+    assert np.array_equal(g.mean_adj.T @ x, mean_t @ x)
+    assert np.array_equal(g.adj.T @ x, sym.T.tocsr() @ x)
+    fields = {f.name for f in dataclasses.fields(Graph)}
+    assert not fields & {"adj_t", "mean_adj_t"}
 
 
 def test_duplicate_and_reversed_edges_collapse():

@@ -128,11 +128,23 @@ def test_spmm_normalized_path_preserves_ones():
 
 
 def test_spmm_matches_dense_oracle():
+    """Forward and backward against dense products, with the transpose given
+    as a CSR copy and as the ``adj.T`` CSC view: the two backward products
+    add each row's terms in the same order, so they agree bit for bit."""
     adj, adj_t, dense = _random_csr(10, seed=7)
     x = RNG(8).uniform(-2, 2, size=(10, 3))
-    t = Tape()
-    out = t.spmm(adj, adj_t, t.leaf(x))
-    np.testing.assert_allclose(out.value, dense @ x, atol=1e-6)
+    w = RNG(13).normal(size=3)
+    grads = []
+    for transpose in (adj_t, adj.T):
+        t = Tape()
+        vx = t.leaf(x)
+        out = t.spmm(adj, transpose, vx)
+        np.testing.assert_allclose(out.value, dense @ x, atol=1e-6)
+        t.backward(weighted_colsum(t, out, w))
+        np.testing.assert_allclose(vx.grad, dense.T @ np.tile(w, (10, 1)), atol=1e-12)
+        grads.append(vx.grad)
+    assert isinstance(adj.T, sp.csc_array)
+    np.testing.assert_array_equal(grads[0], grads[1])
 
 
 def test_spmm_fd():
@@ -140,12 +152,14 @@ def test_spmm_fd():
     x = RNG(10).uniform(-2, 2, size=(8, 3))
     w = RNG(11).normal(size=3)
 
-    def build():
-        t = Tape()
-        vx = t.leaf(x)
-        return t, weighted_colsum(t, t.spmm(adj, adj_t, vx), w), {"x": vx}
+    for transpose in (adj_t, adj.T):  # a CSR copy, then the CSC view
 
-    run_check(build, {"x": x})
+        def build():
+            t = Tape()
+            vx = t.leaf(x)
+            return t, weighted_colsum(t, t.spmm(adj, transpose, vx), w), {"x": vx}
+
+        run_check(build, {"x": x})
 
 
 def test_spmm_shape_mismatch():
@@ -215,20 +229,51 @@ def test_relu_propagates_nan():
 
 
 def test_constant_takes_no_gradient():
-    """A constant input is not a leaf and gets no gradient, and the matmul it
-    feeds computes none for it; the weights' gradients are unchanged."""
-    x = RNG(40).normal(size=(5, 3))
-    w, b = RNG(41).normal(size=(3, 2)), RNG(42).normal(size=(1, 2))
-    grads = {}
-    for wrap in ("leaf", "const"):
-        t = Tape()
-        xv = t.leaf(x) if wrap == "leaf" else Const(x)
-        wv, bv = t.leaf(w), t.leaf(b)
-        t.backward(weighted_colsum(t, t.matmul(xv, wv, bv), np.array([1.0, -2.0])))
-        grads[wrap] = (xv.grad, wv.grad, bv.grad, len(t._leaves))
-    assert grads["const"][0] is None and grads["const"][3] == 2
-    for leaf, const in zip(grads["leaf"][1:3], grads["const"][1:3]):
-        np.testing.assert_array_equal(leaf, const)
+    """A constant input is not a leaf and never holds a gradient: not as a
+    matmul operand, a ``mix_experts`` expert input or residual, a
+    ``routing_penalty`` task or ``masked_nll`` scores. Every leaf gradient
+    equals that of the run with the same array wrapped as a leaf."""
+    rng = RNG(40)
+    x = rng.normal(size=(5, 3))
+    w, b = rng.normal(size=(3, 2)), rng.normal(size=(1, 2))
+    w2, pi = rng.normal(size=(3, 2)), rng.uniform(0.1, 1.0, size=(5, 2))
+    res = rng.normal(size=(5, 2))
+    mask = np.array([[1, 1], [1, 0], [0, 1], [1, 1], [0, 1]], dtype=bool)
+    probs = rng.uniform(0.1, 1.0, size=(5, 2))
+    task = np.array([[0.25]])
+
+    def matmul(t, wrap):
+        xv = wrap(x)
+        return [xv], t.matmul(xv, t.leaf(w), t.leaf(b))
+
+    def mix(t, wrap):
+        xv, rv = wrap(x), wrap(res)
+        experts = [([(xv, t.leaf(w))], t.leaf(b)), ([(xv, t.leaf(w2))], t.leaf(b))]
+        return [xv, rv], t.mix_experts(experts, t.leaf(pi), mask, rv)
+
+    def penalty(t, wrap):
+        tv, pv = wrap(task), t.leaf(probs)
+        return [tv], t.routing_penalty(tv, [pv], [np.array([0.6, 0.4])], 0.3, 0.7)[0]
+
+    def nll(t, wrap):
+        pv = wrap(probs)
+        return [pv], t.masked_nll(pv, np.array([0, 1, 1, 0, 1]), np.arange(5))
+
+    for case in (matmul, mix, penalty, nll):
+        grads = {}
+        for name, wrap in (("leaf", None), ("const", Const)):
+            t = Tape()
+            wrapped, out = case(t, wrap or t.leaf)
+            if out.shape != (1, 1):
+                out = weighted_colsum(t, out, np.array([1.0, -2.0]))
+            t.backward(out)
+            grads[name] = [v.grad for v in t._leaves if all(v is not c for c in wrapped)]
+            if wrap is Const:
+                assert all(c.grad is None for c in wrapped), case.__name__
+                assert not any(c is v for c in wrapped for v in t._leaves)
+        assert len(grads["leaf"]) == len(grads["const"])
+        for leaf, const in zip(grads["leaf"], grads["const"]):
+            np.testing.assert_array_equal(leaf, const)
 
 
 def test_sigmoid_saturation_finite():

@@ -13,7 +13,6 @@ from d2moe.theory import (
     generalization_error,
     optimal_k_bruteforce,
     optimal_k_closed_form,
-    optimal_k_int,
     scaling_rows,
 )
 
@@ -114,14 +113,6 @@ def test_closed_form_clamps_to_bounds():
     assert optimal_k_closed_form(strong, 0.0, k_max=4.0) == 1.0
 
 
-def test_integer_variant_rounds_grid_optimum():
-    sp = ScalingParams(beta=0.25, mu=1.0, alpha=1.0, phi=1.0)
-    assert optimal_k_int(sp, 1.0, k_max=8) == 2
-    assert optimal_k_int(sp, 0.0, k_max=8) == 1
-    strong = ScalingParams(beta=1e-4, mu=1.0, alpha=1.0, phi=1.0)
-    assert optimal_k_int(strong, 1.0, k_max=4) == 4
-
-
 def test_bruteforce_invariant_to_eps_exactly():
     base = dict(beta=0.05, mu=1.2, alpha=1.5, phi=0.8, rho=0.2)
     a = ScalingParams(**base, eps=0.0)
@@ -218,11 +209,11 @@ def test_fitted_slope_ignores_eps_exactly_and_rho_nearly():
 def test_fit_scaling_exponent_validates_grid():
     sp = ScalingParams(beta=0.01, mu=1.0, alpha=1.0, phi=1.0)
     with pytest.raises(ValueError):
-        fit_scaling_exponent(sp, np.geomspace(0.1, 1.0, 9))
+        fit_scaling_exponent(sp, np.geomspace(0.1, 1.0, 9), k_max=16.0)
     with pytest.raises(ValueError):
-        fit_scaling_exponent(sp, np.linspace(0.5, 1.0, 12))
+        fit_scaling_exponent(sp, np.linspace(0.5, 1.0, 12), k_max=16.0)
     with pytest.raises(ValueError):
-        fit_scaling_exponent(sp, np.linspace(0.0, 1.0, 12))
+        fit_scaling_exponent(sp, np.linspace(0.0, 1.0, 12), k_max=16.0)
 
 
 def test_scaling_rows_structure():
