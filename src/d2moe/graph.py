@@ -92,6 +92,12 @@ class Graph:
     def mask_idx(self, split: str) -> np.ndarray:
         return np.flatnonzero(getattr(self, f"{split}_mask"))
 
+    def __reduce__(self):
+        """Pickle the inputs only; unpickling rebuilds both operators on one
+        shared, read-only pattern, bit for bit."""
+        return build_graph, (self.raw_edges, self.features, self.labels, self.n_classes,
+                             (self.train_mask, self.val_mask, self.test_mask))
+
 
 def _canonical_edges(edges: np.ndarray, n: int) -> np.ndarray:
     """Undirected canonical form: sorted unique (min, max) pairs, self-edges

@@ -26,13 +26,14 @@ high-entropy (hard) nodes get budgets near 1 and activate many experts,
 low-entropy (easy) nodes get small budgets and activate few.
 
 All parameters live in one ordered name -> float32 array store
-(``ModelParams.tensors``); the config says which expert kinds and norm
-tensors a layer has, and the store's order is the checkpoint layout.
+(``ModelParams.tensors``). Its one schema is ``_param_layout``, which
+``init_params`` and the checkpoint writer and reader walk.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import os
 import struct
@@ -53,7 +54,7 @@ BACKBONES = ("gcn", "sage")
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file is malformed or inconsistent with expectations."""
+    """A checkpoint file is malformed, or a file or store is off its layout."""
 
 
 class ExpertKind(enum.Enum):
@@ -119,6 +120,14 @@ _EXPERT_WEIGHTS = {
     ExpertKind.GCN_TWO_HOP: ("wa", "wb"),
     ExpertKind.SAGE_MEAN_ONE_HOP: ("w_self", "w_nbr"),
 }
+
+_DECAYED_WEIGHTS = frozenset({"w"}).union(*_EXPERT_WEIGHTS.values())
+
+
+def decays(name: str) -> bool:
+    """Weight decay applies to the embedding's, head's and experts' weight
+    matrices (``_EXPERT_WEIGHTS``); biases, router and norm are exempt."""
+    return name.rsplit(".", 1)[-1] in _DECAYED_WEIGHTS
 
 
 @dataclass
@@ -391,16 +400,7 @@ class EvalReport:
     acc_train: float
     acc_val: float
     acc_test: float
-    first_pass_entropy: np.ndarray | None = None  # set by the adaptive rule only
-
-    @property
-    def entropy(self) -> np.ndarray:
-        """Per-node normalized entropy: of the full-activation pass under the
-        adaptive rule, else of ``probs``, computed when read (so a caller that
-        never reads it pays nothing)."""
-        if self.first_pass_entropy is not None:
-            return self.first_pass_entropy
-        return predictive_entropy(self.probs)
+    entropy: np.ndarray | None  # of the adaptive rule's full-activation pass, else None
 
 
 def evaluate(params: ModelParams, g: Graph, budget=None) -> EvalReport:
@@ -435,7 +435,7 @@ def evaluate(params: ModelParams, g: Graph, budget=None) -> EvalReport:
         acc_train=accuracy(preds, g.labels, g.train_mask),
         acc_val=accuracy(preds, g.labels, g.val_mask),
         acc_test=accuracy(preds, g.labels, g.test_mask),
-        first_pass_entropy=entropy,
+        entropy=entropy,
     )
 
 
@@ -469,10 +469,16 @@ def save_checkpoint(params: ModelParams, path) -> None:
     magic 'D2MO', version u32, then the config block (experts, layers, hidden,
     in_dim, classes as u32; expert_layout and backbone as length-prefixed
     strings; batch-norm flag u8; gamma and dropout as f64), then tensor count
-    u32 and per tensor: name (u16 length + utf-8), rows u32, cols u32, and
-    rows*cols float32 values row-major."""
+    u32 and per tensor, in layout order: name (u16 length + utf-8), rows u32,
+    cols u32, and rows*cols float32 values row-major. A store off its config's
+    layout (names, order, shapes, float32) is refused before the file opens."""
     cfg = params.config
-    tensors = list(params.tensors.items())
+    want = [(name, shape, "float32") for name, shape, _ in _param_layout(cfg)]
+    have = [(name, arr.shape, arr.dtype.name) for name, arr in params.tensors.items()]
+    for i, pair in enumerate(itertools.zip_longest(want, have, fillvalue=("no tensor",))):
+        if pair[0] != pair[1]:
+            expected, found = (" ".join(map(str, t)) for t in pair)
+            raise CheckpointError(f"store: tensor {i}: expected {expected}, found {found}")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -482,16 +488,17 @@ def save_checkpoint(params: ModelParams, path) -> None:
         _write_str(fh, cfg.backbone)
         fh.write(struct.pack("<B", int(cfg.use_batch_norm)))
         fh.write(struct.pack("<2d", cfg.gamma, cfg.dropout))
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors:
-            if arr.dtype != np.float32:
-                raise CheckpointError(f"tensor {name} is {arr.dtype}, expected float32")
+        fh.write(struct.pack("<I", len(want)))
+        for name, arr in params.tensors.items():
             _write_str(fh, name)
-            fh.write(struct.pack("<2I", arr.shape[0], arr.shape[1]))
+            fh.write(struct.pack("<2I", *arr.shape))
             fh.write(arr.astype("<f4", copy=False).tobytes(order="C"))
 
 
 def load_checkpoint(path) -> ModelParams:
+    """One walk of the header config's layout: each tensor's bytes are
+    charged to the file's size before it is allocated, its (name, shape)
+    must be the layout's and its values finite, else CheckpointError."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4) != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a model checkpoint (bad magic)")
@@ -510,36 +517,25 @@ def load_checkpoint(path) -> ModelParams:
                               expert_layout=layout, backbone=backbone)
         except ValueError as err:
             raise CheckpointError(f"{path}: bad config: {err}") from None
-        # The config fixes every name and shape, so the file size is known
-        # before a tensor is allocated; stop walking as soon as it is exceeded.
-        shapes = {}
-        left = os.fstat(fh.fileno()).st_size - fh.tell() - 4
-        for name, shape, _ in _param_layout(cfg):
+        (count,) = struct.unpack("<I", _read_exact(fh, 4))
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        tensors = {}
+        for i, (name, shape, _) in enumerate(_param_layout(cfg)):
             left -= 2 + len(name) + 8 + 4 * shape[0] * shape[1]
             if left < 0:
                 raise CheckpointError(f"{path}: truncated checkpoint: its config needs "
                                       f"more bytes than the file holds")
-            shapes[name] = shape
-        if left:
-            raise CheckpointError(f"{path}: trailing bytes after last tensor")
-        (count,) = struct.unpack("<I", _read_exact(fh, 4))
-        if count != len(shapes):
-            raise CheckpointError(f"{path}: expected {len(shapes)} tensors, found {count}")
-        tensors = {}
-        for _ in range(count):
-            name = _read_str(fh)
-            rows, cols = struct.unpack("<2I", _read_exact(fh, 8))
-            if name not in shapes:
-                raise CheckpointError(f"unknown tensor name {name!r}")
-            if shapes[name] != (rows, cols):  # checked before the read it sizes
-                raise CheckpointError(
-                    f"tensor {name}: expected shape {shapes[name]}, got {(rows, cols)}")
-            raw = _read_exact(fh, rows * cols * 4)
-            arr = np.frombuffer(raw, dtype="<f4").reshape(rows, cols).astype(np.float32)
+            found = (_read_str(fh), struct.unpack("<2I", _read_exact(fh, 8)))
+            if found != (name, shape):  # checked before the read it sizes
+                raise CheckpointError(f"{path}: tensor {i}: expected {name} {shape}, "
+                                      f"found {found[0]} {found[1]}")
+            raw = _read_exact(fh, 4 * shape[0] * shape[1])
+            arr = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"{path}: tensor {name} has non-finite values")
             tensors[name] = arr
-        if tensors.keys() != shapes.keys():
-            raise CheckpointError(f"{path}: checkpoint missing tensors "
-                                  f"{sorted(shapes.keys() - tensors.keys())}")
-    return ModelParams(cfg, {name: tensors[name] for name in shapes})
+        if left:
+            raise CheckpointError(f"{path}: trailing bytes after last tensor")
+        if count != len(tensors):
+            raise CheckpointError(f"{path}: expected {len(tensors)} tensors, found {count}")
+    return ModelParams(cfg, tensors)

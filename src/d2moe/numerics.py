@@ -30,7 +30,7 @@ nothing, so its intermediates live only as long as the caller holds them, and
 it cannot run ``backward``.
 
 Parameters live in float32 elsewhere in the package; ``Tape.leaf`` upcasts to
-float64 so finite-difference probes at step 1e-4 are not quantized away.
+float64 so finite-difference probes at step FD_STEP are not quantized away.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import scipy.sparse as sp
 LOG_EPS = 1e-12      # floor inside log() calls
 BN_EPS = 1e-5        # batch-norm variance floor
 BN_MOMENTUM = 0.9    # weight of the old running statistics per train forward
+FD_STEP = 1e-4       # grad_check's central-difference step
 
 
 class ShapeError(ValueError):
@@ -467,10 +468,9 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def grad_check(f: Callable[[], tuple[Tape, Var, dict[str, Var]]],
-               leaves: dict[str, np.ndarray],
-               step: float = 1e-4) -> GradCheckReport:
+               leaves: dict[str, np.ndarray]) -> GradCheckReport:
     """Compare tape gradients of a recorded scalar against central finite
-    differences.
+    differences of step ``FD_STEP``.
 
     ``f`` rebuilds the computation from scratch on each call and must read the
     float64 arrays in ``leaves`` by reference (so in-place perturbations are
@@ -500,13 +500,13 @@ def grad_check(f: Callable[[], tuple[Tape, Var, dict[str, Var]]],
         fd_flat = fd.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + FD_STEP
             hi = f()[1].item()
-            flat[i] = orig - step
+            flat[i] = orig - FD_STEP
             lo = f()[1].item()
             flat[i] = orig
             if not (np.isfinite(hi) and np.isfinite(lo)):
                 raise GradCheckError(f"non-finite value while probing leaf {name!r}")
-            fd_flat[i] = (hi - lo) / (2.0 * step)
+            fd_flat[i] = (hi - lo) / (2.0 * FD_STEP)
         per_leaf[name] = float(_rel_err(analytic, fd).max())
     return GradCheckReport(per_leaf, max(per_leaf.values(), default=0.0))

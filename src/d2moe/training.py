@@ -25,6 +25,7 @@ from .moe_core import (
     ModelParams,
     RoutingTrace,
     TopK,
+    decays,
     evaluate,
     forward,
     init_params,
@@ -176,17 +177,6 @@ def losses_on_tape(fw: ForwardResult, g: Graph, lam1: float, lam2: float
 
 
 # ---- optimizer -----------------------------------------------------------
-
-
-_DECAYED_SUFFIXES = ("w", "wa", "wb", "w_self", "w_nbr")
-
-
-def decays(name: str) -> bool:
-    """Weight decay applies to weight matrices only; biases, norm parameters,
-    and the router are exempt."""
-    if ".router." in name or ".norm." in name:
-        return False
-    return name.rsplit(".", 1)[-1] in _DECAYED_SUFFIXES
 
 
 @dataclass
@@ -365,7 +355,7 @@ def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
             scored = evaluate(params, g, budget)
         except ValueError as err:
             raise TrainingDivergence(epoch, str(err)) from None
-        entropy = scored.entropy if config.strict_proxy else predictive_entropy(train_probs)
+        entropy = predictive_entropy(scored.probs if config.strict_proxy else train_probs)
         report = EpochReport(
             epoch=epoch,
             loss_task=breakdown.task,

@@ -1,8 +1,8 @@
 """Block-model generation, normalization, splits, homophily, and file IO."""
 
-import warnings
-
 import dataclasses
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +98,29 @@ def test_operators_share_one_pattern_and_store_no_transpose(make):
     assert np.array_equal(g.adj.T @ x, sym.T.tocsr() @ x)
     fields = {f.name for f in dataclasses.fields(Graph)}
     assert not fields & {"adj_t", "mean_adj_t"}
+
+
+def test_pickle_carries_inputs_and_rebuilds_shared_pattern():
+    """A pickled graph holds its inputs, not its operators: unpickling
+    rebuilds both on one shared, read-only pattern, bit for bit."""
+    g = split_nodes(generate_sbm(SbmSpec(n=300, classes=3, dim=4, p_in=0.2, p_out=0.02,
+                                         signal=1.0, seed=5)), (0.5, 0.25, 0.25), seed=5)
+    blob = pickle.dumps(g)
+    inputs = (g.raw_edges, g.features, g.labels, g.train_mask, g.val_mask, g.test_mask)
+    assert len(blob) < sum(a.nbytes for a in inputs) + 2048
+    h = pickle.loads(blob)
+    for got, want in ((h.adj, g.adj), (h.mean_adj, g.mean_adj)):
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert np.shares_memory(h.adj.indices, h.mean_adj.indices)
+    assert np.shares_memory(h.adj.indptr, h.mean_adj.indptr)
+    assert not h.adj.indices.flags.writeable and not h.adj.indptr.flags.writeable
+    for f in dataclasses.fields(Graph):
+        if f.name not in ("adj", "mean_adj"):
+            a, b = getattr(h, f.name), getattr(g, f.name)
+            assert np.array_equal(a, b), f.name
+            assert np.asarray(a).dtype == np.asarray(b).dtype, f.name
 
 
 def test_duplicate_and_reversed_edges_collapse():

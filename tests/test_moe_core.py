@@ -683,12 +683,13 @@ def test_evaluate_rejects_nan_hidden_activation():
         evaluate(params, g)
 
 
-def test_evaluate_explicit_budget_entropy_is_of_reported_probs():
+def test_evaluate_explicit_budget_has_no_entropy():
+    """Only the adaptive rule runs a full-activation pass, so only it reports
+    an entropy."""
     g = small_graph(n=25, seed=15)
     params = small_params(g, experts=4, layers=1, seed=7)
-    rep = evaluate(params, g, np.full(g.n, 0.6))
-    assert rep.first_pass_entropy is None
-    np.testing.assert_array_equal(rep.entropy, predictive_entropy(rep.probs))
+    for budget in (np.full(g.n, 0.6), TopK(2)):
+        assert evaluate(params, g, budget).entropy is None
 
 
 def test_train_forward_leaves_are_the_trainable_tensors():
@@ -785,15 +786,62 @@ def test_checkpoint_unknown_name_and_bad_shape(tmp_path):
     path = _saved(tmp_path)
     raw = path.read_bytes()
     at = raw.index(b"head.b") + len(b"head.b")
-    path.write_bytes(raw.replace(b"head.b", b"head.c"))
-    with pytest.raises(CheckpointError, match="unknown tensor name 'head.c'"):
-        load_checkpoint(path)
     rows, cols = struct.unpack("<2I", raw[at:at + 8])
+    path.write_bytes(raw.replace(b"head.b", b"head.c"))
+    with pytest.raises(CheckpointError, match=rf"expected head\.b \({rows}, {cols}\), "
+                                              rf"found head\.c \({rows}, {cols}\)$"):
+        load_checkpoint(path)
     # a swapped shape, and one whose data would not fit in memory
     for shape in ((cols, rows), (2**31, 2**31)):
         path.write_bytes(raw[:at] + struct.pack("<2I", *shape) + raw[at + 8:])
-        with pytest.raises(CheckpointError, match="expected shape"):
+        with pytest.raises(CheckpointError, match=rf"expected head\.b \({rows}, {cols}\), "
+                                                  rf"found head\.b \({shape[0]}, {shape[1]}\)$"):
             load_checkpoint(path)
+
+
+def test_checkpoint_out_of_layout_order_rejected(tmp_path):
+    """Two same-shaped tensors with their names swapped: the reader follows
+    the layout, so the first one out of place is named, expected and found."""
+    path = _saved(tmp_path)
+    raw = path.read_bytes()
+    first, second = (raw.index(struct.pack("<H", 16) + name) + 2
+                     for name in (b"layer0.expert0.w", b"layer0.expert1.w"))
+    swapped = bytearray(raw)
+    swapped[first:first + 16] = b"layer0.expert1.w"
+    swapped[second:second + 16] = b"layer0.expert0.w"
+    path.write_bytes(bytes(swapped))
+    with pytest.raises(CheckpointError, match=r"tensor 2: expected layer0\.expert0\.w \(8, 8\), "
+                                              r"found layer0\.expert1\.w \(8, 8\)$"):
+        load_checkpoint(path)
+
+
+def _reordered(t):
+    names = list(t)
+    names[2], names[3] = names[3], names[2]
+    return {name: t[name] for name in names}
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_reordered, r"tensor 2: expected layer0\.expert0\.w \(8, 8\) float32, "
+                 r"found layer0\.expert0\.b \(1, 8\) float32$"),
+    (lambda t: {k: v for k, v in t.items() if k != "head.b"},
+     r"tensor 23: expected head\.b \(1, 3\) float32, found no tensor$"),
+    (lambda t: {**t, "head.c": t["head.b"]},
+     r"tensor 24: expected no tensor, found head\.c \(1, 3\) float32$"),
+    (lambda t: {**t, "head.w": t["head.w"].astype(np.float64)},
+     r"tensor 22: expected head\.w \(8, 3\) float32, found head\.w \(8, 3\) float64$"),
+    (lambda t: {**t, "embed.b": t["embed.b"].T.copy()},
+     r"tensor 1: expected embed\.b \(1, 8\) float32, found embed\.b \(8, 1\) float32$"),
+], ids=["reordered", "missing", "extra", "float64", "wrong-shape"])
+def test_save_refuses_store_off_its_layout(tmp_path, edit, match):
+    """A store that is not its config's layout is refused before the file is
+    opened, so none is left behind."""
+    params = small_params(small_graph())
+    bad = ModelParams(params.config, edit(params.tensors))
+    path = tmp_path / "model.bin"
+    with pytest.raises(CheckpointError, match=r"^store: " + match):
+        save_checkpoint(bad, path)
+    assert not path.exists()
 
 
 def test_checkpoint_sizes_checked_before_allocation(tmp_path):

@@ -32,8 +32,8 @@ def no_task():
     return Const(np.zeros((1, 1)))
 
 
-def run_check(build, leaves, tol=1e-4, step=1e-4):
-    report = grad_check(build, leaves, step=step)
+def run_check(build, leaves, tol=1e-4):
+    report = grad_check(build, leaves)
     assert report.max_rel_err < tol, report.per_leaf
     return report
 

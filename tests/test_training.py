@@ -16,6 +16,9 @@ from d2moe.moe_core import (
     LayerTrace,
     ModelConfig,
     RoutingTrace,
+    _param_layout,
+    decays,
+    evaluate,
     forward,
     init_params,
     map_budget,
@@ -38,7 +41,6 @@ from d2moe.training import (
     TrainingDivergence,
     adamw_step,
     clip_global_norm,
-    decays,
     fit,
     losses_on_tape,
     make_variant,
@@ -268,6 +270,20 @@ def test_decay_rule_names():
     assert not decays("layer0.router.w2")
     assert not decays("layer0.norm.gamma")
     assert not decays("layer0.norm.running_mean")
+
+    def old_rule(name):  # the rule before decays read _EXPERT_WEIGHTS
+        if ".router." in name or ".norm." in name:
+            return False
+        return name.rsplit(".", 1)[-1] in ("w", "wa", "wb", "w_self", "w_nbr")
+
+    names = {name
+             for layout, backbone, norm, k, l in itertools.product(
+                 ("all_1hop", "half_half"), ("gcn", "sage"), (False, True), (1, 3, 4), (1, 2))
+             for name, _, _ in _param_layout(_model_cfg(
+                 expert_layout=layout, backbone=backbone, use_batch_norm=norm,
+                 experts=k, layers=l))}
+    assert {"layer1.expert3.wb", "layer0.expert0.w_nbr", "layer1.norm.beta"} <= names
+    assert [name for name in sorted(names) if decays(name) != old_rule(name)] == []
 
 
 class _FlatParams:
@@ -549,9 +565,9 @@ def test_fit_strict_proxy_runs_one_eval_forward_per_epoch(monkeypatch):
 
 @pytest.mark.parametrize("strict", [False, True])
 def test_fit_computes_one_entropy_per_epoch(monkeypatch, strict):
-    """The proxy entropy is computed once per epoch: of the train-mode
-    probabilities by default, of the scoring pass's under strict_proxy;
-    ``evaluate`` computes none that ``fit`` does not read."""
+    """The proxy entropy is computed once per epoch, by ``fit`` itself: of
+    the train-mode probabilities by default, of the scoring pass's under
+    strict_proxy; ``evaluate`` under an explicit budget computes none."""
     import d2moe.moe_core as moe_core
     import d2moe.training as training
 
@@ -565,8 +581,21 @@ def test_fit_computes_one_entropy_per_epoch(monkeypatch, strict):
 
     monkeypatch.setattr(training, "predictive_entropy", counting("train"))
     monkeypatch.setattr(moe_core, "predictive_entropy", counting("eval"))
-    fit(_sbm_graph(), _model_cfg(), TrainConfig(max_epochs=3, seed=9, strict_proxy=strict))
-    assert sources == ["eval" if strict else "train"] * 3
+    g = _sbm_graph()
+    scored_entropy, seen = [], []
+
+    def hook(budget, prev_entropy, params, **_):
+        # the scoring pass is deterministic, so rerunning it gives fit's probs
+        scored_entropy.append(predictive_entropy(evaluate(params, g, budget).probs))
+        seen.append(prev_entropy)
+
+    fit(g, _model_cfg(), TrainConfig(max_epochs=3, seed=9, strict_proxy=strict),
+        epoch_hook=hook)
+    assert sources == ["train"] * 3
+    assert seen[0] is None
+    if strict:
+        for want, got in zip(scored_entropy, seen[1:]):
+            np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])

@@ -1,0 +1,45 @@
+#!/usr/bin/env bash
+# Same-bytes check: train four reference models from the source in REPO, score
+# each with `eval`, and print the sha256 of the 12 outputs (checkpoint.bin,
+# metrics.jsonl and nodes.csv per run), one line each. Two trees that write the
+# same bytes print the same lines:
+#
+#   tools/reference_runs.sh PARENT_CHECKOUT /tmp/ref-parent > parent.sha
+#   tools/reference_runs.sh .               /tmp/ref-change > change.sha
+#   diff parent.sha change.sha
+#
+# Runs under one OpenBLAS thread, so the bytes do not depend on the machine's
+# core count. Takes about a minute on a 2-core machine.
+set -euo pipefail
+
+if [ "$#" -ne 2 ]; then
+    echo "usage: $0 REPO OUT" >&2
+    exit 2
+fi
+repo=$(cd "$1" && pwd)
+out=$2
+mkdir -p "$out"
+out=$(cd "$out" && pwd)
+
+export OPENBLAS_NUM_THREADS=1
+export PYTHONPATH="$repo/src"
+graph=(--sbm 600,4,16,0.02,0.05,1.25 --seed 3)
+
+run() {
+    local name=$1
+    shift
+    python -m d2moe.cli train "${graph[@]}" --experts 6 --epochs 25 "$@" \
+        --out-dir "$out/$name" > /dev/null
+    python -m d2moe.cli eval "${graph[@]}" --checkpoint "$out/$name/checkpoint.bin" \
+        --out-dir "$out/$name" > /dev/null
+}
+
+run plain
+run sage_half_half_bn --backbone sage --expert-layout half_half --batch-norm
+run strict_bn --strict-proxy --batch-norm
+run static_topk2 --variant static_topk --k 2
+
+cd "$out"
+for name in plain sage_half_half_bn strict_bn static_topk2; do
+    sha256sum "$name/checkpoint.bin" "$name/metrics.jsonl" "$name/nodes.csv"
+done
