@@ -54,6 +54,7 @@ from .training import (
     TrainingDivergence,
     fit,
     make_variant,
+    seed_streams,
     variant_label,
     write_metrics,
 )
@@ -137,8 +138,8 @@ def _resolve(ns: argparse.Namespace) -> dict:
 
 def _sbm_graph(sbm: str, split_text: str | None, seed: int):
     """The ``--sbm`` graph, its split fractions and its input hash. Sampling
-    and split seeds come from the master seed's data stream, clear of the
-    init and dropout streams."""
+    and split seeds come from the master seed's data stream
+    (``seed_streams``), clear of the init, dropout and routing streams."""
     parts = sbm.split(",")
     if len(parts) != 6:
         raise ValueError(f"--sbm needs 'n,C,d,p_in,p_out,s', got {sbm!r}")
@@ -147,7 +148,7 @@ def _sbm_graph(sbm: str, split_text: str | None, seed: int):
     split = tuple(float(p) for p in split_text.split(",")) if split_text else DEFAULT_SPLIT
     if len(split) != 3:
         raise ValueError(f"--split needs three comma-separated fractions, got {split_text!r}")
-    sbm_ss, split_ss = np.random.SeedSequence(seed).spawn(4)[2].spawn(2)
+    sbm_ss, split_ss = seed_streams(seed)[2].spawn(2)
     spec = SbmSpec(n=n, classes=classes, dim=dim, p_in=p_in, p_out=p_out,
                    signal=signal, seed=int(sbm_ss.generate_state(1)[0]))
     g = split_nodes(generate_sbm(spec), split, seed=int(split_ss.generate_state(1)[0]))
@@ -186,13 +187,8 @@ def _scoring_setup(ns: argparse.Namespace, *keys: str):
     checkpoints = [load_checkpoint(path) for path in paths]
     seed = _resolve(ns)["seed"]
     g, inputs = _obtain_graph(ns, seed)
-    for key, path, params in zip(keys, paths, checkpoints):
+    for key, path in zip(keys, paths):
         inputs.update({key: str(path), f"{key}_hash": _sha256(Path(path).read_bytes())})
-        cfg = params.config
-        if cfg.in_dim != g.dim or cfg.classes != g.n_classes:
-            raise ValueError(
-                f"checkpoint expects {cfg.in_dim}-dim features over {cfg.classes} "
-                f"classes; graph has {g.dim} and {g.n_classes}")
     return seed, g, inputs, *checkpoints
 
 

@@ -308,24 +308,23 @@ def forward(params: ModelParams, g: Graph, budget, mode: str = "train",
     """Run the model end to end.
 
     ``budget`` is either a per-node threshold vector of finite values (top-p
-    selection) or a TopK rule. Train mode applies dropout (requires ``rng``)
-    and batch statistics, folds those into the running statistics, and
-    records the tape for ``backward``: each dense layer (embedding, router
-    layers, head) is one ``matmul`` step with its bias, and each mixture layer
-    with its residual add is one ``mix_experts`` step, so without dropout or
-    batch norm the tape holds 4 + 7L steps. Eval mode is
-    deterministic, uses running statistics and records nothing (its tape was
-    built with ``record=False``), so each intermediate is freed once the next
-    layer no longer reads it.
+    selection) or a TopK rule. ``mode`` only picks the tape, whose mode
+    decides what dropout and batch norm do. Train mode records it for
+    ``backward``: each dense layer (embedding, router layers, head) is one
+    ``matmul`` step with its bias and each mixture layer with its residual
+    add one ``mix_experts`` step, so the tape holds 4 + 7L steps; dropout
+    (requires ``rng``) adds 1 + L and batch norm (batch statistics, folded
+    into the running ones) L. Eval mode records none: dropout is the
+    identity and batch norm uses the running statistics, and each
+    intermediate is freed once the next layer no longer reads it. A model
+    whose ``in_dim`` or ``classes`` is not the graph's raises ValueError.
     """
     cfg = params.config
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    train = mode == "train"
-    keep = 1.0 - cfg.dropout
-    use_dropout = train and cfg.dropout > 0.0
-    if use_dropout and rng is None:
-        raise ValueError("train-mode forward with dropout needs an RNG stream")
+    if cfg.in_dim != g.dim or cfg.classes != g.n_classes:
+        raise ValueError(f"model expects {cfg.in_dim}-dim features over {cfg.classes} "
+                         f"classes; graph has {g.dim} and {g.n_classes}")
     if not isinstance(budget, TopK):
         budget = np.asarray(budget, dtype=np.float64)
         if budget.shape != (g.n,):
@@ -335,13 +334,12 @@ def forward(params: ModelParams, g: Graph, budget, mode: str = "train",
             raise ValueError(f"threshold vector has {bad.size} non-finite values "
                              f"(first at node {bad[0]}: {budget[bad[0]]})")
 
-    tape = Tape(record=train)
+    tape = Tape(record=mode == "train")
+    keep = 1.0 - cfg.dropout
     lv = {name: tape.leaf(arr) for name, arr in params.trainable()}
     x = Const(g.features)
 
-    h = tape.relu(tape.matmul(x, lv["embed.w"], lv["embed.b"]))
-    if use_dropout:
-        h = tape.dropout(h, keep, rng)
+    h = tape.dropout(tape.relu(tape.matmul(x, lv["embed.w"], lv["embed.b"])), keep, rng)
 
     layer_pis: list[Var] = []
     traces: list[LayerTrace] = []
@@ -359,16 +357,11 @@ def forward(params: ModelParams, g: Graph, budget, mode: str = "train",
             mask = select_top_p_batch(pi.value, budget)
         h = tape.mix_experts(experts, pi, mask, h)
         if cfg.use_batch_norm:
-            gamma, beta = lv[f"layer{l}.norm.gamma"], lv[f"layer{l}.norm.beta"]
-            running_mean = params.tensors[f"layer{l}.norm.running_mean"][0]
-            running_var = params.tensors[f"layer{l}.norm.running_var"][0]
-            if train:
-                h = tape.batchnorm_train(h, gamma, beta, running_mean, running_var)
-            else:
-                h = tape.batchnorm_eval(h, gamma, beta, running_mean, running_var)
-        h = tape.relu(h)
-        if use_dropout:
-            h = tape.dropout(h, keep, rng)
+            norm = f"layer{l}.norm"
+            h = tape.batchnorm(h, lv[f"{norm}.gamma"], lv[f"{norm}.beta"],
+                               params.tensors[f"{norm}.running_mean"][0],
+                               params.tensors[f"{norm}.running_var"][0])
+        h = tape.dropout(tape.relu(h), keep, rng)
         layer_pis.append(pi)
         traces.append(LayerTrace(pi=pi.value, selected=mask))
 

@@ -26,8 +26,9 @@ every other step output except the seed: its value becomes a read-only NaN
 view of the same shape with no memory behind it, so reading it gives NaN and
 writing to it raises. A caller that needs a step output after backward takes
 it first. A tape built with ``record=False`` (the model's eval mode) records
-nothing, so its intermediates live only as long as the caller holds them, and
-it cannot run ``backward``.
+nothing, so its intermediates live only as long as the caller holds them; it
+cannot run ``backward``, ``dropout`` is the identity on it and ``batchnorm``
+uses the running statistics.
 
 Parameters live in float32 elsewhere in the package; ``Tape.leaf`` upcasts to
 float64 so finite-difference probes at step FD_STEP are not quantized away.
@@ -122,7 +123,8 @@ class Tape:
     ``.grad`` in reverse recording order; leaves the seed never reaches get
     exact-zero gradients. A tape built with ``record=False`` keeps neither:
     each op only computes its value, so an intermediate is freed as soon as
-    the caller drops it, and ``backward`` raises.
+    the caller drops it, ``backward`` raises, ``dropout`` returns its input
+    and ``batchnorm`` reads the running statistics.
     """
 
     def __init__(self, record: bool = True):
@@ -199,11 +201,16 @@ class Tape:
         self._record(out, back, ())
         return out
 
-    def dropout(self, a: Var, keep: float, rng: np.random.Generator) -> Var:
-        """Inverted dropout: survivors scaled by 1/keep, so evaluation mode is
-        a pure identity (callers simply skip the op)."""
+    def dropout(self, a: Var, keep: float, rng: np.random.Generator | None) -> Var:
+        """Inverted dropout: survivors scaled by 1/keep. On a tape built with
+        ``record=False``, or at keep 1, it returns ``a`` itself: no step, no
+        draw from ``rng``. A recording tape with keep below 1 needs ``rng``."""
         if not 0.0 < keep <= 1.0:
             raise ValueError(f"dropout keep probability must be in (0, 1], got {keep}")
+        if not self.recording or keep == 1.0:
+            return a
+        if rng is None:
+            raise ValueError("dropout: a recording tape with keep < 1 needs an RNG stream")
         kept = rng.random(a.shape) < keep
         out = Var(a.value * (kept * (1.0 / keep)))
 
@@ -317,13 +324,19 @@ class Tape:
                      + [b for _, b in experts])
         return out
 
-    def batchnorm_train(self, x: Var, gamma: Var, beta: Var,
-                        running_mean: np.ndarray, running_var: np.ndarray) -> Var:
-        """Normalize each column by batch statistics (biased variance), then
-        scale and shift. As a side effect, folds the batch statistics into the
-        running buffers with momentum BN_MOMENTUM; the output reads only the
-        batch statistics, so repeated forwards (finite-difference probing)
-        give the same values while the buffers drift."""
+    def batchnorm(self, x: Var, gamma: Var, beta: Var,
+                  running_mean: np.ndarray, running_var: np.ndarray) -> Var:
+        """Normalize each column, then scale and shift. A recording tape
+        normalizes by the batch statistics (biased variance) and, as a side
+        effect, folds them into the running buffers with momentum
+        BN_MOMENTUM; the output reads only the batch statistics, so repeated
+        forwards (finite-difference probing) give the same values while the
+        buffers drift. A tape built with ``record=False`` normalizes by the
+        running statistics and leaves the buffers as they are."""
+        if not self.recording:
+            inv = 1.0 / np.sqrt(running_var.astype(np.float64) + BN_EPS)
+            mu = running_mean.astype(np.float64)
+            return Var(((x.value - mu) * inv) * gamma.value + beta.value)
         mu = x.value.mean(axis=0, keepdims=True)
         var = x.value.var(axis=0, keepdims=True)
         inv = 1.0 / np.sqrt(var + BN_EPS)
@@ -344,17 +357,6 @@ class Tape:
 
         self._record(out, back, (gamma,))
         return out
-
-    def batchnorm_eval(self, x: Var, gamma: Var, beta: Var,
-                       running_mean: np.ndarray, running_var: np.ndarray) -> Var:
-        """Affine transform with frozen running statistics, for eval forwards
-        only: it has no backward, so a recording tape raises rather than
-        silently pass no gradient through the running statistics."""
-        if self.recording:
-            raise ValueError("batchnorm_eval: needs a tape built with record=False")
-        inv = 1.0 / np.sqrt(running_var.astype(np.float64) + BN_EPS)
-        mu = running_mean.astype(np.float64)
-        return Var(((x.value - mu) * inv) * gamma.value + beta.value)
 
     # ---- scalar objective terms -----------------------------------------
 

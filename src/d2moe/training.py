@@ -309,6 +309,12 @@ def _train_step(params: ModelParams, g: Graph, budget, dropout_rng: np.random.Ge
     return breakdown, probs, fw.trace
 
 
+def seed_streams(seed: int) -> list[np.random.SeedSequence]:
+    """A master seed's four independent streams: (init, dropout, data,
+    routing). ``fit`` leaves data to callers that generate the graph."""
+    return np.random.SeedSequence(seed).spawn(4)
+
+
 def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
         variant: Variant = Full(),
         threshold_override: np.ndarray | None = None,
@@ -325,12 +331,10 @@ def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
     if not g.val_mask.any():
         raise ValueError("fit: graph has no validation nodes")
 
-    seq = np.random.SeedSequence(config.seed)
-    init_ss, dropout_ss, data_ss, routing_ss = seq.spawn(4)
+    init_ss, dropout_ss, _, routing_ss = seed_streams(config.seed)
     init_rng = np.random.default_rng(init_ss)
     dropout_rng = np.random.default_rng(dropout_ss)
     routing_rng = np.random.default_rng(routing_ss)
-    del data_ss  # reserved for callers that generate data from the same seed
 
     params = init_params(model_config, init_rng)
     adam = AdamState()

@@ -382,7 +382,7 @@ def test_eval_rejects_dimension_mismatch(tmp_path, capsys):
     rc = main(["eval", "--checkpoint", str(ckpt), "--sbm", SBM_SMALL,
                "--out-dir", str(tmp_path / "ev")])
     assert rc == 1
-    assert "checkpoint expects" in capsys.readouterr().err
+    assert "model expects" in capsys.readouterr().err
 
 
 def test_eval_rejects_non_finite_checkpoint(tmp_path, capsys):

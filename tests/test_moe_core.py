@@ -348,6 +348,21 @@ def test_forward_records_one_step_per_dense_layer(layers):
     assert len(fw.tape._steps) == 4 + 7 * layers
 
 
+@pytest.mark.parametrize("layers", [1, 2])
+def test_forward_dropout_and_norm_steps_by_mode(layers):
+    """Dropout adds 1 + L steps and batch norm L to a train forward; the same
+    path on an eval tape records none and draws nothing from the stream."""
+    g = small_graph()
+    params = small_params(g, layers=layers, dropout=0.5, use_batch_norm=True)
+    fw = forward(params, g, np.full(g.n, 0.7), mode="train", rng=RNG(5))
+    assert len(fw.tape._steps) == 4 + 7 * layers + (1 + layers) + layers
+    rng = RNG(5)
+    state = rng.bit_generator.state
+    fw = forward(params, g, np.full(g.n, 0.7), mode="eval", rng=rng)
+    assert fw.tape._steps == []
+    assert rng.bit_generator.state == state
+
+
 def test_eval_forward_records_nothing():
     """An eval tape keeps no steps and no leaves, so each intermediate is
     freed once the forward stops reading it, and backward on it raises."""
@@ -681,6 +696,18 @@ def test_evaluate_rejects_nan_hidden_activation():
     params.tensors["embed.b"][0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite class probabilities"):
         evaluate(params, g)
+
+
+@pytest.mark.parametrize("field, value", [("classes", 2), ("classes", 5), ("in_dim", 3)])
+@pytest.mark.parametrize("budget", [None, TopK(1)])
+def test_evaluate_rejects_model_off_its_graph(field, value, budget):
+    """A model with too few or too many classes, or the wrong feature width,
+    for its 3-class, 4-dim graph is refused in one line, not scored."""
+    g = small_graph(n=25, seed=15)
+    cfg = ModelConfig(**{**dict(in_dim=g.dim, hidden=8, classes=g.n_classes, experts=2,
+                                layers=1), field: value})
+    with pytest.raises(ValueError, match=r"^model expects .* graph has 4 and 3$"):
+        evaluate(init_params(cfg, RNG(7)), g, budget)
 
 
 def test_evaluate_explicit_budget_has_no_entropy():

@@ -331,6 +331,43 @@ def test_dropout_fd_fixed_mask():
     run_check(build, {"x": x})
 
 
+def test_dropout_keep_one_records_nothing_and_draws_nothing():
+    """At keep 1 a recording tape returns the input itself: no step, and
+    the stream is left where it was."""
+    t = Tape()
+    v = t.leaf(np.ones((3, 2)))
+    rng = RNG(22)
+    state = rng.bit_generator.state
+    assert t.dropout(v, keep=1.0, rng=rng) is v
+    assert t._steps == []
+    assert rng.bit_generator.state == state
+
+
+def test_dropout_below_keep_one_needs_rng():
+    t = Tape()
+    with pytest.raises(ValueError, match="needs an RNG stream"):
+        t.dropout(t.leaf(np.ones((3, 2))), keep=0.5, rng=None)
+
+
+def test_off_tape_dropout_and_batchnorm_record_nothing_draw_nothing():
+    """On a tape built with record=False dropout returns the very input Var
+    and batch norm reads the running buffers without updating them; neither
+    records a step or draws from the stream."""
+    t = Tape(record=False)
+    x = t.leaf(RNG(23).normal(size=(6, 3)))
+    rng = RNG(24)
+    state = rng.bit_generator.state
+    assert t.dropout(x, keep=0.5, rng=rng) is x
+    assert t.dropout(x, keep=0.5, rng=None) is x
+    rm, rv = np.array([0.1, -0.2, 0.3], np.float32), np.array([1.5, 0.8, 1.1], np.float32)
+    before = rm.copy(), rv.copy()
+    t.batchnorm(x, t.leaf(np.ones((1, 3))), t.leaf(np.zeros((1, 3))), rm, rv)
+    np.testing.assert_array_equal(rm, before[0])
+    np.testing.assert_array_equal(rv, before[1])
+    assert t._steps == [] and t._leaves == []
+    assert rng.bit_generator.state == state
+
+
 # ---- mix_experts ---------------------------------------------------------
 
 
@@ -589,8 +626,7 @@ def test_batchnorm_train_normalizes_columns():
     x = RNG(31).normal(3.0, 2.0, size=(50, 4))
     t = Tape()
     rm, rv = np.zeros(4, np.float32), np.ones(4, np.float32)
-    out = t.batchnorm_train(t.leaf(x), t.leaf(np.ones((1, 4))), t.leaf(np.zeros((1, 4))),
-                            rm, rv)
+    out = t.batchnorm(t.leaf(x), t.leaf(np.ones((1, 4))), t.leaf(np.zeros((1, 4))), rm, rv)
     np.testing.assert_allclose(out.value.mean(axis=0), 0.0, atol=1e-10)
     np.testing.assert_allclose(out.value.var(axis=0), 1.0, atol=1e-4)
 
@@ -599,8 +635,7 @@ def test_batchnorm_running_stats_update():
     x = RNG(32).normal(1.0, 1.5, size=(100, 3))
     rm, rv = np.zeros(3, np.float32), np.ones(3, np.float32)
     t = Tape()
-    t.batchnorm_train(t.leaf(x), t.leaf(np.ones((1, 3))), t.leaf(np.zeros((1, 3))),
-                      rm, rv)
+    t.batchnorm(t.leaf(x), t.leaf(np.ones((1, 3))), t.leaf(np.zeros((1, 3))), rm, rv)
     np.testing.assert_allclose(rm, 0.1 * x.mean(axis=0), rtol=1e-5)
     np.testing.assert_allclose(rv, 0.9 + 0.1 * x.var(axis=0), rtol=1e-5)
 
@@ -614,28 +649,23 @@ def test_batchnorm_train_fd():
     def build():
         t = Tape()
         vx, vg, vb = t.leaf(x), t.leaf(gamma), t.leaf(beta)
-        out = t.batchnorm_train(vx, vg, vb, np.zeros(3, np.float32), np.ones(3, np.float32))
+        out = t.batchnorm(vx, vg, vb, np.zeros(3, np.float32), np.ones(3, np.float32))
         return t, weighted_colsum(t, out, w), {"x": vx, "gamma": vg, "beta": vb}
 
     run_check(build, {"x": x, "gamma": gamma, "beta": beta})
 
 
 def test_batchnorm_eval_fd_and_values():
-    """Values on an eval (non-recording) tape; a recording tape raises, as
-    the op has no backward through the running statistics."""
+    """Values on an eval (non-recording) tape: the running statistics."""
     x = RNG(37).uniform(-2, 2, size=(5, 3))
     gamma = np.full((1, 3), 2.0)
     beta = np.full((1, 3), 0.5)
     rm = np.array([0.1, -0.2, 0.3], np.float32)
     rv = np.array([1.5, 0.8, 1.1], np.float32)
     t = Tape(record=False)
-    out = t.batchnorm_eval(t.leaf(x), t.leaf(gamma), t.leaf(beta), rm, rv)
+    out = t.batchnorm(t.leaf(x), t.leaf(gamma), t.leaf(beta), rm, rv)
     expect = 2.0 * (x - rm.astype(np.float64)) / np.sqrt(rv.astype(np.float64) + 1e-5) + 0.5
     np.testing.assert_allclose(out.value, expect, atol=1e-12)
-
-    t = Tape()
-    with pytest.raises(ValueError, match="record=False"):
-        t.batchnorm_eval(t.leaf(x), t.leaf(gamma), t.leaf(beta), rm, rv)
 
 
 # ---- scalar objective terms ----------------------------------------------

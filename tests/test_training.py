@@ -431,6 +431,14 @@ def _model_cfg(**kw):
     return ModelConfig(**base)
 
 
+@pytest.mark.parametrize("field, value", [("classes", 3), ("classes", 6), ("in_dim", 5)])
+def test_fit_rejects_model_off_its_graph(field, value):
+    """A model with too few or too many classes, or the wrong feature width,
+    for its 4-class, 8-dim graph is refused in one line before training."""
+    with pytest.raises(ValueError, match=r"^model expects .* graph has 8 and 4$"):
+        fit(_sbm_graph(), _model_cfg(**{field: value}), TrainConfig(max_epochs=1))
+
+
 def test_fit_single_epoch_cold_start():
     g = _sbm_graph()
     state = fit(g, _model_cfg(), TrainConfig(max_epochs=1, seed=0))

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Same-bytes check: train four reference models from the source in REPO, score
-# each with `eval`, and print the sha256 of the 12 outputs (checkpoint.bin,
+# Same-bytes check: train five reference models from the source in REPO, score
+# each with `eval`, and print the sha256 of the 15 outputs (checkpoint.bin,
 # metrics.jsonl and nodes.csv per run), one line each. Two trees that write the
 # same bytes print the same lines:
 #
@@ -9,7 +9,7 @@
 #   diff parent.sha change.sha
 #
 # Runs under one OpenBLAS thread, so the bytes do not depend on the machine's
-# core count. Takes about a minute on a 2-core machine.
+# core count. Takes about 15 s on a 2-core machine.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -38,8 +38,9 @@ run plain
 run sage_half_half_bn --backbone sage --expert-layout half_half --batch-norm
 run strict_bn --strict-proxy --batch-norm
 run static_topk2 --variant static_topk --k 2
+run no_dropout_bn --dropout 0 --batch-norm
 
 cd "$out"
-for name in plain sage_half_half_bn strict_bn static_topk2; do
+for name in plain sage_half_half_bn strict_bn static_topk2 no_dropout_bn; do
     sha256sum "$name/checkpoint.bin" "$name/metrics.jsonl" "$name/nodes.csv"
 done
