@@ -9,7 +9,6 @@ study; the proxy here is the same architecture collapsed to a single expert.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +113,9 @@ def run_ablation(g: Graph, model_config: ModelConfig, train_config: TrainConfig,
         raise ValueError("run_ablation: graph has no test nodes to score")
     payloads = [(g, model_config, train_config, variant, s) for s in seeds]
     if jobs > 1 and len(seeds) > 1:
+        # deferred: the process pool loads multiprocessing on every import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
             accs = list(pool.map(_seed_accuracy, payloads))
     else:

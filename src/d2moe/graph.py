@@ -108,8 +108,12 @@ def _canonical_edges(edges: np.ndarray, n: int) -> np.ndarray:
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
     keep = lo != hi
-    # lo*n + hi orders pairs as (lo, hi) does, and a 1-D unique is a cheaper sort
-    key = np.unique(lo[keep] * n + hi[keep])
+    # lo*n + hi orders pairs as (lo, hi) does. A sort and a neighbour test
+    # dedupe it; np.unique takes a slower hash-based path on integers.
+    key = np.sort(lo[keep] * n + hi[keep])
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    key = key[first]
     return np.stack([key // n, key % n], axis=1)
 
 

@@ -14,21 +14,23 @@ expert's g·z_i from the products its input gradient needs, so the tape keeps
 no expert output. The training objective is two steps: ``masked_nll``, then
 one ``routing_penalty`` that adds the router penalties of every layer to it.
 Inputs that take no gradient, such as the node features, enter as a ``Const``
-and are not leaves. ``backward`` replays the steps in reverse, allocating each
-gradient at its first contribution and skipping steps whose output the seed
-never reached. Every gradient array has one owner: a Var adopts the first
-contribution it gets, and a step hands its output gradient on uncopied at most
-once. Only leaves keep their gradients: a step's output gradient is released
-as soon as the step has run. Leaves left without a gradient get exact zeros,
-and running it twice gives bit-identical results. Each step declares the input
-Vars whose values its backward reads, and ``backward`` starts by releasing
-every other step output except the seed: its value becomes a read-only NaN
-view of the same shape with no memory behind it, so reading it gives NaN and
-writing to it raises. A caller that needs a step output after backward takes
-it first. A tape built with ``record=False`` (the model's eval mode) records
-nothing, so its intermediates live only as long as the caller holds them; it
-cannot run ``backward``, ``dropout`` is the identity on it and ``batchnorm``
-uses the running statistics.
+and are not leaves. Each Var keeps its gradient in a slot of its own, apart
+from its value. A recorded backward holds only its inputs' slots and the
+arrays it reads, and the tape keeps only (output slot, backward) pairs and
+its leaves, so a value lives exactly while its Var is held or some recorded
+backward reads it: a step output that no backward reads, such as a mixture
+output relu consumed, is freed as soon as the forward drops it, and nothing
+is released when backward runs. ``backward`` replays the steps in reverse,
+allocating each gradient at its first contribution and skipping steps whose
+output the seed never reached. Every gradient array has one owner: a slot
+adopts the first contribution it gets, and a step hands its output gradient
+on uncopied at most once. Only leaves keep their gradients: a step's output
+gradient is released as soon as the step has run. Leaves left without a
+gradient get exact zeros, and running it twice gives bit-identical results,
+because each backward still holds every array it reads. A tape built with
+``record=False`` (the model's eval mode) records nothing; it cannot run
+``backward``, ``dropout`` is the identity on it and ``batchnorm`` uses the
+running statistics.
 
 Parameters live in float32 elsewhere in the package; ``Tape.leaf`` upcasts to
 float64 so finite-difference probes at step FD_STEP are not quantized away.
@@ -56,14 +58,34 @@ class GradCheckError(RuntimeError):
     """A finite-difference check could not be carried out."""
 
 
-class Var:
-    """A value tracked by a Tape. ``grad`` is populated by ``Tape.backward``."""
+class _Slot:
+    """Where one Var's gradient accumulates, apart from its value."""
 
-    __slots__ = ("value", "grad")
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad: np.ndarray | None = None
+
+
+class Var:
+    """A value tracked by a Tape. ``grad`` reads and writes the Var's gradient
+    slot, which ``Tape.backward`` populates. A recorded backward holds the
+    slot, not the Var, so the value lives only while the Var is held or some
+    backward reads the array."""
+
+    __slots__ = ("value", "_slot")
 
     def __init__(self, value: np.ndarray):
         self.value = value
-        self.grad: np.ndarray | None = None
+        self._slot: _Slot | None = _Slot()
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._slot.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self._slot.grad = g
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -81,14 +103,20 @@ def _as2d(a) -> np.ndarray:
 
 
 class Const(Var):
-    """An op input that takes no gradient, such as the node features: no op
-    stores a gradient for it (``_accum`` drops any contribution), and no tape
-    holds it. Float64 arrays are aliased, as by ``Tape.leaf``."""
+    """An op input that takes no gradient, such as the node features: it has
+    no gradient slot, so ``grad`` is always None and ``_accum`` drops any
+    contribution, and no tape holds it. Float64 arrays are aliased, as by
+    ``Tape.leaf``."""
 
     __slots__ = ()
 
     def __init__(self, array):
-        super().__init__(_as2d(array))
+        self.value = _as2d(array)
+        self._slot = None
+
+    @property
+    def grad(self) -> None:
+        return None
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -102,44 +130,45 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _accum(v: Var, g: np.ndarray) -> None:
-    """Add a gradient contribution to ``v``; one to a ``Const`` is dropped.
-    The first contribution becomes the buffer itself, so ``g`` must be a
-    writable array no other Var holds: a fresh result, or a released output
-    gradient handed on once."""
-    if isinstance(v, Const):
+def _accum(slot: _Slot | None, g: np.ndarray) -> None:
+    """Add a gradient contribution to a Var's ``slot``; one to a ``Const``
+    (slot None) is dropped. The first contribution becomes the buffer itself,
+    so ``g`` must be a writable array no other slot holds: a fresh result, or
+    an output gradient handed on once."""
+    if slot is None:
         return
-    if v.grad is None:
-        v.grad = g
+    if slot.grad is None:
+        slot.grad = g
     else:
-        v.grad += g
+        slot.grad += g
 
 
 class Tape:
     """Single-owner record of one differentiable forward pass.
 
-    A recording tape keeps every step with the Var it produced, and a list of
-    its leaves. Backward seeds the chosen scalar with 1 and accumulates into
-    ``.grad`` in reverse recording order; leaves the seed never reaches get
-    exact-zero gradients. A tape built with ``record=False`` keeps neither:
-    each op only computes its value, so an intermediate is freed as soon as
-    the caller drops it, ``backward`` raises, ``dropout`` returns its input
-    and ``batchnorm`` reads the running statistics.
+    A recording tape keeps each step as its output's gradient slot with the
+    backward that consumes it, and a list of its leaves; it keeps no step's
+    output Var, so a value lives while its Var is held or a recorded backward
+    reads its array, and no release pass runs. Backward seeds the chosen
+    scalar with 1 and accumulates into the slots in reverse recording order;
+    leaves the seed never reaches get exact-zero gradients. A tape built with
+    ``record=False`` keeps neither: each op only computes its value, so an
+    intermediate is freed as soon as the caller drops it, ``backward`` raises,
+    ``dropout`` returns its input and ``batchnorm`` reads the running
+    statistics.
     """
 
     def __init__(self, record: bool = True):
         self.recording = record
-        self._steps: list[tuple[Var, Callable[[], None]]] = []
+        self._steps: list[tuple[_Slot, Callable[[np.ndarray], None]]] = []
         self._leaves: list[Var] = []
-        self._read: set[int] = set()   # ids of the Vars some backward reads
 
-    def _record(self, out: Var, back: Callable[[], None], reads: Sequence[Var]) -> None:
-        """Keep the step ``out`` came from. ``reads`` lists the input Vars
-        whose ``.value`` ``back`` reads; every other step output is released
-        when backward starts."""
+    def _record(self, out: Var, back: Callable[[np.ndarray], None]) -> None:
+        """Keep the step ``out`` came from: its gradient slot and ``back``,
+        which takes the output gradient. ``back`` must hold no Var, only
+        slots and the arrays it reads."""
         if self.recording:
-            self._steps.append((out, back))
-            self._read.update(id(v) for v in reads)
+            self._steps.append((out._slot, back))
 
     def leaf(self, array) -> Var:
         """Register an input value. Float64 arrays are aliased, not copied."""
@@ -157,20 +186,22 @@ class Tape:
             raise ShapeError(f"matmul: {a.shape} x {b.shape}")
         if bias is not None and bias.shape != (1, b.shape[1]):
             raise ShapeError(f"matmul: bias {bias.shape} for {a.shape} x {b.shape}")
-        value = a.value @ b.value
+        av, bv, sa, sb = a.value, b.value, a._slot, b._slot
+        sbias = None if bias is None else bias._slot
+        value = av @ bv
         if bias is not None:
             value += bias.value
         out = Var(value)
 
-        def back():
-            if bias is not None:
-                _accum(bias, out.grad.sum(axis=0, keepdims=True))
-            if not isinstance(a, Const):
-                _accum(a, out.grad @ b.value.T)
-            if not isinstance(b, Const):
-                _accum(b, a.value.T @ out.grad)
+        def back(g):
+            if sbias is not None:
+                _accum(sbias, g.sum(axis=0, keepdims=True))
+            if sa is not None:
+                _accum(sa, g @ bv.T)
+            if sb is not None:
+                _accum(sb, av.T @ g)
 
-        self._record(out, back, (a, b))
+        self._record(out, back)
         return out
 
     def spmm(self, adj, adj_t, x: Var) -> Var:
@@ -182,11 +213,12 @@ class Tape:
         if adj.shape[1] != x.shape[0]:
             raise ShapeError(f"spmm: {adj.shape} x {x.shape}")
         out = Var(np.asarray(adj @ x.value))
+        sx = x._slot
 
-        def back():
-            _accum(x, adj_t @ out.grad)
+        def back(g):
+            _accum(sx, adj_t @ g)
 
-        self._record(out, back, ())
+        self._record(out, back)
         return out
 
     def relu(self, a: Var) -> Var:
@@ -194,11 +226,12 @@ class Tape:
         propagates it), so a non-finite value is never hidden as a zero."""
         keep = a.value > 0.0
         out = Var(np.maximum(a.value, 0.0))
+        sa = a._slot
 
-        def back():
-            _accum(a, out.grad * keep)
+        def back(g):
+            _accum(sa, g * keep)
 
-        self._record(out, back, ())
+        self._record(out, back)
         return out
 
     def dropout(self, a: Var, keep: float, rng: np.random.Generator | None) -> Var:
@@ -213,11 +246,12 @@ class Tape:
             raise ValueError("dropout: a recording tape with keep < 1 needs an RNG stream")
         kept = rng.random(a.shape) < keep
         out = Var(a.value * (kept * (1.0 / keep)))
+        sa = a._slot
 
-        def back():
-            _accum(a, out.grad * (kept * (1.0 / keep)))
+        def back(g):
+            _accum(sa, g * (kept * (1.0 / keep)))
 
-        self._record(out, back, ())
+        self._record(out, back)
         return out
 
     def softmax_rows(self, m: Var) -> Var:
@@ -225,12 +259,12 @@ class Tape:
         e = np.exp(z)
         p = e / e.sum(axis=1, keepdims=True)
         out = Var(p)
+        sm = m._slot
 
-        def back():
-            g = out.grad
-            _accum(m, p * (g - (g * p).sum(axis=1, keepdims=True)))
+        def back(g):
+            _accum(sm, p * (g - (g * p).sum(axis=1, keepdims=True)))
 
-        self._record(out, back, ())
+        self._record(out, back)
         return out
 
     def mix_experts(self, experts: Sequence[tuple[Sequence[tuple[Var, Var]], Var]],
@@ -256,7 +290,9 @@ class Tape:
         is the product the input gradient p̃·(g·W_jᵀ) needs anyway. It is
         never read back from a p̃-scaled product, so a selected score of
         exactly 0.0 still gets its gradient. The residual takes its gradient
-        before the experts do."""
+        before the experts do: the output gradient itself, or a copy of it
+        when the residual is also an expert input (a SAGE layer's h), whose
+        gradient the experts' share then adds into."""
         rows, cols = pi.shape[0], experts[0][1].shape[1]
         conform = all(terms and b.shape == (1, cols) and all(
             x.shape[0] == rows and x.shape[1] == w.shape[0] and w.shape[1] == cols
@@ -291,37 +327,41 @@ class Tape:
                               shape=(rows, pair_row.size))
         out = Var(np.asarray(mixing @ stacked))
         out.value += residual.value
+        # What backward reads, with slots in place of Vars: per expert its
+        # (x, W) terms as (x value, x slot, W value, W slot) and its bias.
+        parts = [([(x.value, x._slot, w.value, w._slot) for x, w in terms], b.value, b._slot)
+                 for terms, b in experts]
+        spi, sres = pi._slot, residual._slot
+        shared = any(x is residual for terms, _ in experts for x, _ in terms)
 
-        def back():
+        def back(g):
             # gz = g·z_i = sum_j (g·W_jᵀ)·x_j + g·b: Z is not kept.
-            g = out.grad
-            _accum(residual, g.copy())
+            _accum(sres, g.copy() if shared else g)
             gp = np.zeros_like(p)
-            for i, (terms, b) in reversed(list(enumerate(experts))):
+            for i, (terms, bv, sb) in reversed(list(enumerate(parts))):
                 r = picked[i]
                 pr = p[r, i : i + 1]
                 gr = g[r]
-                gz = gr @ b.value[0]
+                gz = gr @ bv[0]
                 xrs = []
-                for x, w in reversed(terms):
-                    u = gr @ w.value.T
-                    xr = x.value[r]
+                for xv, sx, wv, _ in reversed(terms):
+                    u = gr @ wv.T
+                    xr = xv[r]
                     gz += np.einsum("ij,ij->i", u, xr)
-                    if not isinstance(x, Const):
+                    if sx is not None:
                         u *= pr
-                        if x.grad is None:
-                            x.grad = np.zeros_like(x.value)
-                        x.grad[r] += u
+                        if sx.grad is None:
+                            sx.grad = np.zeros_like(xv)
+                        sx.grad[r] += u
                     xrs.append(xr)
                 gp[r, i] = gz
                 gr *= pr
-                _accum(b, gr.sum(axis=0, keepdims=True))
-                for (x, w), xr in zip(reversed(terms), xrs):
-                    _accum(w, xr.T @ gr)
-            _accum(pi, (m / s) * (gp - (gp * p).sum(axis=1, keepdims=True)))
+                _accum(sb, gr.sum(axis=0, keepdims=True))
+                for (_, _, _, sw), xr in zip(reversed(terms), xrs):
+                    _accum(sw, xr.T @ gr)
+            _accum(spi, (m / s) * (gp - (gp * p).sum(axis=1, keepdims=True)))
 
-        self._record(out, back, [v for terms, b in experts for term in terms for v in term]
-                     + [b for _, b in experts])
+        self._record(out, back)
         return out
 
     def batchnorm(self, x: Var, gamma: Var, beta: Var,
@@ -346,16 +386,16 @@ class Tape:
                            + (1.0 - BN_MOMENTUM) * mu[0]).astype(running_mean.dtype)
         running_var[:] = (BN_MOMENTUM * running_var.astype(np.float64)
                           + (1.0 - BN_MOMENTUM) * var[0]).astype(running_var.dtype)
+        gv, sx, sgamma, sbeta = gamma.value, x._slot, gamma._slot, beta._slot
 
-        def back():
-            g = out.grad
-            _accum(gamma, (g * xhat).sum(axis=0, keepdims=True))
-            _accum(beta, g.sum(axis=0, keepdims=True))
-            gx = g * gamma.value
-            _accum(x, inv * (gx - gx.mean(axis=0, keepdims=True)
-                             - xhat * (gx * xhat).mean(axis=0, keepdims=True)))
+        def back(g):
+            _accum(sgamma, (g * xhat).sum(axis=0, keepdims=True))
+            _accum(sbeta, g.sum(axis=0, keepdims=True))
+            gx = g * gv
+            _accum(sx, inv * (gx - gx.mean(axis=0, keepdims=True)
+                              - xhat * (gx * xhat).mean(axis=0, keepdims=True)))
 
-        self._record(out, back, (gamma,))
+        self._record(out, back)
         return out
 
     # ---- scalar objective terms -----------------------------------------
@@ -377,23 +417,25 @@ class Tape:
             raise ShapeError(f"routing_penalty: task {task.shape}, frequencies "
                              f"{[f.shape for f in freqs]} for scores {[pi.shape for pi in pis]}")
         c_ent = -1.0 / (n * len(pis))
-        logs = [np.log(np.maximum(pi.value, LOG_EPS)) for pi in pis]
-        plogp = [(pi.value * logc).sum() for pi, logc in zip(pis, logs)]
-        balance = [(pi.value.sum(axis=0) * f).sum() * (pi.shape[1] / n)
-                   for pi, f in zip(pis, freqs)]
+        values = [pi.value for pi in pis]
+        logs = [np.log(np.maximum(pv, LOG_EPS)) for pv in values]
+        plogp = [(pv * logc).sum() for pv, logc in zip(values, logs)]
+        balance = [(pv.sum(axis=0) * f).sum() * (pv.shape[1] / n)
+                   for pv, f in zip(values, freqs)]
         # Left to right from layer 0: the outputs' bytes depend on the order.
         ent = sum(plogp[1:], plogp[0]) * c_ent
         lb = sum(balance[1:], balance[0])
         out = Var(task.value + np.array([[ent * lam1 + lb * lam2]]))
+        stask, slots = task._slot, [pi._slot for pi in pis]
 
-        def back():
-            g = out.grad[0, 0]
-            _accum(task, out.grad)
-            for pi, f, logc in zip(pis, freqs, logs):
-                _accum(pi, np.tile((g * lam2) * (pi.shape[1] / n) * f, (n, 1)))
-                _accum(pi, ((g * lam1) * c_ent) * (logc + np.where(pi.value >= LOG_EPS, 1.0, 0.0)))
+        def back(g):
+            g0 = g[0, 0]
+            _accum(stask, g)
+            for pv, spi, f, logc in zip(values, slots, freqs, logs):
+                _accum(spi, np.tile((g0 * lam2) * (pv.shape[1] / n) * f, (n, 1)))
+                _accum(spi, ((g0 * lam1) * c_ent) * (logc + np.where(pv >= LOG_EPS, 1.0, 0.0)))
 
-        self._record(out, back, pis)
+        self._record(out, back)
         return out, float(ent), float(lb)
 
     def masked_nll(self, probs: Var, labels: np.ndarray, idx: np.ndarray) -> Var:
@@ -404,15 +446,15 @@ class Tape:
         picked = probs.value[idx, labels[idx]]
         clamped = np.maximum(picked, LOG_EPS)
         out = Var(np.array([[-np.log(clamped).mean()]]))
+        shape, sprobs = probs.shape, probs._slot
 
-        def back():
-            g = out.grad[0, 0]
+        def back(g):
             contrib = np.where(picked >= LOG_EPS, -1.0 / (idx.size * clamped), 0.0)
-            grad = np.zeros_like(probs.value)
-            np.add.at(grad, (idx, labels[idx]), g * contrib)
-            _accum(probs, grad)
+            grad = np.zeros(shape)
+            np.add.at(grad, (idx, labels[idx]), g[0, 0] * contrib)
+            _accum(sprobs, grad)
 
-        self._record(out, back, (probs,))
+        self._record(out, back)
         return out
 
     # ---- reverse pass ----------------------------------------------------
@@ -420,37 +462,30 @@ class Tape:
     def backward(self, out: Var) -> None:
         """Populate ``.grad`` for every leaf of this tape, seeding ``out``
         (a (1,1) scalar) with 1. Safe to call repeatedly; each call discards
-        the previous gradients and replays identically.
+        the previous gradients and replays identically, as every recorded
+        backward still holds the arrays it reads.
 
-        Gradient buffers are allocated lazily: a step runs only if the Var it
-        produced received a gradient, and a Var's first contribution becomes
-        its buffer. Only leaves keep a gradient: a step's output gradient is
+        Gradient buffers are allocated lazily: a step runs only if its output
+        slot received a gradient, and a slot's first contribution becomes its
+        buffer. Only leaves keep a gradient: a step's output gradient is
         released once the step has run, as reverse recording order means every
         contribution to it has arrived by then, so every other Var ends with
         ``grad`` None. Leaves the seed does not reach get exact zeros at the
-        end. Raises ValueError on a tape built with ``record=False``.
-
-        Backward is where the tape knows the forward is done, so it first
-        releases every step output that no recorded step's backward reads,
-        except the seed: its ``.value`` becomes a read-only all-NaN view of
-        the same shape with no memory behind it. Shapes, ``zeros_like``, a
-        replay and a second backward from another seed on the same tape
-        still work; writing to a released value raises."""
+        end. No value is touched, so an output the caller holds keeps it.
+        Raises ValueError on a tape built with ``record=False``."""
         if not self.recording:
             raise ValueError("backward: this tape recorded no steps (built with record=False)")
         if out.shape != (1, 1):
             raise ShapeError(f"backward seed must be a (1,1) scalar, got {out.shape}")
         for v in self._leaves:
             v.grad = None
-        for produced, _ in self._steps:
-            produced.grad = None
-            if produced is not out and id(produced) not in self._read:
-                produced.value = np.broadcast_to(np.nan, produced.shape)
+        for slot, _ in self._steps:
+            slot.grad = None
         out.grad = np.ones_like(out.value)
-        for produced, back in reversed(self._steps):
-            if produced.grad is not None:
-                back()
-                produced.grad = None
+        for slot, back in reversed(self._steps):
+            if slot.grad is not None:
+                back(slot.grad)
+                slot.grad = None
         for v in self._leaves:
             if v.grad is None:
                 v.grad = np.zeros_like(v.value)

@@ -301,12 +301,11 @@ def _train_step(params: ModelParams, g: Graph, budget, dropout_rng: np.random.Ge
             epoch, f"non-finite objective (task={breakdown.task}, "
                    f"re={breakdown.routing_entropy}, lb={breakdown.load_balance})")
 
-    probs = fw.probs.value   # taken before backward releases what it does not read
     fw.tape.backward(total_var)
     grads = {name: leaf.grad for name, leaf in fw.leaf_vars.items()}
     clip_global_norm(grads, GRAD_CLIP)
     adamw_step(params, grads, adam, config)
-    return breakdown, probs, fw.trace
+    return breakdown, fw.probs.value, fw.trace
 
 
 def seed_streams(seed: int) -> list[np.random.SeedSequence]:

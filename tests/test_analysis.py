@@ -255,17 +255,27 @@ def test_run_ablation_single_seed_zero_std():
         run_ablation(g, mcfg, tcfg, Full(), seeds=())
 
 
-def test_import_d2moe_does_not_load_scipy_stats():
-    """scipy.stats is only needed for the decile Spearman rho, and importing
-    it costs most of the package's import time."""
+def _loaded_after_import_d2moe(module: str) -> bool:
     import d2moe
 
     src = str(Path(d2moe.__file__).resolve().parents[1])
     code = f"import sys; sys.path.insert(0, {src!r}); import d2moe; " \
-           "print('scipy.stats' in sys.modules)"
+           f"print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_d2moe_does_not_load_scipy_stats():
+    """scipy.stats is only needed for the decile Spearman rho, and importing
+    it costs most of the package's import time."""
+    assert not _loaded_after_import_d2moe("scipy.stats")
+
+
+def test_import_d2moe_does_not_load_process_pool():
+    """The process pool is only needed for a parallel ablation, and importing
+    it loads multiprocessing into every CLI call."""
+    assert not _loaded_after_import_d2moe("concurrent.futures.process")
 
 
 def test_public_names_resolve_once():

@@ -1,5 +1,7 @@
 """Tape primitives vs hand values and central finite differences."""
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -845,31 +847,43 @@ def test_backward_replay_bit_identical():
     assert h.grad is None and p.grad is None  # only leaves keep a gradient
 
 
-def test_backward_releases_values_no_backward_reads():
-    """Backward first releases every step output that no recorded step reads,
-    except the seed: it reads as NaN of the same shape and cannot be written,
-    while the values a backward reads stay, so a replay is bit-identical."""
+def test_unread_step_output_freed_during_forward():
+    """A step output that no recorded backward reads is freed as soon as the
+    forward drops it, while the tape is alive and before backward runs; the
+    values a backward reads stay, so a replay is bit-identical."""
     t = Tape()
     x = t.leaf(RNG(8).normal(size=(5, 3)))
     w1, w2 = t.leaf(RNG(9).normal(size=(3, 4))), t.leaf(RNG(10).normal(size=(4, 3)))
-    pre = t.matmul(x, w1)            # relu keeps a mask: released
+    pre = t.matmul(x, w1)            # relu keeps a mask: freed
     h = t.relu(pre)                  # read by the next matmul: kept
-    logits = t.matmul(h, w2)         # softmax keeps its output: released
+    logits = t.matmul(h, w2)         # softmax keeps its output: freed
     p = t.softmax_rows(logits)       # read by masked_nll: kept
     loss = t.masked_nll(p, np.array([0, 1, 2, 0, 1]), np.arange(5))
-    kept = [v.value for v in (h, p, loss)]
+    unread = [weakref.ref(v.value) for v in (pre, logits)]
+    read = [weakref.ref(v.value) for v in (h, p)]
+    del pre, h, logits, p
+    assert all(ref() is None for ref in unread)
+    assert all(ref() is not None for ref in read)
     t.backward(loss)
-    for v, shape in ((pre, (5, 4)), (logits, (5, 3))):
-        assert v.shape == shape and np.isnan(v.value).all()
-        with pytest.raises(ValueError, match="read-only"):
-            v.value[0, 0] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            v.value += 1.0
-    assert all(v.value is value for v, value in zip((h, p, loss), kept))
     first = [v.grad.copy() for v in (x, w1, w2)]
     t.backward(loss)
     for before, v in zip(first, (x, w1, w2)):
         assert np.isfinite(before).all() and before.tobytes() == v.grad.tobytes()
+
+
+def test_caller_held_output_keeps_value_after_backward():
+    """Backward touches no value: an output no backward reads keeps its
+    array, writable and unchanged, while the caller holds it."""
+    t = Tape()
+    x = t.leaf(RNG(11).normal(size=(4, 3)))
+    w = t.leaf(RNG(12).normal(size=(3, 3)))
+    pre = t.matmul(x, w)
+    loss = weighted_colsum(t, t.relu(pre), np.array([1.0, -2.0, 0.5]))
+    array, before = pre.value, pre.value.copy()
+    t.backward(loss)
+    assert pre.value is array and array.flags.writeable
+    np.testing.assert_array_equal(array, before)
+    assert pre.grad is None and np.isfinite(w.grad).all()
 
 
 def test_untouched_leaf_gets_exact_zero_grad():
@@ -890,9 +904,11 @@ def test_untouched_leaf_gets_exact_zero_grad():
 
 def test_pass_through_gradients_do_not_alias():
     """The two steps that hand an output gradient on: the objective gives it
-    to the task uncopied, and ``mix_experts`` copies it for the residual,
-    here a SAGE-style layer whose input h is both the residual and an expert
-    input, so the experts' share accumulates into a buffer of its own."""
+    to the task uncopied, and ``mix_experts`` copies it for the residual in
+    a SAGE-style layer, whose input h is both the residual and an expert
+    input, so the experts' share accumulates into a buffer of its own. In a
+    GCN-style layer the residual is no input of the step and takes the
+    output gradient itself."""
     t = Tape()
     a = t.leaf(RNG(2).normal(size=(3, 2)))
     b = t.leaf(RNG(3).normal(size=(3, 2)))
@@ -928,6 +944,23 @@ def test_pass_through_gradients_do_not_alias():
             assert not np.shares_memory(gi, gj)
     assert mixed.grad is None
     np.testing.assert_array_equal(c.grad, np.tile([2.0, 6.0], (2, 1)))
+
+    # The experts read 2·d, not d: d takes the output gradient uncopied, and
+    # the matmul's share is then added into that buffer.
+    t = Tape()
+    d = t.leaf(np.ones((2, 2)))
+    two = t.leaf(2.0 * np.eye(2))
+    experts = [([(t.matmul(d, two), t.leaf(np.eye(2)))], t.leaf(np.zeros((1, 2))))
+               for _ in range(2)]
+    pi = t.leaf(np.full((2, 2), 0.5))
+    mixed = t.mix_experts(experts, pi, np.ones((2, 2), bool), d)
+    t.backward(weighted_colsum(t, mixed, np.array([1.0, 3.0])))
+    grads = [d.grad, two.grad, pi.grad] + [v.grad for terms, bias in experts
+                                           for v in (terms[0][1], bias)]
+    for i, gi in enumerate(grads):
+        for gj in grads[i + 1:]:
+            assert not np.shares_memory(gi, gj)
+    np.testing.assert_array_equal(d.grad, np.tile([3.0, 9.0], (2, 1)))
 
 
 def test_seed_recorded_before_later_steps():

@@ -609,27 +609,37 @@ def test_fit_computes_one_entropy_per_epoch(monkeypatch, strict):
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])
 @pytest.mark.parametrize("layout", ["all_1hop", "half_half"])
 @pytest.mark.parametrize("batch_norm", [False, True])
-def test_lazy_backward_matches_zero_filled_replay(backbone, layout, batch_norm):
+def test_lazy_backward_matches_zero_filled_replay(monkeypatch, backbone, layout, batch_norm):
     """Lazily allocated gradients, released at every non-leaf, against the
     zero-fill-then-replay-every-step reference: parameter gradients
     bit-identical, every leaf gradient equal in value (only the sign of an
-    exact zero may differ), and no non-leaf left holding a gradient."""
+    exact zero may differ), and no non-leaf left holding a gradient. The
+    reference zero-fills each step's gradient slot through its output Var,
+    which this test holds for the purpose."""
     g = _sbm_graph(n=60, classes=3, dim=5, p_in=0.2, p_out=0.05, signal=2.0, seed=1)
     cfg = ModelConfig(in_dim=5, hidden=8, classes=3, experts=4, layers=2, dropout=0.3,
                       use_batch_norm=batch_norm, expert_layout=layout, backbone=backbone)
     params = init_params(cfg, np.random.default_rng(0))
+    outputs, record = [], Tape._record
+
+    def holding(tape, out, back):
+        outputs.append(out)
+        record(tape, out, back)
+
+    monkeypatch.setattr(Tape, "_record", holding)
     fw = forward(params, g, np.full(g.n, 0.7), mode="train", rng=np.random.default_rng(1))
     _, total, _ = losses_on_tape(fw, g, lam1=1e-3, lam2=1e-2)
     tape = fw.tape
+    assert [v._slot for v in outputs] == [slot for slot, _ in tape._steps]
     tape.backward(total)
-    assert all(produced.grad is None for produced, _ in tape._steps)
+    assert all(produced.grad is None for produced in outputs)
     lazy = [v.grad.copy() for v in tape._leaves]
 
-    for v in [*tape._leaves, *(produced for produced, _ in tape._steps)]:
+    for v in [*tape._leaves, *outputs]:
         v.grad = np.zeros_like(v.value)
     total.grad = np.ones_like(total.value)
-    for _, back in reversed(tape._steps):
-        back()
+    for slot, back in reversed(tape._steps):
+        back(slot.grad)
 
     for before, v in zip(lazy, tape._leaves):
         np.testing.assert_array_equal(before, v.grad)
