@@ -25,19 +25,18 @@ Per-node budgets come from the normalized entropy of an earlier prediction:
 high-entropy (hard) nodes get budgets near 1 and activate many experts,
 low-entropy (easy) nodes get small budgets and activate few.
 
-All parameters live in one ordered name -> float32 array store
-(``ModelParams.tensors``). Its one schema is ``_param_layout``, which
-``init_params`` and the checkpoint writer and reader walk.
+All parameters, running statistics included, live in one float32 buffer
+(``ModelParams.flat``) whose named views are laid out by ``_param_layout``,
+the one schema ``init_params`` and the checkpoint writer and reader walk.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,7 +53,7 @@ BACKBONES = ("gcn", "sage")
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file is malformed, or a file or store is off its layout."""
+    """A checkpoint file is malformed or off its layout, or a store not float32."""
 
 
 class ExpertKind(enum.Enum):
@@ -113,8 +112,6 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(rows, cols)).astype(np.float32)
 
 
-_RUNNING_STATS = ("running_mean", "running_var")
-
 _EXPERT_WEIGHTS = {
     ExpertKind.GCN_ONE_HOP: ("w",),
     ExpertKind.GCN_TWO_HOP: ("wa", "wb"),
@@ -132,23 +129,26 @@ def decays(name: str) -> bool:
 
 @dataclass
 class ModelParams:
-    """Every float32 (rows, cols) tensor of a model by name: ``embed.*``,
-    ``layer{l}.expert{i}.*``, ``layer{l}.router.*``, ``layer{l}.norm.*`` (batch
-    norm only) and ``head.*``. Insertion order is the draw order of
-    ``init_params``, the checkpoint layout and the optimizer state order."""
+    """One float32 buffer (float64 to probe gradients) and, in layout order,
+    its (rows, cols) views by name: ``embed.*``, ``layer{l}.expert{i}.*``,
+    ``layer{l}.router.*``, ``layer{l}.norm.*`` (batch norm only) and
+    ``head.*``. A buffer of the wrong shape raises ValueError."""
 
     config: ModelConfig
-    tensors: dict[str, np.ndarray]
+    flat: np.ndarray
+    tensors: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        layout = list(_param_layout(self.config))
+        ends = np.cumsum([rows * cols for _, (rows, cols), _ in layout])
+        if self.flat.shape != (ends[-1],):
+            raise ValueError(f"parameter buffer has shape {self.flat.shape}; "
+                             f"the config's layout needs ({ends[-1]},)")
+        self.tensors = {name: part.reshape(shape) for (name, shape, _), part
+                        in zip(layout, np.split(self.flat, ends[:-1]))}
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
-
-    def trainable(self):
-        """(name, tensor) in store order for every tensor the optimizer
-        updates: all but the batch-norm running statistics, which a
-        train-mode forward updates itself."""
-        return ((name, arr) for name, arr in self.tensors.items()
-                if name.rsplit(".", 1)[-1] not in _RUNNING_STATS)
+        return ModelParams(self.config, self.flat.copy())
 
 
 def _param_layout(config: ModelConfig):
@@ -177,9 +177,9 @@ def _param_layout(config: ModelConfig):
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
-    return ModelParams(config, {
-        name: _glorot(rng, *shape) if fill is None else np.full(shape, fill, np.float32)
-        for name, shape, fill in _param_layout(config)})
+    return ModelParams(config, np.concatenate([
+        (_glorot(rng, *shape) if fill is None else np.full(shape, fill, np.float32)).ravel()
+        for name, shape, fill in _param_layout(config)]))
 
 
 # ---- difficulty -> budget ------------------------------------------------
@@ -272,7 +272,7 @@ class ForwardResult:
     layer_pis: list[Var]       # router distributions on tape, one per layer
     trace: RoutingTrace
     tape: Tape                 # records steps in train mode only
-    leaf_vars: dict[str, Var]  # trainable parameter name -> tape leaf
+    leaf_vars: dict[str, Var]  # parameter name -> tape leaf, in layout order
 
 
 def _layer_aggregates(tape: Tape, h: Var, g: Graph,
@@ -336,7 +336,7 @@ def forward(params: ModelParams, g: Graph, budget, mode: str = "train",
 
     tape = Tape(record=mode == "train")
     keep = 1.0 - cfg.dropout
-    lv = {name: tape.leaf(arr) for name, arr in params.trainable()}
+    lv = {name: tape.leaf(arr) for name, arr in params.tensors.items()}
     x = Const(g.features)
 
     h = tape.dropout(tape.relu(tape.matmul(x, lv["embed.w"], lv["embed.b"])), keep, rng)
@@ -463,15 +463,11 @@ def save_checkpoint(params: ModelParams, path) -> None:
     in_dim, classes as u32; expert_layout and backbone as length-prefixed
     strings; batch-norm flag u8; gamma and dropout as f64), then tensor count
     u32 and per tensor, in layout order: name (u16 length + utf-8), rows u32,
-    cols u32, and rows*cols float32 values row-major. A store off its config's
-    layout (names, order, shapes, float32) is refused before the file opens."""
+    cols u32, and rows*cols float32 values row-major. A store that is not
+    float32 is refused before the file opens."""
     cfg = params.config
-    want = [(name, shape, "float32") for name, shape, _ in _param_layout(cfg)]
-    have = [(name, arr.shape, arr.dtype.name) for name, arr in params.tensors.items()]
-    for i, pair in enumerate(itertools.zip_longest(want, have, fillvalue=("no tensor",))):
-        if pair[0] != pair[1]:
-            expected, found = (" ".join(map(str, t)) for t in pair)
-            raise CheckpointError(f"store: tensor {i}: expected {expected}, found {found}")
+    if params.flat.dtype != np.float32:
+        raise CheckpointError(f"store: expected float32 values, found {params.flat.dtype}")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -481,7 +477,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
         _write_str(fh, cfg.backbone)
         fh.write(struct.pack("<B", int(cfg.use_batch_norm)))
         fh.write(struct.pack("<2d", cfg.gamma, cfg.dropout))
-        fh.write(struct.pack("<I", len(want)))
+        fh.write(struct.pack("<I", len(params.tensors)))
         for name, arr in params.tensors.items():
             _write_str(fh, name)
             fh.write(struct.pack("<2I", *arr.shape))
@@ -512,7 +508,7 @@ def load_checkpoint(path) -> ModelParams:
             raise CheckpointError(f"{path}: bad config: {err}") from None
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
         left = os.fstat(fh.fileno()).st_size - fh.tell()
-        tensors = {}
+        chunks = []
         for i, (name, shape, _) in enumerate(_param_layout(cfg)):
             left -= 2 + len(name) + 8 + 4 * shape[0] * shape[1]
             if left < 0:
@@ -522,13 +518,11 @@ def load_checkpoint(path) -> ModelParams:
             if found != (name, shape):  # checked before the read it sizes
                 raise CheckpointError(f"{path}: tensor {i}: expected {name} {shape}, "
                                       f"found {found[0]} {found[1]}")
-            raw = _read_exact(fh, 4 * shape[0] * shape[1])
-            arr = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
-            if not np.isfinite(arr).all():
+            chunks.append(np.frombuffer(_read_exact(fh, 4 * shape[0] * shape[1]), "<f4"))
+            if not np.isfinite(chunks[-1]).all():
                 raise CheckpointError(f"{path}: tensor {name} has non-finite values")
-            tensors[name] = arr
         if left:
             raise CheckpointError(f"{path}: trailing bytes after last tensor")
-        if count != len(tensors):
-            raise CheckpointError(f"{path}: expected {len(tensors)} tensors, found {count}")
-    return ModelParams(cfg, tensors)
+        if count != len(chunks):
+            raise CheckpointError(f"{path}: expected {len(chunks)} tensors, found {count}")
+    return ModelParams(cfg, np.concatenate(chunks, dtype=np.float32))

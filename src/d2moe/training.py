@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -40,11 +40,12 @@ ADAM_BETA1 = 0.9     # first-moment decay
 ADAM_BETA2 = 0.999   # second-moment decay
 ADAM_EPS = 1e-8      # added to the root of the second moment
 GRAD_CLIP = 5.0      # bound on the global gradient L2 norm per step
+ADAM_BLOCK = 16384   # elements per slice of adamw_step's pass over the store
 
 
 class TrainingDivergence(RuntimeError):
-    """The objective or the scoring pass's class probabilities went
-    non-finite; carries the failing epoch."""
+    """The objective, the gradient norm or the scoring pass's class
+    probabilities went non-finite; carries the failing epoch."""
 
     def __init__(self, epoch: int, message: str):
         super().__init__(f"epoch {epoch}: {message}")
@@ -179,48 +180,52 @@ def losses_on_tape(fw: ForwardResult, g: Graph, lam1: float, lam2: float
 # ---- optimizer -----------------------------------------------------------
 
 
-@dataclass
 class AdamState:
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    """The step count and float64 moments of a ``size``-element store. Made
+    with the store: allocated at the first step, after a backward, they
+    raised ``train_experts`` peak RSS by about 5 MB."""
+
+    def __init__(self, size: int):
+        self.step = 0
+        self.m, self.v = np.zeros(size), np.zeros(size)
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place so their joint L2 norm is at most
-    max_norm; returns the pre-clip norm."""
+    max_norm; returns the pre-clip norm. A non-finite norm scales nothing."""
     total = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
-    if max_norm > 0.0 and total > max_norm:
+    if max_norm > 0.0 and math.isfinite(total) and total > max_norm:
         factor = max_norm / total
         for g in grads.values():
             g *= factor
     return float(total)
 
 
-def adamw_step(params: ModelParams, grads: dict[str, np.ndarray],
-               state: AdamState, config: TrainConfig) -> None:
+def adamw_step(params: ModelParams, grad: np.ndarray, state: AdamState,
+               config: TrainConfig) -> None:
     """Bias-corrected Adam (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) with decoupled
-    weight decay. Moments are float64; the float32 parameter tensors are
-    updated in place."""
+    weight decay on ``params.flat`` in ADAM_BLOCK slices, from its float64
+    gradient. Where ``decays`` is False the decay factor is exactly 1.0."""
+    if grad.shape != params.flat.shape:
+        raise ValueError(f"gradient has shape {grad.shape}, store {params.flat.shape}")
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    for name, arr in params.tensors.items():
-        if name not in grads:
-            continue
-        g = grads[name]
-        m = state.m.setdefault(name, np.zeros(arr.shape, dtype=np.float64))
-        v = state.v.setdefault(name, np.zeros(arr.shape, dtype=np.float64))
+    rate = config.lr * config.weight_decay
+    decayed = np.repeat([decays(name) for name in params.tensors],
+                        [arr.size for arr in params.tensors.values()])
+    for lo in range(0, grad.size, ADAM_BLOCK):
+        block = slice(lo, lo + ADAM_BLOCK)
+        g, m, v = grad[block], state.m[block], state.v[block]
         m[...] = b1 * m + (1.0 - b1) * g
         v[...] = b2 * v + (1.0 - b2) * g * g
         update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        p64 = arr.astype(np.float64)
-        if config.weight_decay > 0.0 and decays(name):
-            p64 *= 1.0 - config.lr * config.weight_decay
+        p64 = params.flat[block].astype(np.float64)
+        p64 *= 1.0 - rate * decayed[block]
         p64 -= config.lr * update
-        arr[...] = p64.astype(np.float32)
+        params.flat[block] = p64
 
 
 # ---- training loop -------------------------------------------------------
@@ -290,10 +295,10 @@ def _train_step(params: ModelParams, g: Graph, budget, dropout_rng: np.random.Ge
                 lam1: float, lam2: float, adam: AdamState, config: TrainConfig,
                 epoch: int) -> tuple[LossBreakdown, np.ndarray, RoutingTrace]:
     """Phases 2 and 3 of an epoch: a train-mode forward and one AdamW step on
-    the regularized objective, its gradients clipped to norm GRAD_CLIP.
+    the regularized objective, its gradients clipped to norm GRAD_CLIP; a
+    non-finite objective or gradient norm raises TrainingDivergence first.
     Returns the loss breakdown, the train-mode class probabilities and the
-    routing trace; the tape, with every intermediate and gradient, is freed
-    when this returns."""
+    routing trace; the tape is freed when this returns."""
     fw = forward(params, g, budget, mode="train", rng=dropout_rng)
     breakdown, total_var, _ = losses_on_tape(fw, g, lam1, lam2)
     if not np.isfinite(breakdown.total):
@@ -303,8 +308,11 @@ def _train_step(params: ModelParams, g: Graph, budget, dropout_rng: np.random.Ge
 
     fw.tape.backward(total_var)
     grads = {name: leaf.grad for name, leaf in fw.leaf_vars.items()}
-    clip_global_norm(grads, GRAD_CLIP)
-    adamw_step(params, grads, adam, config)
+    norm = clip_global_norm(grads, GRAD_CLIP)
+    if not math.isfinite(norm):
+        bad = ", ".join(name for name, g in grads.items() if not np.isfinite(g).all())
+        raise TrainingDivergence(epoch, f"gradient norm {norm}; non-finite gradients: {bad}")
+    adamw_step(params, np.concatenate([g.ravel() for g in grads.values()]), adam, config)
     return breakdown, fw.probs.value, fw.trace
 
 
@@ -336,7 +344,7 @@ def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
     routing_rng = np.random.default_rng(routing_ss)
 
     params = init_params(model_config, init_rng)
-    adam = AdamState()
+    adam = AdamState(params.flat.size)
     lam1, lam2 = _effective_lambdas(variant, config)
 
     entropy: np.ndarray | None = None

@@ -97,15 +97,15 @@ def test_gradient_fidelity(verdict):
                       dropout=0.0, use_batch_norm=False,
                       expert_layout="half_half", backbone="gcn")
     params = init_params(cfg, np.random.default_rng(8))
-    params64 = {name: arr.astype(np.float64) for name, arr in params.tensors.items()}
+    p64 = ModelParams(cfg, params.flat.astype(np.float64))
     thresholds = np.full(g.n, 0.8)
 
     def build():
-        fw = forward(ModelParams(cfg, params64), g, thresholds, mode="train")
+        fw = forward(p64, g, thresholds, mode="train")
         _, total, _ = losses_on_tape(fw, g, lam1=1e-4, lam2=1e-3)
         return fw.tape, total, fw.leaf_vars
 
-    report = grad_check(build, params64)
+    report = grad_check(build, p64.tensors)
     elapsed = time.perf_counter() - t0
     ok = report.max_rel_err < 1e-4 and elapsed < 60.0
     verdict(f"[ 1/11] gradient fidelity: {'PASS' if ok else 'FAIL'} "

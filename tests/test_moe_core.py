@@ -610,17 +610,16 @@ def test_full_model_grad_check_all_expert_kinds_norm_dropout():
     cfg = ModelConfig(in_dim=g.dim, hidden=8, classes=g.n_classes, experts=3,
                       layers=1, dropout=0.3, use_batch_norm=True,
                       expert_layout="half_half", backbone="sage")
-    params = init_params(cfg, RNG(5))
-    params64 = {name: arr.astype(np.float64) for name, arr in params.tensors.items()}
+    p64 = ModelParams(cfg, init_params(cfg, RNG(5)).flat.astype(np.float64))
     thresholds = np.full(g.n, 0.8)
     train_idx = g.mask_idx("train")
 
     def build():
-        fw = forward(ModelParams(cfg, params64), g, thresholds, mode="train", rng=RNG(77))
+        fw = forward(p64, g, thresholds, mode="train", rng=RNG(77))
         loss = fw.tape.masked_nll(fw.probs, g.labels, train_idx)
         return fw.tape, loss, fw.leaf_vars
 
-    report = grad_check(build, params64)
+    report = grad_check(build, p64.tensors)
     assert report.max_rel_err < 1e-4, report.per_leaf
 
 
@@ -632,19 +631,18 @@ def test_full_model_grad_check_gcn_partial_masks(layout):
     g = small_graph(n=12, seed=13)
     cfg = ModelConfig(in_dim=g.dim, hidden=8, classes=g.n_classes, experts=4,
                       layers=2, dropout=0.0, expert_layout=layout, backbone="gcn")
-    params64 = {name: arr.astype(np.float64)
-                for name, arr in init_params(cfg, RNG(6)).tensors.items()}
+    p64 = ModelParams(cfg, init_params(cfg, RNG(6)).flat.astype(np.float64))
     thresholds = np.full(g.n, 0.6)
     train_idx = g.mask_idx("train")
 
     def build():
-        fw = forward(ModelParams(cfg, params64), g, thresholds, mode="train")
+        fw = forward(p64, g, thresholds, mode="train")
         loss = fw.tape.masked_nll(fw.probs, g.labels, train_idx)
         return fw.tape, loss, fw.leaf_vars
 
-    active = forward(ModelParams(cfg, params64), g, thresholds, mode="train").trace.active_counts()
+    active = forward(p64, g, thresholds, mode="train").trace.active_counts()
     assert (active < cfg.experts).any() and (active > 1).any()
-    report = grad_check(build, params64)
+    report = grad_check(build, p64.tensors)
     assert report.max_rel_err < 1e-4, report.per_leaf
 
 
@@ -715,16 +713,21 @@ def test_evaluate_explicit_budget_has_no_entropy():
         assert evaluate(params, g, budget).entropy is None
 
 
-def test_train_forward_leaves_are_the_trainable_tensors():
-    """The features are a constant and the batch-norm running statistics are
-    read as buffers: neither is a tape leaf, so backward computes no
-    gradient for them."""
+def test_train_forward_leaves_are_every_tensor():
+    """Every store tensor is a tape leaf, in layout order; the features are a
+    constant. No op reads the batch-norm running statistics' leaves (batch
+    norm reads and writes the store), so backward gives them exact zeros."""
     g = small_graph()
     params = small_params(g, experts=3, layers=2, use_batch_norm=True)
     fw = forward(params, g, np.full(g.n, 0.7), mode="train")
-    names = [name for name in params.tensors if ".running_" not in name]
-    assert list(fw.leaf_vars) == names == [name for name, _ in params.trainable()]
+    assert list(fw.leaf_vars) == list(params.tensors)
     assert fw.tape._leaves == list(fw.leaf_vars.values())
+    fw.tape.backward(fw.tape.masked_nll(fw.probs, g.labels, g.mask_idx("train")))
+    stats = [name for name in params.tensors if ".running_" in name]
+    assert len(stats) == 4
+    for name, leaf in fw.leaf_vars.items():
+        assert leaf.grad.shape == params.tensors[name].shape
+        assert (name in stats) == (not leaf.grad.any()), name
 
 
 # ---- checkpoints ---------------------------------------------------------
@@ -838,32 +841,24 @@ def test_checkpoint_out_of_layout_order_rejected(tmp_path):
         load_checkpoint(path)
 
 
-def _reordered(t):
-    names = list(t)
-    names[2], names[3] = names[3], names[2]
-    return {name: t[name] for name in names}
-
-
-@pytest.mark.parametrize("edit, match", [
-    (_reordered, r"tensor 2: expected layer0\.expert0\.w \(8, 8\) float32, "
-                 r"found layer0\.expert0\.b \(1, 8\) float32$"),
-    (lambda t: {k: v for k, v in t.items() if k != "head.b"},
-     r"tensor 23: expected head\.b \(1, 3\) float32, found no tensor$"),
-    (lambda t: {**t, "head.c": t["head.b"]},
-     r"tensor 24: expected no tensor, found head\.c \(1, 3\) float32$"),
-    (lambda t: {**t, "head.w": t["head.w"].astype(np.float64)},
-     r"tensor 22: expected head\.w \(8, 3\) float32, found head\.w \(8, 3\) float64$"),
-    (lambda t: {**t, "embed.b": t["embed.b"].T.copy()},
-     r"tensor 1: expected embed\.b \(1, 8\) float32, found embed\.b \(8, 1\) float32$"),
-], ids=["reordered", "missing", "extra", "float64", "wrong-shape"])
-def test_save_refuses_store_off_its_layout(tmp_path, edit, match):
-    """A store that is not its config's layout is refused before the file is
-    opened, so none is left behind."""
+@pytest.mark.parametrize("edit, error, match", [
+    (lambda f: f[:-1], ValueError,
+     r"^parameter buffer has shape \(696,\); the config's layout needs \(697,\)$"),
+    (lambda f: np.append(f, f[-1]), ValueError,
+     r"^parameter buffer has shape \(698,\); the config's layout needs \(697,\)$"),
+    (lambda f: f.astype(np.float64), CheckpointError,
+     r"^store: expected float32 values, found float64$"),
+    (lambda f: f.reshape(1, -1), ValueError,
+     r"^parameter buffer has shape \(1, 697\); the config's layout needs \(697,\)$"),
+], ids=["missing", "extra", "float64", "wrong-shape"])
+def test_save_refuses_store_off_its_layout(tmp_path, edit, error, match):
+    """No store off its config's layout reaches a file: a buffer of the wrong
+    size or shape is refused when the store is built, a float64 store when it
+    is saved, before the file is opened."""
     params = small_params(small_graph())
-    bad = ModelParams(params.config, edit(params.tensors))
     path = tmp_path / "model.bin"
-    with pytest.raises(CheckpointError, match=r"^store: " + match):
-        save_checkpoint(bad, path)
+    with pytest.raises(error, match=match):
+        save_checkpoint(ModelParams(params.config, edit(params.flat)), path)
     assert not path.exists()
 
 

@@ -15,6 +15,7 @@ from d2moe.moe_core import (
     ForwardResult,
     LayerTrace,
     ModelConfig,
+    ModelParams,
     RoutingTrace,
     _param_layout,
     decays,
@@ -39,6 +40,7 @@ from d2moe.training import (
     TopK,
     TrainConfig,
     TrainingDivergence,
+    _train_step,
     adamw_step,
     clip_global_norm,
     fit,
@@ -286,67 +288,89 @@ def test_decay_rule_names():
     assert [name for name in sorted(names) if decays(name) != old_rule(name)] == []
 
 
-class _FlatParams:
-    """Minimal named-tensor container for optimizer tests."""
-
-    def __init__(self, tensors):
-        self.tensors = {k: np.asarray(v, dtype=np.float32) for k, v in tensors.items()}
+def _one_wide_params(seed=0, **kw):
+    """Width-1 embedding, one expert and one layer: 33 values (37 with batch
+    norm), every decay class among them."""
+    cfg = ModelConfig(in_dim=1, hidden=1, classes=2, experts=1, layers=1, dropout=0.0, **kw)
+    return init_params(cfg, np.random.default_rng(seed))
 
 
 def test_adamw_zero_gradient_only_decays_weights():
-    p = _FlatParams({"embed.w": [[2.0]], "embed.b": [[3.0]]})
-    cfg = TrainConfig(lr=0.1, weight_decay=0.5)
-    grads = {k: np.zeros((1, 1)) for k in p.tensors}
-    adamw_step(p, grads, AdamState(), cfg)
+    p = _one_wide_params()
+    p.tensors["embed.w"][...] = 2.0
+    p.tensors["embed.b"][...] = 3.0
+    before = p.copy()
+    adamw_step(p, np.zeros(p.flat.size), AdamState(p.flat.size),
+               TrainConfig(lr=0.1, weight_decay=0.5))
     assert p.tensors["embed.w"][0, 0] == pytest.approx(2.0 * (1 - 0.1 * 0.5), rel=1e-6)
     assert p.tensors["embed.b"][0, 0] == 3.0
+    for name, arr in p.tensors.items():
+        if decays(name):
+            np.testing.assert_allclose(arr, before.tensors[name] * (1 - 0.1 * 0.5), rtol=1e-6)
+        else:
+            assert arr.tobytes() == before.tensors[name].tobytes(), name
 
 
 def test_adamw_descends_quadratic():
-    p = _FlatParams({"head.w": [[10.0]]})
+    p = _one_wide_params()
+    p.flat[:] = 10.0
     cfg = TrainConfig(lr=0.2, weight_decay=0.0)
-    state = AdamState()
+    state = AdamState(p.flat.size)
     for _ in range(300):
-        w = float(p.tensors["head.w"][0, 0])
-        adamw_step(p, {"head.w": np.array([[2.0 * (w - 3.0)]])}, state, cfg)
-    assert p.tensors["head.w"][0, 0] == pytest.approx(3.0, abs=1e-3)
+        adamw_step(p, 2.0 * (p.flat.astype(np.float64) - 3.0), state, cfg)
+    np.testing.assert_allclose(p.flat, 3.0, atol=1e-3)
 
 
 def test_adamw_matches_scalar_replica():
     """Ten steps against an independent scalar AdamW with the same float32
-    parameter storage and float64 moments."""
+    parameter storage and float64 moments, element by element."""
     cfg = TrainConfig(lr=0.05, weight_decay=0.3)
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-    p = _FlatParams({"embed.w": [[1.5]], "embed.b": [[-0.5]]})
-    state = AdamState()
+    p = _one_wide_params(use_batch_norm=True)
+    state = AdamState(p.flat.size)
 
-    ref = {"embed.w": np.float32(1.5), "embed.b": np.float32(-0.5)}
-    m = {k: 0.0 for k in ref}
-    v = {k: 0.0 for k in ref}
+    decayed = [decays(name) for name, arr in p.tensors.items() for _ in range(arr.size)]
+    assert any(decayed) and not all(decayed)
+    ref = [np.float32(x) for x in p.flat]
+    m = [0.0] * len(ref)
+    v = [0.0] * len(ref)
     rng = np.random.default_rng(11)
     for t in range(1, 11):
-        grads = {k: np.array([[rng.standard_normal()]]) for k in ref}
-        adamw_step(p, grads, state, cfg)
-        for k in ref:
-            g = float(grads[k][0, 0])
-            m[k] = b1 * m[k] + (1 - b1) * g
-            v[k] = b2 * v[k] + (1 - b2) * g * g
-            mhat = m[k] / (1 - b1 ** t)
-            vhat = v[k] / (1 - b2 ** t)
-            x = float(ref[k])
-            if k == "embed.w":
+        grad = rng.standard_normal(p.flat.size)
+        adamw_step(p, grad, state, cfg)
+        for i, g in enumerate(grad.tolist()):
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * g * g
+            mhat = m[i] / (1 - b1 ** t)
+            vhat = v[i] / (1 - b2 ** t)
+            x = float(ref[i])
+            if decayed[i]:
                 x *= 1 - cfg.lr * cfg.weight_decay
             x -= cfg.lr * mhat / (np.sqrt(vhat) + eps)
-            ref[k] = np.float32(x)
-    for k in ref:
-        assert abs(float(p.tensors[k][0, 0]) - float(ref[k])) < 1e-10, k
+            ref[i] = np.float32(x)
+    for i, x in enumerate(ref):
+        assert abs(float(p.flat[i]) - float(x)) < 1e-10, i
 
 
-def test_adamw_skips_tensors_without_gradients():
-    p = _FlatParams({"layer0.norm.running_mean": [[5.0]], "head.w": [[1.0]]})
-    adamw_step(p, {"head.w": np.array([[1.0]])}, AdamState(), TrainConfig(lr=0.1))
-    assert p.tensors["layer0.norm.running_mean"][0, 0] == 5.0
-    assert p.tensors["head.w"][0, 0] != 1.0
+def test_adamw_zero_gradient_keeps_running_stats_bit_exact():
+    """The running statistics take a zero gradient and no decay: their Adam
+    update is 0 and their factor 1.0, so each keeps every bit while the
+    values beside them move."""
+    p = _one_wide_params(use_batch_norm=True)
+    stats = [name for name in p.tensors if ".running_" in name]
+    for name in stats:
+        p.tensors[name][...] = np.float32(5.0) / 3
+    before = p.copy()
+    state, cfg = AdamState(p.flat.size), TrainConfig(lr=0.1, weight_decay=0.5)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        grad = ModelParams(p.config, rng.standard_normal(p.flat.size))
+        for name in stats:
+            grad.tensors[name][...] = 0.0
+        adamw_step(p, grad.flat, state, cfg)
+    for name in stats:
+        assert p.tensors[name].tobytes() == before.tensors[name].tobytes(), name
+    assert p.tensors["head.w"].tobytes() != before.tensors["head.w"].tobytes()
 
 
 def test_clip_global_norm_scales_jointly():
@@ -808,6 +832,53 @@ def test_fit_divergence_raises():
         fit(g, _model_cfg(dropout=0.0), TrainConfig(max_epochs=10, seed=0, lr=1e40))
     assert err.value.epoch == 0
     assert "non-finite class probabilities" in str(err.value)
+
+
+def test_non_finite_gradient_raises_before_parameters_move(monkeypatch):
+    """An inf in one leaf gradient is neither clipped into NaN nor applied:
+    the step raises naming that tensor, with every parameter unchanged."""
+    g = _sbm_graph(n=60, seed=7)
+    params = init_params(_model_cfg(dropout=0.0), np.random.default_rng(0))
+    poisoned = list(params.tensors).index("layer0.router.w1")
+    backward = Tape.backward
+
+    def backward_with_inf(tape, out):
+        backward(tape, out)
+        tape._leaves[poisoned].grad[0, 0] = np.inf
+
+    monkeypatch.setattr(Tape, "backward", backward_with_inf)
+    before = params.copy()
+    with pytest.raises(TrainingDivergence,
+                       match=r"^epoch 3: gradient norm inf; non-finite gradients: "
+                             r"layer0\.router\.w1$"):
+        _train_step(params, g, np.ones(g.n), np.random.default_rng(1), 1e-4, 1e-3,
+                    AdamState(params.flat.size), TrainConfig(), epoch=3)
+    assert params.flat.tobytes() == before.flat.tobytes()
+
+
+def test_batch_norm_train_step_keeps_running_stats_as_written(monkeypatch):
+    """After each epoch's AdamW step the running statistics hold exactly the
+    bytes the train-mode ``Tape.batchnorm`` wrote into the store."""
+    layers = 2
+    written = []
+    batchnorm = Tape.batchnorm
+
+    def recorded(tape, x, gamma, beta, running_mean, running_var):
+        out = batchnorm(tape, x, gamma, beta, running_mean, running_var)
+        if tape.recording:
+            written.append(running_mean.tobytes() + running_var.tobytes())
+        return out
+
+    def check(epoch, params, **_):
+        for l in range(layers):
+            stats = (params.tensors[f"layer{l}.norm.running_mean"].tobytes()
+                     + params.tensors[f"layer{l}.norm.running_var"].tobytes())
+            assert stats == written[epoch * layers + l], (epoch, l)
+
+    monkeypatch.setattr(Tape, "batchnorm", recorded)
+    fit(_sbm_graph(n=60, seed=7), _model_cfg(use_batch_norm=True, layers=layers),
+        TrainConfig(max_epochs=4, seed=2), epoch_hook=check)
+    assert len(written) == 4 * layers
 
 
 def test_fit_rejects_bad_inputs():

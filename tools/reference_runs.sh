@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Same-bytes check: train five reference models from the source in REPO, score
-# each with `eval`, and print the sha256 of the 15 outputs (checkpoint.bin,
+# Same-bytes check: train six reference models from the source in REPO, score
+# each with `eval`, and print the sha256 of the 18 outputs (checkpoint.bin,
 # metrics.jsonl and nodes.csv per run), one line each. Two trees that write the
 # same bytes print the same lines:
 #
@@ -39,8 +39,9 @@ run sage_half_half_bn --backbone sage --expert-layout half_half --batch-norm
 run strict_bn --strict-proxy --batch-norm
 run static_topk2 --variant static_topk --k 2
 run no_dropout_bn --dropout 0 --batch-norm
+run no_decay_3layer --weight-decay 0 --layers 3
 
 cd "$out"
-for name in plain sage_half_half_bn strict_bn static_topk2 no_dropout_bn; do
+for name in plain sage_half_half_bn strict_bn static_topk2 no_dropout_bn no_decay_3layer; do
     sha256sum "$name/checkpoint.bin" "$name/metrics.jsonl" "$name/nodes.csv"
 done
