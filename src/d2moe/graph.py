@@ -293,7 +293,11 @@ def write_graph(g: Graph, out_dir) -> None:
         (out / name).write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
 
 
-def load_graph(edges_path, features_path, labels_path, masks_path=None) -> Graph:
+def load_graph_dir(graph_dir) -> Graph:
+    """The graph ``write_graph`` wrote into ``graph_dir`` (masks file optional)."""
+    d = Path(graph_dir)
+    features_path, labels_path, edges_path, masks_path = (
+        d / FEATURES_FILE, d / LABELS_FILE, d / EDGES_FILE, d / MASKS_FILE)
     with warnings.catch_warnings():  # an edge file may hold only its header
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         features = _read_table(features_path, _FEATURES)
@@ -306,15 +310,8 @@ def load_graph(edges_path, features_path, labels_path, masks_path=None) -> Graph
         _reject_rows(edges_path, _EDGES, ((edges < 0) | (edges >= n)).any(axis=1),
                      f"node index out of range [0, {n}) in")
         masks = None
-        if masks_path is not None:
+        if masks_path.exists():
             tokens = _read_table(masks_path, _MASKS, rows=n)[:, 0]
             _reject_rows(masks_path, _MASKS, ~np.isin(tokens, _MASK_TOKENS), _MASKS.bad)
             masks = tuple(tokens == name for name in ("train", "val", "test"))
     return build_graph(edges, features, labels, masks=masks)
-
-
-def load_graph_dir(graph_dir) -> Graph:
-    d = Path(graph_dir)
-    masks = d / MASKS_FILE
-    return load_graph(d / EDGES_FILE, d / FEATURES_FILE, d / LABELS_FILE,
-                      masks if masks.exists() else None)

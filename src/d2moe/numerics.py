@@ -305,8 +305,10 @@ class Tape:
         m = mask.astype(np.float64)
         kept = pi.value * m
         s = kept.sum(axis=1, keepdims=True)
-        if np.any(s <= 0.0):
-            raise ValueError("mix_experts: selected mass is zero in some row")
+        bad = np.flatnonzero(~(s > 0.0))
+        if bad.size:
+            raise ValueError(f"mix_experts: selected mass is zero, negative or NaN in "
+                             f"{bad.size} rows (first row {bad[0]}: {s[bad[0], 0]})")
         p = kept / s
         pair_expert, pair_row = np.nonzero(mask.T)
         bounds = np.searchsorted(pair_expert, np.arange(len(experts) + 1))

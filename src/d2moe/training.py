@@ -44,8 +44,8 @@ ADAM_BLOCK = 16384   # elements per slice of adamw_step's pass over the store
 
 
 class TrainingDivergence(RuntimeError):
-    """The objective, the gradient norm or the scoring pass's class
-    probabilities went non-finite; carries the failing epoch."""
+    """The objective, the gradient norm or the scoring pass (its mixing mass
+    or class probabilities) went non-finite; carries the failing epoch."""
 
     def __init__(self, epoch: int, message: str):
         super().__init__(f"epoch {epoch}: {message}")
@@ -265,14 +265,11 @@ class TrainState:
 
 
 def _epoch_budget(variant: Variant, epoch: int, entropy: np.ndarray | None,
-                  cfg: ModelConfig, n: int, routing_rng: np.random.Generator,
-                  threshold_override: np.ndarray | None):
-    """The budget ``forward`` runs under at ``epoch``: the override if given;
-    a TopK variant itself at every epoch; otherwise the epoch-0 cold start
+                  cfg: ModelConfig, n: int, routing_rng: np.random.Generator):
+    """The budget ``forward`` runs under at ``epoch``, read off the variant: a
+    TopK variant itself at every epoch; otherwise the epoch-0 cold start
     (every threshold 1, full activation), then the variant's thresholds from
     last epoch's entropies. Checking the budget is left to ``forward``."""
-    if threshold_override is not None:
-        return threshold_override
     if isinstance(variant, TopK):
         return variant
     if epoch == 0:
@@ -324,14 +321,11 @@ def seed_streams(seed: int) -> list[np.random.SeedSequence]:
 
 def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
         variant: Variant = Full(),
-        threshold_override: np.ndarray | None = None,
         epoch_hook: Callable[..., None] | None = None) -> TrainState:
-    """Train on the graph's train mask, early-stopping on validation accuracy.
-
-    ``threshold_override`` is a diagnostic: a fixed per-node threshold vector
-    applied at every epoch in place of any budget rule. ``epoch_hook`` (if
-    given) is called after each epoch with keyword arguments (epoch, budget,
-    prev_entropy, report, params).
+    """Train on the graph's train mask under the variant's budgets,
+    early-stopping on validation accuracy once ``patience`` epochs in a row
+    have not beaten the best. ``epoch_hook`` (if given) is called after each
+    epoch with keyword arguments (epoch, budget, prev_entropy, report, params).
     """
     if not g.train_mask.any():
         raise ValueError("fit: graph has no training nodes")
@@ -350,14 +344,10 @@ def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
     entropy: np.ndarray | None = None
     history: list[EpochReport] = []
     best_params: ModelParams | None = None
-    best_val = -np.inf
     best_epoch = -1
-    bad_epochs = 0
-    stopped_early = False
 
     for epoch in range(config.max_epochs):
-        budget = _epoch_budget(variant, epoch, entropy, model_config, g.n,
-                               routing_rng, threshold_override)
+        budget = _epoch_budget(variant, epoch, entropy, model_config, g.n, routing_rng)
         prev_entropy = entropy
 
         breakdown, train_probs, trace = _train_step(
@@ -384,22 +374,17 @@ def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
             epoch_hook(epoch=epoch, budget=budget, prev_entropy=prev_entropy,
                        report=report, params=params)
 
-        if report.acc_val > best_val:
-            best_val = report.acc_val
+        if best_epoch < 0 or report.acc_val > history[best_epoch].acc_val:
             best_epoch = epoch
             best_params = params.copy()
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= config.patience:
-                stopped_early = True
-                log.info("early stop at epoch %d (best val %.4f at epoch %d)",
-                         epoch, best_val, best_epoch)
-                break
+        elif epoch - best_epoch >= config.patience:
+            log.info("early stop at epoch %d (best val %.4f at epoch %d)",
+                     epoch, history[best_epoch].acc_val, best_epoch)
+            break
 
     return TrainState(params=best_params, final_params=params, best_epoch=best_epoch,
-                      best_val_acc=float(best_val), history=history,
-                      stopped_early=stopped_early)
+                      best_val_acc=float(history[best_epoch].acc_val), history=history,
+                      stopped_early=len(history) - 1 - best_epoch >= config.patience)
 
 
 def write_metrics(history: list[EpochReport], path) -> None:

@@ -572,6 +572,17 @@ def test_forward_and_evaluate_reject_non_finite_thresholds(bad):
         evaluate(params, g, np.full(g.n, bad))
 
 
+def test_forward_and_evaluate_reject_wrong_shape_thresholds():
+    g = small_graph()
+    params = small_params(g, experts=4, layers=1)
+    for mode in ("train", "eval"):
+        with pytest.raises(ValueError, match=rf"^threshold vector must have shape \({g.n},\), "
+                                             r"got \(3,\)$"):
+            forward(params, g, np.ones(3), mode=mode)
+    with pytest.raises(ValueError, match="threshold vector must have shape"):
+        evaluate(params, g, np.ones((g.n, 1)))
+
+
 def test_forward_train_needs_rng_with_dropout():
     g = small_graph()
     params = small_params(g, dropout=0.5)
@@ -683,12 +694,14 @@ def test_evaluate_rejects_non_finite_probabilities(budget):
 
 
 def test_evaluate_rejects_nan_hidden_activation():
-    """A NaN in ``embed.b`` reaches the class probabilities: relu does not
-    zero it, so ``evaluate`` raises instead of scoring finite probabilities."""
+    """A NaN in ``embed.b`` is not zeroed by relu: it makes every router
+    score row NaN, so the mixture step raises, naming row 0, before any
+    class probability is scored."""
     g = small_graph(n=25, seed=15)
     params = small_params(g, experts=4, layers=1, seed=7)
     params.tensors["embed.b"][0, 0] = np.nan
-    with pytest.raises(ValueError, match="non-finite class probabilities"):
+    with pytest.raises(ValueError, match=r"^mix_experts: selected mass is zero, negative "
+                                         r"or NaN in 25 rows \(first row 0: nan\)$"):
         evaluate(params, g)
 
 

@@ -473,6 +473,18 @@ def test_mix_experts_zero_mass_guarded():
                       Const(np.zeros((1, 1))))
 
 
+def test_mix_experts_rejects_nan_mass():
+    """A NaN router score fails the selected-mass check (``NaN <= 0`` is
+    False), naming the first bad row, instead of mixing a NaN output row."""
+    t = Tape()
+    x, w, b = t.leaf(np.ones((3, 1))), t.leaf(np.ones((1, 1))), t.leaf(np.zeros((1, 1)))
+    pi = t.leaf([[0.5, 0.5], [np.nan, 1.0], [np.nan, np.nan]])
+    with pytest.raises(ValueError, match=r"^mix_experts: selected mass is zero, negative or "
+                                         r"NaN in 2 rows \(first row 1: nan\)$"):
+        t.mix_experts([([(x, w)], b)] * 2, pi, np.ones((3, 2), bool),
+                      Const(np.zeros((3, 1))))
+
+
 def test_mix_experts_shape_errors():
     t = Tape()
     leaf = lambda r, c: t.leaf(np.ones((r, c)))

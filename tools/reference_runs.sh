@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Same-bytes check: train six reference models from the source in REPO, score
-# each with `eval`, and print the sha256 of the 18 outputs (checkpoint.bin,
+# Same-bytes check: train eight reference models from the source in REPO, score
+# each with `eval`, and print the sha256 of the 24 outputs (checkpoint.bin,
 # metrics.jsonl and nodes.csv per run), one line each. Two trees that write the
 # same bytes print the same lines:
 #
@@ -9,7 +9,7 @@
 #   diff parent.sha change.sha
 #
 # Runs under one OpenBLAS thread, so the bytes do not depend on the machine's
-# core count. Takes about 15 s on a 2-core machine.
+# core count. Takes about 20 s on a 2-core machine.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -40,8 +40,11 @@ run strict_bn --strict-proxy --batch-norm
 run static_topk2 --variant static_topk --k 2
 run no_dropout_bn --dropout 0 --batch-norm
 run no_decay_3layer --weight-decay 0 --layers 3
+run random_topp --variant random_topp
+run early_stop --epochs 80 --patience 5  # stops after 19 epochs, best epoch 13
 
 cd "$out"
-for name in plain sage_half_half_bn strict_bn static_topk2 no_dropout_bn no_decay_3layer; do
+for name in plain sage_half_half_bn strict_bn static_topk2 no_dropout_bn no_decay_3layer \
+        random_topp early_stop; do
     sha256sum "$name/checkpoint.bin" "$name/metrics.jsonl" "$name/nodes.csv"
 done
