@@ -21,16 +21,15 @@ its leaves, so a value lives exactly while its Var is held or some recorded
 backward reads it: a step output that no backward reads, such as a mixture
 output relu consumed, is freed as soon as the forward drops it, and nothing
 is released when backward runs. ``backward`` replays the steps in reverse,
-allocating each gradient at its first contribution and skipping steps whose
-output the seed never reached. Every gradient array has one owner: a slot
-adopts the first contribution it gets, and a step hands its output gradient
-on uncopied at most once. Only leaves keep their gradients: a step's output
-gradient is released as soon as the step has run. Leaves left without a
-gradient get exact zeros, and running it twice gives bit-identical results,
-because each backward still holds every array it reads. A tape built with
-``record=False`` (the model's eval mode) records nothing; it cannot run
-``backward``, ``dropout`` is the identity on it and ``batchnorm`` uses the
-running statistics.
+skipping those whose output the seed never reached, into one zeroed vector it
+returns: each leaf's slot is a view of the leaf's slice, so a leaf the seed
+never reaches keeps exact zeros. Every other gradient array has one owner: a
+slot adopts its first contribution, a step hands its output gradient on
+uncopied at most once and releases it once the step has run. Running it twice
+gives bit-identical results, as each backward holds every array it reads. A
+tape built with ``record=False`` (the model's eval mode) records nothing; it
+cannot run ``backward``, ``dropout`` is the identity on it and ``batchnorm``
+uses the running statistics.
 
 Parameters live in float32 elsewhere in the package; ``Tape.leaf`` upcasts to
 float64 so finite-difference probes at step FD_STEP are not quantized away.
@@ -132,9 +131,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def _accum(slot: _Slot | None, g: np.ndarray) -> None:
     """Add a gradient contribution to a Var's ``slot``; one to a ``Const``
-    (slot None) is dropped. The first contribution becomes the buffer itself,
-    so ``g`` must be a writable array no other slot holds: a fresh result, or
-    an output gradient handed on once."""
+    (slot None) is dropped. A leaf's slot holds its view of backward's vector;
+    any other slot adopts its first contribution as its buffer, so ``g`` must
+    be a writable array no other slot holds: a fresh result, or an output
+    gradient handed on once."""
     if slot is None:
         return
     if slot.grad is None:
@@ -150,8 +150,8 @@ class Tape:
     backward that consumes it, and a list of its leaves; it keeps no step's
     output Var, so a value lives while its Var is held or a recorded backward
     reads its array, and no release pass runs. Backward seeds the chosen
-    scalar with 1 and accumulates into the slots in reverse recording order;
-    leaves the seed never reaches get exact-zero gradients. A tape built with
+    scalar with 1 and accumulates in reverse recording order; the leaves'
+    gradients are views of the one zeroed vector it returns. A tape built with
     ``record=False`` keeps neither: each op only computes its value, so an
     intermediate is freed as soon as the caller drops it, ``backward`` raises,
     ``dropout`` returns its input and ``batchnorm`` reads the running
@@ -461,36 +461,35 @@ class Tape:
 
     # ---- reverse pass ----------------------------------------------------
 
-    def backward(self, out: Var) -> None:
-        """Populate ``.grad`` for every leaf of this tape, seeding ``out``
-        (a (1,1) scalar) with 1. Safe to call repeatedly; each call discards
-        the previous gradients and replays identically, as every recorded
-        backward still holds the arrays it reads.
-
-        Gradient buffers are allocated lazily: a step runs only if its output
-        slot received a gradient, and a slot's first contribution becomes its
-        buffer. Only leaves keep a gradient: a step's output gradient is
-        released once the step has run, as reverse recording order means every
-        contribution to it has arrived by then, so every other Var ends with
-        ``grad`` None. Leaves the seed does not reach get exact zeros at the
-        end. No value is touched, so an output the caller holds keeps it.
-        Raises ValueError on a tape built with ``record=False``."""
+    def backward(self, out: Var) -> np.ndarray:
+        """Seed ``out`` (a (1,1) scalar) with 1 and return the gradients of
+        this tape's leaves, raveled in registration order, as one float64
+        vector that starts at zero; each leaf's ``.grad`` is its (rows, cols)
+        view of it, so a leaf the seed does not reach keeps exact zeros. A
+        step runs only if its output slot received a gradient, and a non-leaf
+        slot's first contribution becomes its buffer. A step's output gradient
+        is released once the step has run, as reverse recording order means
+        every contribution to it has arrived by then, so every Var but the
+        leaves ends with ``grad`` None. No value is touched. Safe to call
+        repeatedly: each call returns a fresh vector and replays identically,
+        as every recorded backward still holds the arrays it reads. Raises
+        ValueError on a tape built with ``record=False``."""
         if not self.recording:
             raise ValueError("backward: this tape recorded no steps (built with record=False)")
         if out.shape != (1, 1):
             raise ShapeError(f"backward seed must be a (1,1) scalar, got {out.shape}")
-        for v in self._leaves:
-            v.grad = None
         for slot, _ in self._steps:
             slot.grad = None
-        out.grad = np.ones_like(out.value)
+        sizes = [v.value.size for v in self._leaves]
+        grad = np.zeros(sum(sizes))
+        for v, part in zip(self._leaves, np.split(grad, np.cumsum(sizes)[:-1])):
+            v.grad = part.reshape(v.shape)
+        _accum(out._slot, np.ones_like(out.value))
         for slot, back in reversed(self._steps):
             if slot.grad is not None:
                 back(slot.grad)
                 slot.grad = None
-        for v in self._leaves:
-            if v.grad is None:
-                v.grad = np.zeros_like(v.value)
+        return grad
 
 
 # ---- finite-difference checking -----------------------------------------

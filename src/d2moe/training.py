@@ -44,8 +44,9 @@ ADAM_BLOCK = 16384   # elements per slice of adamw_step's pass over the store
 
 
 class TrainingDivergence(RuntimeError):
-    """The objective, the gradient norm or the scoring pass (its mixing mass
-    or class probabilities) went non-finite; carries the failing epoch."""
+    """The objective, the gradient norm or a pass of an epoch after the first
+    parameter update went non-finite; carries the failing epoch. Before that
+    update the inputs are at fault, and ``fit`` re-raises their ValueError."""
 
     def __init__(self, epoch: int, message: str):
         super().__init__(f"epoch {epoch}: {message}")
@@ -190,15 +191,14 @@ class AdamState:
         self.m, self.v = np.zeros(size), np.zeros(size)
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so their joint L2 norm is at most
-    max_norm; returns the pre-clip norm. A non-finite norm scales nothing."""
-    total = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
+def clip_global_norm(grad: np.ndarray, max_norm: float) -> float:
+    """Scale the gradient vector in place so its L2 norm is at most max_norm;
+    returns the pre-clip norm, summed by numpy (BLAS ``dot``'s order may vary
+    with the thread count). A non-finite norm scales nothing."""
+    total = math.sqrt((grad * grad).sum())
     if max_norm > 0.0 and math.isfinite(total) and total > max_norm:
-        factor = max_norm / total
-        for g in grads.values():
-            g *= factor
-    return float(total)
+        grad *= max_norm / total
+    return total
 
 
 def adamw_step(params: ModelParams, grad: np.ndarray, state: AdamState,
@@ -292,7 +292,7 @@ def _train_step(params: ModelParams, g: Graph, budget, dropout_rng: np.random.Ge
                 lam1: float, lam2: float, adam: AdamState, config: TrainConfig,
                 epoch: int) -> tuple[LossBreakdown, np.ndarray, RoutingTrace]:
     """Phases 2 and 3 of an epoch: a train-mode forward and one AdamW step on
-    the regularized objective, its gradients clipped to norm GRAD_CLIP; a
+    the regularized objective, whose gradient vector is clipped to GRAD_CLIP; a
     non-finite objective or gradient norm raises TrainingDivergence first.
     Returns the loss breakdown, the train-mode class probabilities and the
     routing trace; the tape is freed when this returns."""
@@ -303,13 +303,12 @@ def _train_step(params: ModelParams, g: Graph, budget, dropout_rng: np.random.Ge
             epoch, f"non-finite objective (task={breakdown.task}, "
                    f"re={breakdown.routing_entropy}, lb={breakdown.load_balance})")
 
-    fw.tape.backward(total_var)
-    grads = {name: leaf.grad for name, leaf in fw.leaf_vars.items()}
-    norm = clip_global_norm(grads, GRAD_CLIP)
+    grad = fw.tape.backward(total_var)
+    norm = clip_global_norm(grad, GRAD_CLIP)
     if not math.isfinite(norm):
-        bad = ", ".join(name for name, g in grads.items() if not np.isfinite(g).all())
+        bad = ", ".join(n for n, v in fw.leaf_vars.items() if not np.isfinite(v.grad).all())
         raise TrainingDivergence(epoch, f"gradient norm {norm}; non-finite gradients: {bad}")
-    adamw_step(params, np.concatenate([g.ravel() for g in grads.values()]), adam, config)
+    adamw_step(params, grad, adam, config)
     return breakdown, fw.probs.value, fw.trace
 
 
@@ -350,13 +349,15 @@ def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
         budget = _epoch_budget(variant, epoch, entropy, model_config, g.n, routing_rng)
         prev_entropy = entropy
 
-        breakdown, train_probs, trace = _train_step(
-            params, g, budget, dropout_rng, lam1, lam2, adam, config, epoch)
         try:
+            breakdown, train_probs, trace = _train_step(
+                params, g, budget, dropout_rng, lam1, lam2, adam, config, epoch)
             scored = evaluate(params, g, budget)
+            entropy = predictive_entropy(scored.probs if config.strict_proxy else train_probs)
         except ValueError as err:
+            if adam.step == 0:
+                raise
             raise TrainingDivergence(epoch, str(err)) from None
-        entropy = predictive_entropy(scored.probs if config.strict_proxy else train_probs)
         report = EpochReport(
             epoch=epoch,
             loss_task=breakdown.task,

@@ -905,7 +905,10 @@ def test_untouched_leaf_gets_exact_zero_grad():
     side_w = t.leaf(np.ones((3, 5)))
     side = t.relu(t.matmul(used, side_w))  # recorded, never reaches the seed
     out = weighted_colsum(t, used, np.array([1.0, -2.0, 0.5]))
-    t.backward(out)
+    grad = t.backward(out)
+    leaves = (used, unused, side_w)
+    np.testing.assert_array_equal(grad, np.concatenate([v.grad.ravel() for v in leaves]))
+    assert all(np.shares_memory(v.grad, grad) for v in leaves)
     assert np.all(unused.grad == 0.0)
     assert side_w.grad.shape == (3, 5)
     assert side_w.grad.dtype == np.float64

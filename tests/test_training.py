@@ -374,19 +374,18 @@ def test_adamw_zero_gradient_keeps_running_stats_bit_exact():
 
 
 def test_clip_global_norm_scales_jointly():
-    grads = {"a": np.array([[3.0]]), "b": np.array([[4.0]])}
-    pre = clip_global_norm(grads, 1.0)
+    grad = np.array([3.0, 4.0])
+    pre = clip_global_norm(grad, 1.0)
     assert pre == pytest.approx(5.0)
-    total = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
-    assert total == pytest.approx(1.0, rel=1e-12)
-    assert grads["a"][0, 0] == pytest.approx(0.6)
+    assert np.sqrt((grad ** 2).sum()) == pytest.approx(1.0, rel=1e-12)
+    assert grad[0] == pytest.approx(0.6)
 
 
 def test_clip_global_norm_below_threshold_untouched():
-    grads = {"a": np.array([[0.3, 0.4]])}
-    pre = clip_global_norm(grads, 5.0)
+    grad = np.array([0.3, 0.4])
+    pre = clip_global_norm(grad, 5.0)
     assert pre == pytest.approx(0.5)
-    assert np.array_equal(grads["a"], np.array([[0.3, 0.4]]))
+    assert np.array_equal(grad, np.array([0.3, 0.4]))
 
 
 # ---- variants and config -------------------------------------------------
@@ -839,8 +838,9 @@ def test_non_finite_gradient_raises_before_parameters_move(monkeypatch):
     backward = Tape.backward
 
     def backward_with_inf(tape, out):
-        backward(tape, out)
+        grad = backward(tape, out)
         tape._leaves[poisoned].grad[0, 0] = np.inf
+        return grad
 
     monkeypatch.setattr(Tape, "backward", backward_with_inf)
     before = params.copy()
@@ -850,6 +850,22 @@ def test_non_finite_gradient_raises_before_parameters_move(monkeypatch):
         _train_step(params, g, np.ones(g.n), np.random.default_rng(1), 1e-4, 1e-3,
                     AdamState(params.flat.size), TrainConfig(), epoch=3)
     assert params.flat.tobytes() == before.flat.tobytes()
+
+
+def test_nan_reaching_train_forward_raises_divergence():
+    """A NaN planted in a router weight after the first update reaches the
+    next epoch's train forward, whose first mixture step raises: a
+    divergence at that epoch, not a bare ValueError."""
+    def poison(epoch, params, **_):
+        if epoch == 0:
+            params.tensors["layer0.router.w2"][0, 0] = np.nan
+
+    g = _sbm_graph(n=60, seed=7)
+    with pytest.raises(TrainingDivergence) as err:
+        fit(g, _model_cfg(dropout=0.0), TrainConfig(max_epochs=3, seed=0), epoch_hook=poison)
+    assert err.value.epoch == 1
+    assert str(err.value).startswith("epoch 1: mix_experts: selected mass is zero, "
+                                     "negative or NaN in 60 rows")
 
 
 def test_batch_norm_train_step_keeps_running_stats_as_written(monkeypatch):
