@@ -37,6 +37,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -118,68 +119,66 @@ _EXPERT_WEIGHTS = {
     ExpertKind.SAGE_MEAN_ONE_HOP: ("w_self", "w_nbr"),
 }
 
-_DECAYED_WEIGHTS = frozenset({"w"}).union(*_EXPERT_WEIGHTS.values())
-
-
-def decays(name: str) -> bool:
-    """Weight decay applies to the embedding's, head's and experts' weight
-    matrices (``_EXPERT_WEIGHTS``); biases, router and norm are exempt."""
-    return name.rsplit(".", 1)[-1] in _DECAYED_WEIGHTS
-
 
 @dataclass
 class ModelParams:
     """One float32 buffer (float64 to probe gradients) and, in layout order,
     its (rows, cols) views by name: ``embed.*``, ``layer{l}.expert{i}.*``,
     ``layer{l}.router.*``, ``layer{l}.norm.*`` (batch norm only) and
-    ``head.*``. A buffer of the wrong shape raises ValueError."""
+    ``head.*``. The name map and ``decayed`` (the layout's decay flag per
+    value) are read-only. A buffer of the wrong shape raises ValueError."""
 
     config: ModelConfig
     flat: np.ndarray
-    tensors: dict[str, np.ndarray] = field(init=False, repr=False)
+    tensors: MappingProxyType = field(init=False, repr=False)
+    decayed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         layout = list(_param_layout(self.config))
-        ends = np.cumsum([rows * cols for _, (rows, cols), _ in layout])
+        sizes = [rows * cols for _, (rows, cols), _, _ in layout]
+        ends = np.cumsum(sizes)
         if self.flat.shape != (ends[-1],):
             raise ValueError(f"parameter buffer has shape {self.flat.shape}; "
                              f"the config's layout needs ({ends[-1]},)")
-        self.tensors = {name: part.reshape(shape) for (name, shape, _), part
-                        in zip(layout, np.split(self.flat, ends[:-1]))}
+        self.tensors = MappingProxyType({name: part.reshape(shape) for (name, shape, _, _), part
+                                         in zip(layout, np.split(self.flat, ends[:-1]))})
+        self.decayed = np.repeat([decays for *_, decays in layout], sizes)
+        self.decayed.flags.writeable = False
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, self.flat.copy())
 
 
 def _param_layout(config: ModelConfig):
-    """Yield (name, (rows, cols), fill) for every tensor in store order; fill
-    is the constant a tensor starts at, or None for a Glorot draw. A
+    """Yield (name, (rows, cols), fill, decays) for every tensor in store
+    order; fill is the constant a tensor starts at, or None for a Glorot draw;
+    weight decay applies to the embedding, expert and head weights only. A
     generator, so a reader can stop before a huge header is fully walked."""
     h, r, k, c = config.hidden, config.router_width, config.experts, config.classes
-    yield "embed.w", (config.in_dim, h), None
-    yield "embed.b", (1, h), 0.0
+    yield "embed.w", (config.in_dim, h), None, True
+    yield "embed.b", (1, h), 0.0, False
     for l in range(config.layers):
         for i in range(k):
             for suffix in _EXPERT_WEIGHTS[config.expert_kind(i)]:
-                yield f"layer{l}.expert{i}.{suffix}", (h, h), None
-            yield f"layer{l}.expert{i}.b", (1, h), 0.0
-        yield f"layer{l}.router.w1", (h, r), None
-        yield f"layer{l}.router.b1", (1, r), 0.0
-        yield f"layer{l}.router.w2", (r, k), None
-        yield f"layer{l}.router.b2", (1, k), 0.0
+                yield f"layer{l}.expert{i}.{suffix}", (h, h), None, True
+            yield f"layer{l}.expert{i}.b", (1, h), 0.0, False
+        yield f"layer{l}.router.w1", (h, r), None, False
+        yield f"layer{l}.router.b1", (1, r), 0.0, False
+        yield f"layer{l}.router.w2", (r, k), None, False
+        yield f"layer{l}.router.b2", (1, k), 0.0, False
         if config.use_batch_norm:
-            yield f"layer{l}.norm.gamma", (1, h), 1.0
-            yield f"layer{l}.norm.beta", (1, h), 0.0
-            yield f"layer{l}.norm.running_mean", (1, h), 0.0
-            yield f"layer{l}.norm.running_var", (1, h), 1.0
-    yield "head.w", (h, c), None
-    yield "head.b", (1, c), 0.0
+            yield f"layer{l}.norm.gamma", (1, h), 1.0, False
+            yield f"layer{l}.norm.beta", (1, h), 0.0, False
+            yield f"layer{l}.norm.running_mean", (1, h), 0.0, False
+            yield f"layer{l}.norm.running_var", (1, h), 1.0, False
+    yield "head.w", (h, c), None, True
+    yield "head.b", (1, c), 0.0, False
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     return ModelParams(config, np.concatenate([
         (_glorot(rng, *shape) if fill is None else np.full(shape, fill, np.float32)).ravel()
-        for name, shape, fill in _param_layout(config)]))
+        for _, shape, fill, _ in _param_layout(config)]))
 
 
 # ---- difficulty -> budget ------------------------------------------------
@@ -509,7 +508,7 @@ def load_checkpoint(path) -> ModelParams:
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         chunks = []
-        for i, (name, shape, _) in enumerate(_param_layout(cfg)):
+        for i, (name, shape, _, _) in enumerate(_param_layout(cfg)):
             left -= 2 + len(name) + 8 + 4 * shape[0] * shape[1]
             if left < 0:
                 raise CheckpointError(f"{path}: truncated checkpoint: its config needs "

@@ -25,7 +25,6 @@ from .moe_core import (
     ModelParams,
     RoutingTrace,
     TopK,
-    decays,
     evaluate,
     forward,
     init_params,
@@ -40,7 +39,9 @@ ADAM_BETA1 = 0.9     # first-moment decay
 ADAM_BETA2 = 0.999   # second-moment decay
 ADAM_EPS = 1e-8      # added to the root of the second moment
 GRAD_CLIP = 5.0      # bound on the global gradient L2 norm per step
-ADAM_BLOCK = 16384   # elements per slice of adamw_step's pass over the store
+# adamw_step's slice length: one pass over a large store faults in fresh pages
+# for its store-sized temporaries at every step (about 4x slower at 290k values)
+ADAM_BLOCK = 16384
 
 
 class TrainingDivergence(RuntimeError):
@@ -205,7 +206,7 @@ def adamw_step(params: ModelParams, grad: np.ndarray, state: AdamState,
                config: TrainConfig) -> None:
     """Bias-corrected Adam (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) with decoupled
     weight decay on ``params.flat`` in ADAM_BLOCK slices, from its float64
-    gradient. Where ``decays`` is False the decay factor is exactly 1.0."""
+    gradient. Where ``params.decayed`` is False the decay factor is exactly 1.0."""
     if grad.shape != params.flat.shape:
         raise ValueError(f"gradient has shape {grad.shape}, store {params.flat.shape}")
     state.step += 1
@@ -214,8 +215,6 @@ def adamw_step(params: ModelParams, grad: np.ndarray, state: AdamState,
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     rate = config.lr * config.weight_decay
-    decayed = np.repeat([decays(name) for name in params.tensors],
-                        [arr.size for arr in params.tensors.values()])
     for lo in range(0, grad.size, ADAM_BLOCK):
         block = slice(lo, lo + ADAM_BLOCK)
         g, m, v = grad[block], state.m[block], state.v[block]
@@ -223,7 +222,7 @@ def adamw_step(params: ModelParams, grad: np.ndarray, state: AdamState,
         v[...] = b2 * v + (1.0 - b2) * g * g
         update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p64 = params.flat[block].astype(np.float64)
-        p64 *= 1.0 - rate * decayed[block]
+        p64 *= 1.0 - rate * params.decayed[block]
         p64 -= config.lr * update
         params.flat[block] = p64
 
@@ -256,8 +255,8 @@ class EpochReport:
 
 @dataclass
 class TrainState:
-    params: ModelParams          # best-validation snapshot
-    final_params: ModelParams
+    params: ModelParams          # best-validation epoch, a store of its own
+    final_params: ModelParams    # the store ``fit`` trained, after the last epoch
     best_epoch: int
     best_val_acc: float
     history: list[EpochReport]
@@ -325,7 +324,7 @@ def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
     early-stopping on validation accuracy once ``patience`` epochs in a row
     have not beaten the best. ``epoch_hook`` (if given) is called after each
     epoch with keyword arguments (epoch, budget, prev_entropy, report, params).
-    """
+    The best epoch is kept as one copy of ``params.flat``."""
     if not g.train_mask.any():
         raise ValueError("fit: graph has no training nodes")
     if not g.val_mask.any():
@@ -342,7 +341,7 @@ def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
 
     entropy: np.ndarray | None = None
     history: list[EpochReport] = []
-    best_params: ModelParams | None = None
+    best_flat: np.ndarray | None = None
     best_epoch = -1
 
     for epoch in range(config.max_epochs):
@@ -377,14 +376,15 @@ def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
 
         if best_epoch < 0 or report.acc_val > history[best_epoch].acc_val:
             best_epoch = epoch
-            best_params = params.copy()
+            best_flat = params.flat.copy()
         elif epoch - best_epoch >= config.patience:
             log.info("early stop at epoch %d (best val %.4f at epoch %d)",
                      epoch, history[best_epoch].acc_val, best_epoch)
             break
 
-    return TrainState(params=best_params, final_params=params, best_epoch=best_epoch,
-                      best_val_acc=float(history[best_epoch].acc_val), history=history,
+    return TrainState(params=ModelParams(model_config, best_flat), final_params=params,
+                      best_epoch=best_epoch, best_val_acc=float(history[best_epoch].acc_val),
+                      history=history,
                       stopped_early=len(history) - 1 - best_epoch >= config.patience)
 
 

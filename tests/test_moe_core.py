@@ -875,6 +875,26 @@ def test_save_refuses_store_off_its_layout(tmp_path, edit, error, match):
     assert not path.exists()
 
 
+def test_store_views_and_decay_mask_are_read_only():
+    """A rebound name would leave ``forward`` and the checkpoint writer
+    reading an array that AdamW, which moves ``flat``, never touches; so
+    ``tensors`` takes no new entry and the decay mask no write, while a write
+    through a view still lands in ``flat``."""
+    params = small_params(small_graph())
+    head = params.tensors["head.w"]
+    with pytest.raises(TypeError):
+        params.tensors["head.w"] = np.zeros_like(head)
+    with pytest.raises(TypeError):
+        del params.tensors["head.w"]
+    assert params.decayed.shape == params.flat.shape
+    with pytest.raises(ValueError, match="read-only"):
+        params.decayed[0] = False
+    head[0, 0] = 7.0
+    at = params.flat.size - params.tensors["head.b"].size - head.size
+    assert params.flat[at] == 7.0
+    assert params.tensors["head.w"] is head
+
+
 def test_checkpoint_sizes_checked_before_allocation(tmp_path):
     """A header claiming a large model is rejected by the file size alone,
     before any tensor is allocated."""

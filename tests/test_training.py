@@ -18,7 +18,6 @@ from d2moe.moe_core import (
     ModelParams,
     RoutingTrace,
     _param_layout,
-    decays,
     evaluate,
     forward,
     init_params,
@@ -259,33 +258,37 @@ def test_balance_gradient_wrt_pi_is_k_f_over_n():
 
 
 def test_decay_rule_names():
-    assert decays("embed.w")
-    assert decays("head.w")
-    assert decays("layer0.expert1.wa")
-    assert decays("layer1.expert0.wb")
-    assert decays("layer0.expert2.w_self")
-    assert decays("layer0.expert2.w_nbr")
-    assert not decays("embed.b")
-    assert not decays("head.b")
-    assert not decays("layer0.expert0.b")
-    assert not decays("layer0.router.w1")
-    assert not decays("layer0.router.w2")
-    assert not decays("layer0.norm.gamma")
-    assert not decays("layer0.norm.running_mean")
+    """The layout's decay flags, over every layout, backbone, norm, K and L,
+    agree with a rule written from the names alone, and a name keeps one
+    flag in every configuration that has it."""
+    flags = {}
+    for layout, backbone, norm, k, l in itertools.product(
+            ("all_1hop", "half_half"), ("gcn", "sage"), (False, True), (1, 3, 4), (1, 2)):
+        for name, _, _, decays in _param_layout(_model_cfg(
+                expert_layout=layout, backbone=backbone, use_batch_norm=norm,
+                experts=k, layers=l)):
+            assert flags.setdefault(name, decays) == decays, name
+    assert flags["embed.w"]
+    assert flags["head.w"]
+    assert flags["layer0.expert2.wa"]  # half_half with K=3
+    assert flags["layer1.expert3.wb"]
+    assert flags["layer0.expert2.w_self"]
+    assert flags["layer0.expert2.w_nbr"]
+    assert not flags["embed.b"]
+    assert not flags["head.b"]
+    assert not flags["layer0.expert0.b"]
+    assert not flags["layer0.router.w1"]
+    assert not flags["layer0.router.w2"]
+    assert not flags["layer0.norm.gamma"]
+    assert not flags["layer0.norm.running_mean"]
 
-    def old_rule(name):  # the rule before decays read _EXPERT_WEIGHTS
+    def old_rule(name):  # the rule before the layout declared decay
         if ".router." in name or ".norm." in name:
             return False
         return name.rsplit(".", 1)[-1] in ("w", "wa", "wb", "w_self", "w_nbr")
 
-    names = {name
-             for layout, backbone, norm, k, l in itertools.product(
-                 ("all_1hop", "half_half"), ("gcn", "sage"), (False, True), (1, 3, 4), (1, 2))
-             for name, _, _ in _param_layout(_model_cfg(
-                 expert_layout=layout, backbone=backbone, use_batch_norm=norm,
-                 experts=k, layers=l))}
-    assert {"layer1.expert3.wb", "layer0.expert0.w_nbr", "layer1.norm.beta"} <= names
-    assert [name for name in sorted(names) if decays(name) != old_rule(name)] == []
+    assert {"layer1.expert3.wb", "layer0.expert0.w_nbr", "layer1.norm.beta"} <= flags.keys()
+    assert [name for name in sorted(flags) if flags[name] != old_rule(name)] == []
 
 
 def _one_wide_params(seed=0, **kw):
@@ -305,7 +308,7 @@ def test_adamw_zero_gradient_only_decays_weights():
     assert p.tensors["embed.w"][0, 0] == pytest.approx(2.0 * (1 - 0.1 * 0.5), rel=1e-6)
     assert p.tensors["embed.b"][0, 0] == 3.0
     for name, arr in p.tensors.items():
-        if decays(name):
+        if name.endswith(".w"):
             np.testing.assert_allclose(arr, before.tensors[name] * (1 - 0.1 * 0.5), rtol=1e-6)
         else:
             assert arr.tobytes() == before.tensors[name].tobytes(), name
@@ -321,15 +324,19 @@ def test_adamw_descends_quadratic():
     np.testing.assert_allclose(p.flat, 3.0, atol=1e-3)
 
 
-def test_adamw_matches_scalar_replica():
+@pytest.mark.parametrize("block", [None, 5], ids=["one-slice", "8-slices"])
+def test_adamw_matches_scalar_replica(monkeypatch, block):
     """Ten steps against an independent scalar AdamW with the same float32
-    parameter storage and float64 moments, element by element."""
+    parameter storage and float64 moments, element by element; with slices
+    of 5 the 37 values span 8 slices, the last one partial."""
+    if block is not None:
+        monkeypatch.setattr("d2moe.training.ADAM_BLOCK", block)
     cfg = TrainConfig(lr=0.05, weight_decay=0.3)
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     p = _one_wide_params(use_batch_norm=True)
     state = AdamState(p.flat.size)
 
-    decayed = [decays(name) for name, arr in p.tensors.items() for _ in range(arr.size)]
+    decayed = [name.endswith(".w") for name, arr in p.tensors.items() for _ in range(arr.size)]
     assert any(decayed) and not all(decayed)
     ref = [np.float32(x) for x in p.flat]
     m = [0.0] * len(ref)
