@@ -120,9 +120,11 @@ def _canonical_edges(edges: np.ndarray, n: int) -> np.ndarray:
 def _normalized_adjacencies(edges: np.ndarray, n: int):
     """Build both normalized operators from the canonical edge list on one
     CSR pattern: ``sym`` is the one COO->CSR conversion, and ``mean`` reuses
-    its index arrays, which are made read-only."""
-    src = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)])
-    dst = np.concatenate([edges[:, 1], edges[:, 0], np.arange(n)])
+    its index arrays, which are made read-only. They are int32 while the
+    nonzero count (which bounds n) fits, half the bytes of int64."""
+    idx = np.int32 if 2 * len(edges) + n < 2**31 else np.int64
+    src = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)]).astype(idx)
+    dst = np.concatenate([edges[:, 1], edges[:, 0], np.arange(n)]).astype(idx)
     deg = np.bincount(src, minlength=n).astype(np.float64)  # >= 1 by the self-loop
     dinv_sqrt = 1.0 / np.sqrt(deg)
     sym = sp.csr_array(

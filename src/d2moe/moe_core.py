@@ -33,6 +33,7 @@ the one schema ``init_params`` and the checkpoint writer and reader walk.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 import struct
@@ -126,7 +127,8 @@ class ModelParams:
     its (rows, cols) views by name: ``embed.*``, ``layer{l}.expert{i}.*``,
     ``layer{l}.router.*``, ``layer{l}.norm.*`` (batch norm only) and
     ``head.*``. The name map and ``decayed`` (the layout's decay flag per
-    value) are read-only. A buffer of the wrong shape raises ValueError."""
+    value, one array shared by every store of the config) are read-only. A
+    buffer of the wrong shape raises ValueError."""
 
     config: ModelConfig
     flat: np.ndarray
@@ -142,8 +144,7 @@ class ModelParams:
                              f"the config's layout needs ({ends[-1]},)")
         self.tensors = MappingProxyType({name: part.reshape(shape) for (name, shape, _, _), part
                                          in zip(layout, np.split(self.flat, ends[:-1]))})
-        self.decayed = np.repeat([decays for *_, decays in layout], sizes)
-        self.decayed.flags.writeable = False
+        self.decayed = _decay_mask(self.config)
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, self.flat.copy())
@@ -173,6 +174,18 @@ def _param_layout(config: ModelConfig):
             yield f"layer{l}.norm.running_var", (1, h), 1.0, False
     yield "head.w", (h, c), None, True
     yield "head.b", (1, c), 0.0, False
+
+
+@functools.lru_cache(maxsize=8)
+def _decay_mask(config: ModelConfig) -> np.ndarray:
+    """The layout's weight-decay flag per store value, read-only. Built once
+    per config, so the training store, the best-epoch store and every copy
+    share one array."""
+    layout = list(_param_layout(config))
+    mask = np.repeat([decays for *_, decays in layout],
+                     [rows * cols for _, (rows, cols), _, _ in layout])
+    mask.flags.writeable = False
+    return mask
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:

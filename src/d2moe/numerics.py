@@ -1,17 +1,19 @@
 """Rank-2 numerics with reverse-mode differentiation.
 
-Values are numpy float64 arrays of shape (rows, cols); scalars travel as (1, 1).
-Sparse adjacencies are scipy CSR and are never differentiated through. A Tape
-records one forward pass: a dense layer x·W + b as one ``matmul`` step, a
-whole residual mixture layer (experts, renormalized scores, their weighted
-sum and the residual input) as one ``mix_experts`` step. There each expert
-runs only on the rows whose mask selected it and writes its outputs into its
-slice of one stacked (pairs, cols) buffer, one row per selected (expert, row)
-pair; one CSR product with the (rows, pairs) mixing matrix of renormalized
-scores then sums every row's experts, and the residual is added in place.
-That buffer is freed once the product is taken: backward recovers each
-expert's g·z_i from the products its input gradient needs, so the tape keeps
-no expert output. The training objective is two steps: ``masked_nll``, then
+Values are numpy arrays of shape (rows, cols), float64 but for float32 leaves;
+scalars travel as (1, 1). Sparse adjacencies are scipy CSR and are never
+differentiated through. A Tape records one forward pass: a dense layer x·W + b
+as one ``matmul`` step, a whole residual mixture layer (experts, renormalized
+scores, their weighted sum and the residual input) as one ``mix_experts``
+step. There each expert runs only on the rows whose mask selected it and
+writes its outputs into its slice of one stacked (pairs, cols) buffer, one row
+per selected (expert, row) pair; one CSR product with the (rows, pairs) mixing
+matrix of renormalized scores then sums every row's experts, and the residual
+is added in place. That buffer is freed once the product is taken: backward
+recovers each expert's g·z_i from the products its input gradient needs, so
+the tape keeps no expert output, and it adds each expert's input gradient
+through the gathered input rows it has read, so it makes no scatter temporary.
+The training objective is two steps: ``masked_nll``, then
 one ``routing_penalty`` that adds the router penalties of every layer to it.
 Inputs that take no gradient, such as the node features, enter as a ``Const``
 and are not leaves. Each Var keeps its gradient in a slot of its own, apart
@@ -31,8 +33,14 @@ tape built with ``record=False`` (the model's eval mode) records nothing; it
 cannot run ``backward``, ``dropout`` is the identity on it and ``batchnorm``
 uses the running statistics.
 
-Parameters live in float32 elsewhere in the package; ``Tape.leaf`` upcasts to
-float64 so finite-difference probes at step FD_STEP are not quantized away.
+Parameters live in float32 elsewhere in the package. ``Tape.leaf`` registers
+a float32 (or float64) array as it is, so a leaf aliases the parameter store
+and no forward holds a float64 copy of it: each op that reads a float32 leaf
+promotes it to float64 exactly (numpy casts the operand inside the op), so
+values and gradients have the bytes a float64 copy would give. Each op the
+model records on a leaf also reads a float64 activation, so every step
+output is float64, and every gradient is. ``grad_check`` probes float64
+leaves, so finite-difference steps of FD_STEP are not quantized away.
 """
 
 from __future__ import annotations
@@ -94,8 +102,12 @@ class Var:
         return float(self.value[0, 0])
 
 
-def _as2d(a) -> np.ndarray:
-    out = np.asarray(a, dtype=np.float64)
+def _as2d(a, keep: tuple = (np.float64,)) -> np.ndarray:
+    """``a`` as a rank-2 array: as it is if its dtype is in ``keep``, else a
+    float64 copy."""
+    out = np.asarray(a)
+    if out.dtype not in keep:
+        out = out.astype(np.float64)
     if out.ndim != 2:
         raise ShapeError(f"expected a rank-2 array, got shape {out.shape}")
     return out
@@ -104,8 +116,9 @@ def _as2d(a) -> np.ndarray:
 class Const(Var):
     """An op input that takes no gradient, such as the node features: it has
     no gradient slot, so ``grad`` is always None and ``_accum`` drops any
-    contribution, and no tape holds it. Float64 arrays are aliased, as by
-    ``Tape.leaf``."""
+    contribution, and no tape holds it. A float64 array is aliased; any
+    other is copied to float64, a float32 one too, as an op with no float64
+    operand would otherwise compute in float32."""
 
     __slots__ = ()
 
@@ -171,8 +184,12 @@ class Tape:
             self._steps.append((out._slot, back))
 
     def leaf(self, array) -> Var:
-        """Register an input value. Float64 arrays are aliased, not copied."""
-        v = Var(_as2d(array))
+        """Register an input value. A float32 or float64 array is aliased, not
+        copied: an op promotes a float32 value exactly where it reads it
+        beside a float64 operand, so no float64 copy of the leaf outlives
+        that op. The leaf's gradient is float64 whatever its value's dtype.
+        Any other dtype is copied to float64."""
+        v = Var(_as2d(array, (np.float32, np.float64)))
         if self.recording:
             self._leaves.append(v)
         return v
@@ -284,15 +301,27 @@ class Tape:
         where the (rows, pairs) CSR mixing matrix M holds each pair's p̃ at
         (row, pair). A CSR row lists its pairs in ascending expert order, so
         every output row sums its experts in order 0…K-1, and Z is freed once
-        the product is taken. Backward runs experts K-1…0, each over its own
-        rows r, and recovers the score gradient's g·z_i without Z: since
-        z_i = sum_j x_j·W_j + b, g·z_i = sum_j (g·W_jᵀ)·x_j + g·b, and g·W_jᵀ
-        is the product the input gradient p̃·(g·W_jᵀ) needs anyway. It is
-        never read back from a p̃-scaled product, so a selected score of
-        exactly 0.0 still gets its gradient. The residual takes its gradient
-        before the experts do: the output gradient itself, or a copy of it
-        when the residual is also an expert input (a SAGE layer's h), whose
-        gradient the experts' share then adds into."""
+        the product is taken. Z and the CSR product stay, although mixing
+        expert by expert would cap the buffer at ``rows`` rows and give the
+        same bytes: freeing the all-selected Z of a cold-start epoch is what
+        lifts glibc's dynamic mmap and trim thresholds above a layer's
+        arrays, so later epochs reuse the heap without page faults. Mixing
+        expert by expert took thousands of minor faults per epoch and was
+        about 30% slower per epoch on both benchmark workloads.
+
+        Backward runs experts K-1…0, each over its own rows r, and recovers
+        the score gradient's g·z_i without Z: since z_i = sum_j x_j·W_j + b,
+        g·z_i = sum_j (g·W_jᵀ)·x_j + g·b, and g·W_jᵀ is the product the input
+        gradient p̃·(g·W_jᵀ) needs anyway. It is never read back from a
+        p̃-scaled product, so a selected score of exactly 0.0 still gets its
+        gradient. Per expert it holds at most the gathered g[r], and per term
+        u = p̃·(g·W_jᵀ) and the gathered x_j[r]; g[r] is dropped after the
+        bias and weight gradients, and then each u is added into
+        x_j.grad[r] through x_j[r]'s buffer, so no scatter temporary is made.
+        The residual takes its gradient before the experts do: the output
+        gradient itself, or a copy of it when the residual is also an expert
+        input (a SAGE layer's h), whose gradient the experts' share then adds
+        into."""
         rows, cols = pi.shape[0], experts[0][1].shape[1]
         conform = all(terms and b.shape == (1, cols) and all(
             x.shape[0] == rows and x.shape[1] == w.shape[0] and w.shape[1] == cols
@@ -345,22 +374,33 @@ class Tape:
                 pr = p[r, i : i + 1]
                 gr = g[r]
                 gz = gr @ bv[0]
-                xrs = []
+                held = []  # per term, in reverse: (p̃·(g·W_jᵀ) or None, x_j[r])
                 for xv, sx, wv, _ in reversed(terms):
                     u = gr @ wv.T
                     xr = xv[r]
                     gz += np.einsum("ij,ij->i", u, xr)
-                    if sx is not None:
+                    if sx is None:
+                        u = None
+                    else:
                         u *= pr
-                        if sx.grad is None:
-                            sx.grad = np.zeros_like(xv)
-                        sx.grad[r] += u
-                    xrs.append(xr)
+                    held.append((u, xr))
                 gp[r, i] = gz
                 gr *= pr
                 _accum(sb, gr.sum(axis=0, keepdims=True))
-                for (_, _, _, sw), xr in zip(reversed(terms), xrs):
+                for (_, _, _, sw), (_, xr) in zip(reversed(terms), held):
                     _accum(sw, xr.T @ gr)
+                del gr
+                # x_j.grad[r] += u, with x_j[r]'s buffer (read by now) as
+                # the gathered rows: no scatter temporary. r is valid, so
+                # mode="clip" only spares np.take a buffered ``out``.
+                for (xv, sx, _, _), (u, xr) in zip(reversed(terms), held):
+                    if u is not None:
+                        if sx.grad is None:
+                            sx.grad = np.zeros_like(xv)
+                        np.take(sx.grad, r, axis=0, out=xr, mode="clip")
+                        xr += u
+                        sx.grad[r] = xr
+                del held, u, xr  # before the next expert's gather
             _accum(spi, (m / s) * (gp - (gp * p).sum(axis=1, keepdims=True)))
 
         self._record(out, back)

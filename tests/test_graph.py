@@ -61,10 +61,11 @@ def test_adjacency_normalization_values():
 def _operators_three_conversions(g: Graph):
     """Oracle: both operators and the mean operator's transpose built as
     separate matrices, each its own COO->CSR conversion, with the degrees
-    read off a unit-weighted A+I."""
+    read off a unit-weighted A+I, on int32 coordinates as for any pattern
+    whose nonzeros fit."""
     n, e = g.n, g.raw_edges
-    src = np.concatenate([e[:, 0], e[:, 1], np.arange(n)])
-    dst = np.concatenate([e[:, 1], e[:, 0], np.arange(n)])
+    src = np.concatenate([e[:, 0], e[:, 1], np.arange(n)]).astype(np.int32)
+    dst = np.concatenate([e[:, 1], e[:, 0], np.arange(n)]).astype(np.int32)
     a_tilde = sp.csr_array(sp.coo_array((np.ones(src.size), (src, dst)), shape=(n, n)))
     deg = np.asarray(a_tilde.sum(axis=1)).reshape(-1)
     dinv_sqrt = 1.0 / np.sqrt(deg)
@@ -98,6 +99,22 @@ def test_operators_share_one_pattern_and_store_no_transpose(make):
     assert np.array_equal(g.adj.T @ x, sym.T.tocsr() @ x)
     fields = {f.name for f in dataclasses.fields(Graph)}
     assert not fields & {"adj_t", "mean_adj_t"}
+
+
+def test_operator_indices_are_int32_through_transpose():
+    """The shared pattern's index arrays are int32, half the bytes of the
+    int64 edge list they come from, and backward's ``.T`` views keep them;
+    a sparse product gives the same bytes as over int64 indices."""
+    g = two_cliques()
+    assert g.raw_edges.dtype == np.int64
+    x = np.random.default_rng(4).normal(size=(g.n, 5))
+    for op in (g.adj, g.mean_adj):
+        for view in (op, op.T):
+            assert view.indices.dtype == view.indptr.dtype == np.int32
+        wide = sp.csr_array((op.data, op.indices.astype(np.int64),
+                             op.indptr.astype(np.int64)), shape=op.shape)
+        assert (op @ x).tobytes() == (wide @ x).tobytes()
+        assert (op.T @ x).tobytes() == (wide.T @ x).tobytes()
 
 
 def test_pickle_carries_inputs_and_rebuilds_shared_pattern():

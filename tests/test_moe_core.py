@@ -393,7 +393,8 @@ def _forward_backward_peak(experts, n, hidden, layers):
 
 def test_extra_expert_memory_under_two_activations():
     """Forward plus backward keeps under two n×hidden float64 arrays per
-    extra expert per layer (its output for the backward pass, plus slack)."""
+    extra expert per layer: its rows of the stacked buffer the forward mixes
+    (freed once mixed) or its backward transients, plus slack."""
     n, hidden, layers = 500, 32, 2
     peak = {k: _forward_backward_peak(k, n, hidden, layers) for k in (2, 6)}
     growth = peak[6] - peak[2]
@@ -893,6 +894,48 @@ def test_store_views_and_decay_mask_are_read_only():
     at = params.flat.size - params.tensors["head.b"].size - head.size
     assert params.flat[at] == 7.0
     assert params.tensors["head.w"] is head
+
+
+def test_decay_mask_shared_by_every_store_of_a_config(tmp_path):
+    """The decay mask depends on the config alone: stores of one config (two
+    draws, a copy, a checkpoint read) hold one read-only array."""
+    g = small_graph()
+    first, second = small_params(g, seed=1), small_params(g, seed=2)
+    assert first.config is not second.config
+    assert second.decayed is first.decayed
+    assert first.copy().decayed is first.decayed
+    save_checkpoint(first, tmp_path / "model.bin")
+    assert load_checkpoint(tmp_path / "model.bin").decayed is first.decayed
+    with pytest.raises(ValueError, match="read-only"):
+        second.decayed[0] = False
+    other = small_params(g, experts=4)
+    assert other.decayed is not first.decayed
+    assert other.decayed.size == other.flat.size
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+@pytest.mark.parametrize("layout", ["all_1hop", "half_half"])
+@pytest.mark.parametrize("batch_norm", [False, True])
+def test_leaves_alias_the_float32_store(backbone, layout, batch_norm):
+    """Every leaf's value is a view of ``params.flat``, so no forward holds a
+    float64 copy of the parameters; the ops promote the float32 values
+    exactly, so eval probabilities, train probabilities and the gradient
+    vector have the bytes of the same store widened to float64."""
+    g = small_graph(n=40, seed=3)
+    params = small_params(g, experts=4, layers=2, dropout=0.5, backbone=backbone,
+                          expert_layout=layout, use_batch_norm=batch_norm)
+    wide = ModelParams(params.config, params.flat.astype(np.float64))
+    runs = []
+    for store in (params, wide):
+        scored = forward(store, g, np.full(g.n, 0.6), mode="eval")
+        fw = forward(store, g, np.full(g.n, 0.6), mode="train", rng=RNG(5))
+        for name, leaf in fw.leaf_vars.items():
+            assert leaf.value.dtype == store.flat.dtype, name
+            assert np.shares_memory(leaf.value, store.flat), name
+        grad = fw.tape.backward(losses_on_tape(fw, g, 1e-4, 1e-3)[1])
+        assert grad.dtype == np.float64
+        runs.append([scored.probs.value.tobytes(), fw.probs.value.tobytes(), grad.tobytes()])
+    assert runs[0] == runs[1]
 
 
 def test_checkpoint_sizes_checked_before_allocation(tmp_path):

@@ -1,5 +1,6 @@
 """Tape primitives vs hand values and central finite differences."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -631,6 +632,35 @@ def test_mix_experts_backward_replay_bit_identical():
     assert all(v.grad is not None for v in leaves)
     for before, v in zip(first, leaves):
         assert before.tobytes() == v.grad.tobytes()
+
+
+def test_mix_experts_backward_peak_under_four_point_six_activations():
+    """One mixture backward at full activation (n=2000, cols=64, K=4) rises
+    under 4.6 n×cols float64 arrays above its entry: beside the input
+    gradient it allocates, it holds at most an expert's gathered output
+    gradient, its term's p̃·(g·Wᵀ) and its term's gathered input rows, and
+    makes no scatter temporary (``x.grad[r] += u`` read 5.20 here). The K
+    one-term experts share a non-leaf input, as a GCN layer's aggregate,
+    their weights are float32 leaves, and the residual is no expert's input."""
+    n, cols, k = 2000, 64, 4
+    rng = RNG(7)
+    t = Tape()
+    x = t.relu(t.leaf(rng.standard_normal((n, cols))))
+    experts = [([(x, t.leaf(rng.uniform(-0.1, 0.1, (cols, cols)).astype(np.float32)))],
+                t.leaf(np.zeros((1, cols), np.float32))) for _ in range(k)]
+    pi = t.softmax_rows(t.leaf(rng.standard_normal((n, k))))
+    out = t.mix_experts(experts, pi, np.ones((n, k), bool), t.leaf(np.zeros((n, cols))))
+    slot, back = t._steps[-1]
+    assert slot is out._slot
+    g = rng.standard_normal((n, cols))
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        back(g)
+        rise = (tracemalloc.get_traced_memory()[1] - entry) / (n * cols * 8)
+    finally:
+        tracemalloc.stop()
+    assert rise < 4.6, rise
 
 
 # ---- batch norm ----------------------------------------------------------

@@ -4,12 +4,18 @@ replica, and the training loop's budget bootstrap checked causally."""
 import dataclasses
 import itertools
 import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from d2moe import training
 from d2moe.graph import SbmSpec, generate_sbm, split_nodes
 from d2moe.moe_core import (
     ForwardResult,
@@ -666,7 +672,7 @@ def test_lazy_backward_matches_zero_filled_replay(monkeypatch, backbone, layout,
     lazy = [v.grad.copy() for v in tape._leaves]
 
     for v in [*tape._leaves, *outputs]:
-        v.grad = np.zeros_like(v.value)
+        v.grad = np.zeros(v.value.shape)
     total.grad = np.ones_like(total.value)
     for slot, back in reversed(tape._steps):
         back(slot.grad)
@@ -684,6 +690,49 @@ def _traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+_FAULTS_PER_EPOCH = """
+import resource
+import numpy as np
+from d2moe.graph import build_graph, split_nodes
+from d2moe.moe_core import ModelConfig
+from d2moe.training import TrainConfig, fit
+
+rng = np.random.default_rng(0)
+n, dim, classes = 2000, 16, 4
+labels = rng.integers(0, classes, size=n)
+g = split_nodes(build_graph(rng.integers(0, n, size=(4 * n, 2)),
+                            rng.standard_normal((n, dim)) + labels[:, None], labels,
+                            n_classes=classes), (0.5, 0.25, 0.25), seed=0)
+readings = []
+fit(g, ModelConfig(in_dim=dim, hidden=128, classes=classes, experts=8, layers=2),
+    TrainConfig(max_epochs=10, seed=0),
+    epoch_hook=lambda **_: readings.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+print(*np.diff(readings))
+"""
+
+
+@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+                    reason="glibc's allocator thresholds are what this guards")
+def test_steady_state_epochs_take_no_page_faults():
+    """In a fresh process, epochs after the cold start reuse the heap: the
+    cold-start epoch frees the all-selected stacked expert buffer, which
+    lifts glibc's dynamic mmap and trim thresholds above a layer's arrays.
+    Mixing expert by expert, with no such buffer, read a median of 8,272
+    minor faults per epoch here. The graph comes from a sparse edge list,
+    not ``generate_sbm``, whose dense n×n draw would lift the thresholds
+    itself."""
+    src = str(Path(training.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _FAULTS_PER_EPOCH], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    faults = [int(word) for word in done.stdout.split()]
+    assert len(faults) == 9
+    steady = faults[2:]  # epochs 3-9
+    assert np.median(steady) < 500, faults
 
 
 def test_fit_holds_one_tape_at_a_time():
