@@ -57,8 +57,6 @@ from .training import (
     FixedTopP,
     Full,
     LossBreakdown,
-    NoLoadBalance,
-    NoRoutingEntropy,
     RandomTopP,
     TrainConfig,
     TrainingDivergence,
@@ -85,8 +83,6 @@ __all__ = [
     "LossBreakdown",
     "ModelConfig",
     "ModelParams",
-    "NoLoadBalance",
-    "NoRoutingEntropy",
     "RandomTopP",
     "RoutingTrace",
     "SbmSpec",

@@ -268,8 +268,8 @@ def _train_setup(ns: argparse.Namespace):
 def cmd_train(ns: argparse.Namespace) -> int:
     if ns.variant and len(ns.variant) > 1:
         raise ValueError("train takes one --variant; ablate compares several")
-    record, g, inputs, mcfg, tcfg = _train_setup(ns)
     (variant,) = _variants(ns)
+    record, g, inputs, mcfg, tcfg = _train_setup(ns)
 
     state = fit(g, mcfg, tcfg, variant=variant)
 
@@ -335,8 +335,8 @@ def cmd_ablate(ns: argparse.Namespace) -> int:
     seeds = _ablation_seeds(ns.seeds)
     if ns.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {ns.jobs}")
-    record, g, inputs, mcfg, tcfg = _train_setup(ns)
     variants = _variants(ns)
+    record, g, inputs, mcfg, tcfg = _train_setup(ns)
 
     rows = []
     for variant in variants:

@@ -17,6 +17,7 @@ and mask tokens. Any rejected line raises GraphFormatError naming file:line.
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -58,7 +59,7 @@ class SbmSpec:
     signal: float
     seed: int
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n <= 0:
             raise ValueError(f"need at least one node, got n={self.n}")
         if self.classes < 2 or self.n < self.classes:
@@ -68,6 +69,8 @@ class SbmSpec:
         for name, p in (("p_in", self.p_in), ("p_out", self.p_out)):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
+        if not math.isfinite(self.signal):
+            raise ValueError(f"signal must be finite, got {self.signal}")
 
 
 @dataclass(frozen=True)
@@ -164,7 +167,6 @@ def build_graph(edges, features, labels, n_classes: int | None = None,
 def generate_sbm(spec: SbmSpec) -> Graph:
     """Sample a block-model graph. Deterministic per spec.seed; draw order is
     labels, then edges, then class means, then feature noise."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     labels = rng.permutation(np.arange(spec.n) % spec.classes)
 

@@ -251,9 +251,14 @@ def top_k_mask(pi: np.ndarray, k: int) -> np.ndarray:
 class TopK:
     """Budget rule selecting the k highest-scoring experts for every node: the
     static, uniform budget of earlier Graph MoEs. As a training variant it
-    applies from epoch 0, with no cold start. ``top_k_mask`` checks k."""
+    applies from epoch 0, with no cold start. k >= 1 is checked when made;
+    ``top_k_mask`` checks k <= K."""
 
     k: int
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
 
 
 # ---- forward pass --------------------------------------------------------

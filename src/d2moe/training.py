@@ -54,7 +54,9 @@ class TrainingDivergence(RuntimeError):
         self.epoch = epoch
 
 
-# ---- ablation variants ---------------------------------------------------
+# ---- ablation variants: budget rules -------------------------------------
+# A variant sets only how an epoch's expert budget is chosen; the penalty
+# weights are TrainConfig's lambda_re and lambda_lb.
 
 
 @dataclass(frozen=True)
@@ -79,21 +81,10 @@ class RandomTopP:
     marginal budget distribution survives, the difficulty alignment does not."""
 
 
-@dataclass(frozen=True)
-class NoRoutingEntropy:
-    """Full method with the routing-sharpness regularizer disabled."""
-
-
-@dataclass(frozen=True)
-class NoLoadBalance:
-    """Full method with the load-balance regularizer disabled."""
-
-
-Variant = Full | TopK | FixedTopP | RandomTopP | NoRoutingEntropy | NoLoadBalance
+Variant = Full | TopK | FixedTopP | RandomTopP
 
 VARIANT_NAMES = {
-    "full": Full, "static_topk": TopK, "fixed_topp": FixedTopP,
-    "random_topp": RandomTopP, "no_re": NoRoutingEntropy, "no_lb": NoLoadBalance,
+    "full": Full, "static_topk": TopK, "fixed_topp": FixedTopP, "random_topp": RandomTopP,
 }
 
 
@@ -192,13 +183,13 @@ class AdamState:
         self.m, self.v = np.zeros(size), np.zeros(size)
 
 
-def clip_global_norm(grad: np.ndarray, max_norm: float) -> float:
-    """Scale the gradient vector in place so its L2 norm is at most max_norm;
+def clip_global_norm(grad: np.ndarray) -> float:
+    """Scale the gradient vector in place so its L2 norm is at most GRAD_CLIP;
     returns the pre-clip norm, summed by numpy (BLAS ``dot``'s order may vary
     with the thread count). A non-finite norm scales nothing."""
     total = math.sqrt((grad * grad).sum())
-    if max_norm > 0.0 and math.isfinite(total) and total > max_norm:
-        grad *= max_norm / total
+    if math.isfinite(total) and total > GRAD_CLIP:
+        grad *= GRAD_CLIP / total
     return total
 
 
@@ -281,29 +272,24 @@ def _epoch_budget(variant: Variant, epoch: int, entropy: np.ndarray | None,
     return thresholds
 
 
-def _effective_lambdas(variant: Variant, config: TrainConfig) -> tuple[float, float]:
-    lam1 = 0.0 if isinstance(variant, NoRoutingEntropy) else config.lambda_re
-    lam2 = 0.0 if isinstance(variant, NoLoadBalance) else config.lambda_lb
-    return lam1, lam2
-
-
 def _train_step(params: ModelParams, g: Graph, budget, dropout_rng: np.random.Generator,
-                lam1: float, lam2: float, adam: AdamState, config: TrainConfig,
+                adam: AdamState, config: TrainConfig,
                 epoch: int) -> tuple[LossBreakdown, np.ndarray, RoutingTrace]:
     """Phases 2 and 3 of an epoch: a train-mode forward and one AdamW step on
-    the regularized objective, whose gradient vector is clipped to GRAD_CLIP; a
-    non-finite objective or gradient norm raises TrainingDivergence first.
+    the objective regularized by the config's lambda_re and lambda_lb, whose
+    gradient vector is clipped to GRAD_CLIP; a non-finite objective or
+    gradient norm raises TrainingDivergence first.
     Returns the loss breakdown, the train-mode class probabilities and the
     routing trace; the tape is freed when this returns."""
     fw = forward(params, g, budget, mode="train", rng=dropout_rng)
-    breakdown, total_var, _ = losses_on_tape(fw, g, lam1, lam2)
+    breakdown, total_var, _ = losses_on_tape(fw, g, config.lambda_re, config.lambda_lb)
     if not np.isfinite(breakdown.total):
         raise TrainingDivergence(
             epoch, f"non-finite objective (task={breakdown.task}, "
                    f"re={breakdown.routing_entropy}, lb={breakdown.load_balance})")
 
     grad = fw.tape.backward(total_var)
-    norm = clip_global_norm(grad, GRAD_CLIP)
+    norm = clip_global_norm(grad)
     if not math.isfinite(norm):
         bad = ", ".join(n for n, v in fw.leaf_vars.items() if not np.isfinite(v.grad).all())
         raise TrainingDivergence(epoch, f"gradient norm {norm}; non-finite gradients: {bad}")
@@ -337,7 +323,6 @@ def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
 
     params = init_params(model_config, init_rng)
     adam = AdamState(params.flat.size)
-    lam1, lam2 = _effective_lambdas(variant, config)
 
     entropy: np.ndarray | None = None
     history: list[EpochReport] = []
@@ -350,7 +335,7 @@ def fit(g: Graph, model_config: ModelConfig, config: TrainConfig,
 
         try:
             breakdown, train_probs, trace = _train_step(
-                params, g, budget, dropout_rng, lam1, lam2, adam, config, epoch)
+                params, g, budget, dropout_rng, adam, config, epoch)
             scored = evaluate(params, g, budget)
             entropy = predictive_entropy(scored.probs if config.strict_proxy else train_probs)
         except ValueError as err:

@@ -21,8 +21,6 @@ from d2moe.moe_core import LayerTrace, ModelConfig, RoutingTrace, predictive_ent
 from d2moe.training import (
     FixedTopP,
     Full,
-    NoLoadBalance,
-    NoRoutingEntropy,
     RandomTopP,
     TopK,
     TrainConfig,
@@ -206,8 +204,6 @@ def test_variant_labels():
     assert variant_label(TopK(2)) == "static_topk(2)"
     assert variant_label(FixedTopP(0.5)) == "fixed_topp(0.5)"
     assert variant_label(RandomTopP()) == "random_topp"
-    assert variant_label(NoRoutingEntropy()) == "no_re"
-    assert variant_label(NoLoadBalance()) == "no_lb"
 
 
 def _small_setup():

@@ -285,7 +285,7 @@ def test_train_divergence_exits_nonzero(tmp_path, capsys):
     (["--k", "2"], "--k applies only to --variant static_topk"),
     (["--variant", "static_topk", "--k", "1", "--p", "0.5"],
      "--p applies only to --variant fixed_topp"),
-    (["--variant", "full", "--variant", "no_lb"],
+    (["--variant", "full", "--variant", "random_topp"],
      "train takes one --variant; ablate compares several"),
 ])
 def test_train_rejects_unused_variant_flags(tmp_path, capsys, args, message):
@@ -458,6 +458,20 @@ def test_ablate_rejects_bad_jobs_and_seeds_with_one_line_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
     assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_ablate_rejects_zero_k_before_building_the_graph(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached past the variant check")
+
+    monkeypatch.setattr(cli, "_obtain_graph", unreachable)
+    monkeypatch.setattr(cli, "run_ablation", unreachable)
+    out = tmp_path / "abl"
+    rc = main(["ablate", "--sbm", SBM_SMALL, "--variant", "static_topk", "--k", "0",
+               "--epochs", "1", "--seeds", "0", "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: k must be >= 1, got 0"]
     assert not out.exists()
 
 

@@ -180,6 +180,8 @@ def test_sbm_degenerate_spec():
         generate_sbm(SbmSpec(n=0, classes=2, dim=2, p_in=0.1, p_out=0.1, signal=1.0, seed=0))
     with pytest.raises(ValueError):
         generate_sbm(SbmSpec(n=10, classes=2, dim=2, p_in=1.5, p_out=0.1, signal=1.0, seed=0))
+    with pytest.raises(ValueError, match="signal must be finite, got nan"):
+        SbmSpec(n=10, classes=2, dim=2, p_in=0.1, p_out=0.1, signal=float("nan"), seed=0)
 
 
 def test_sbm_feature_signal_radius():

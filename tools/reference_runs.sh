@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Same-bytes check: train nine reference models from the source in REPO, score
-# each with `eval`, and print the sha256 of the 27 outputs (checkpoint.bin,
+# Same-bytes check: train ten reference models from the source in REPO, score
+# each with `eval`, and print the sha256 of the 30 outputs (checkpoint.bin,
 # metrics.jsonl and nodes.csv per run), one line each. Two trees that write the
 # same bytes print the same lines:
 #
@@ -43,9 +43,10 @@ run no_decay_3layer --weight-decay 0 --layers 3
 run random_topp --variant random_topp
 run early_stop --epochs 80 --patience 5  # stops after 19 epochs, best epoch 13
 run clip --lambda-lb 10  # the gradient clip fires in 8 of 25 epochs
+run no_penalties --lambda-re 0 --lambda-lb 0
 
 cd "$out"
 for name in plain sage_half_half_bn strict_bn static_topk2 no_dropout_bn no_decay_3layer \
-        random_topp early_stop clip; do
+        random_topp early_stop clip no_penalties; do
     sha256sum "$name/checkpoint.bin" "$name/metrics.jsonl" "$name/nodes.csv"
 done
