@@ -243,18 +243,24 @@ def cmd_gen(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _variants(ns: argparse.Namespace) -> list:
+def _variants(ns: argparse.Namespace, experts: int) -> list:
+    """The ``--variant`` rules; ``--k`` is checked against ``experts``."""
     names = ns.variant or ["full"]
     for flag, value, name in (("--k", ns.k, "static_topk"), ("--p", ns.p, "fixed_topp")):
         if value is not None and name not in names:
             raise ValueError(f"{flag} applies only to --variant {name}")
-    return [make_variant(name, k=ns.k, p=ns.p) for name in names]
+    variants = [make_variant(name, k=ns.k, p=ns.p) for name in names]
+    if "static_topk" in names and ns.k > experts:
+        raise ValueError(f"k must be in [1, {experts}], got {ns.k}")
+    return variants
 
 
 def _train_setup(ns: argparse.Namespace):
-    """The table's settings by config part for the manifest, then the graph,
-    its manifest inputs and both configs of train/ablate."""
+    """The variants of train/ablate, made before any graph is built; the
+    table's settings by config part for the manifest; then the graph, its
+    manifest inputs and both configs."""
     resolved = _resolve(ns)
+    variants = _variants(ns, resolved["experts"])
     g, inputs = _obtain_graph(ns, resolved["seed"])
     fields = {cls: {name: resolved[key] for key, name in keys.items()}
               for cls, keys in SETTINGS.items()}
@@ -262,14 +268,13 @@ def _train_setup(ns: argparse.Namespace):
     tcfg = TrainConfig(seed=resolved["seed"], **fields[TrainConfig])
     record = {part: {key: resolved[key] for key in SETTINGS[cls]}
               for part, cls in (("model", ModelConfig), ("train", TrainConfig))}
-    return record, g, inputs, mcfg, tcfg
+    return variants, record, g, inputs, mcfg, tcfg
 
 
 def cmd_train(ns: argparse.Namespace) -> int:
     if ns.variant and len(ns.variant) > 1:
         raise ValueError("train takes one --variant; ablate compares several")
-    (variant,) = _variants(ns)
-    record, g, inputs, mcfg, tcfg = _train_setup(ns)
+    (variant,), record, g, inputs, mcfg, tcfg = _train_setup(ns)
 
     state = fit(g, mcfg, tcfg, variant=variant)
 
@@ -335,8 +340,7 @@ def cmd_ablate(ns: argparse.Namespace) -> int:
     seeds = _ablation_seeds(ns.seeds)
     if ns.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {ns.jobs}")
-    variants = _variants(ns)
-    record, g, inputs, mcfg, tcfg = _train_setup(ns)
+    variants, record, g, inputs, mcfg, tcfg = _train_setup(ns)
 
     rows = []
     for variant in variants:

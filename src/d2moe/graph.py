@@ -1,12 +1,13 @@
 """Graphs: synthetic block-model generation, text-file IO, and split management.
 
-A Graph is immutable after construction. Topology is kept as the raw
-undirected edge list (canonical i<j, deduplicated, no self-edges) and as two
-normalized operators on one sparsity pattern, A+I: a symmetrically normalized
-adjacency for convolution experts and a row-stochastic mean aggregator
-(self-loop included in the neighborhood) for mean-aggregation experts. Both
-are canonical CSR arrays sharing one read-only pair of index arrays; no
-transpose is stored, as backward takes ``.T``, a CSC view.
+A Graph is immutable after construction. Its topology is stored once, as
+the read-only index arrays of ``adj``, the symmetrically normalized adjacency
+convolution experts read: a canonical CSR array on the pattern of A+I. The
+undirected edge list (canonical i<j, deduplicated, no self-edges) is that
+pattern's upper triangle, read off on each access; the row-stochastic mean
+aggregator of mean-aggregation experts (self-loop included) is built over
+the same index arrays on first use. No transpose is stored, as backward
+takes ``.T``, a CSC view.
 
 On disk a graph is four UTF-8 tables, each read by one ``np.loadtxt`` call:
 edges (whitespace-separated, '#' starts a comment anywhere on a line),
@@ -21,6 +22,7 @@ import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -79,11 +81,9 @@ class Graph:
     n_classes: int
     features: np.ndarray     # (n, d) float64
     labels: np.ndarray       # (n,) int64 in [0, n_classes)
-    raw_edges: np.ndarray    # (E, 2) int64, i < j, unique, sorted
-    # Both operators share one read-only, canonical pair of index arrays
-    # (the pattern of A+I); their transposes are taken as ``.T`` views.
-    adj: sp.csr_array        # D^{-1/2} (A+I) D^{-1/2}
-    mean_adj: sp.csr_array   # D^{-1} (A+I)
+    # D^{-1/2} (A+I) D^{-1/2}, canonical CSR; its read-only index arrays (the
+    # pattern of A+I) are the graph's one copy of its topology.
+    adj: sp.csr_array
     train_mask: np.ndarray   # (n,) bool, pairwise disjoint with val/test
     val_mask: np.ndarray
     test_mask: np.ndarray
@@ -95,9 +95,25 @@ class Graph:
     def mask_idx(self, split: str) -> np.ndarray:
         return np.flatnonzero(getattr(self, f"{split}_mask"))
 
+    @property
+    def raw_edges(self) -> np.ndarray:
+        """(E, 2) int64, i < j, unique, sorted: the upper triangle of ``adj``'s
+        pattern in CSR order, made anew on each access."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.adj.indptr))
+        cols = self.adj.indices.astype(np.int64)
+        upper = rows < cols
+        return np.stack([rows[upper], cols[upper]], axis=1)
+
+    @cached_property
+    def mean_adj(self) -> sp.csr_array:
+        """D^{-1} (A+I) over ``adj``'s index arrays, built on first use."""
+        deg = np.diff(self.adj.indptr)  # >= 1 by the self-loop
+        return sp.csr_array((np.repeat(1.0 / deg, deg), self.adj.indices, self.adj.indptr),
+                            shape=self.adj.shape)
+
     def __reduce__(self):
-        """Pickle the inputs only; unpickling rebuilds both operators on one
-        shared, read-only pattern, bit for bit."""
+        """Pickle the inputs only; unpickling rebuilds the operator on a
+        read-only pattern, bit for bit."""
         return build_graph, (self.raw_edges, self.features, self.labels, self.n_classes,
                              (self.train_mask, self.val_mask, self.test_mask))
 
@@ -120,10 +136,9 @@ def _canonical_edges(edges: np.ndarray, n: int) -> np.ndarray:
     return np.stack([key // n, key % n], axis=1)
 
 
-def _normalized_adjacencies(edges: np.ndarray, n: int):
-    """Build both normalized operators from the canonical edge list on one
-    CSR pattern: ``sym`` is the one COO->CSR conversion, and ``mean`` reuses
-    its index arrays, which are made read-only. They are int32 while the
+def _normalized_adjacency(edges: np.ndarray, n: int) -> sp.csr_array:
+    """D^{-1/2} (A+I) D^{-1/2} from the canonical edge list, in one COO->CSR
+    conversion. Its index arrays are made read-only, and are int32 while the
     nonzero count (which bounds n) fits, half the bytes of int64."""
     idx = np.int32 if 2 * len(edges) + n < 2**31 else np.int64
     src = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)]).astype(idx)
@@ -133,9 +148,7 @@ def _normalized_adjacencies(edges: np.ndarray, n: int):
     sym = sp.csr_array(
         sp.coo_array((dinv_sqrt[src] * dinv_sqrt[dst], (src, dst)), shape=(n, n)))
     sym.indices.flags.writeable = sym.indptr.flags.writeable = False
-    rows = np.repeat(np.arange(n), np.diff(sym.indptr))
-    mean = sp.csr_array((1.0 / deg[rows], sym.indices, sym.indptr), shape=(n, n))
-    return sym, mean
+    return sym
 
 
 def build_graph(edges, features, labels, n_classes: int | None = None,
@@ -151,8 +164,7 @@ def build_graph(edges, features, labels, n_classes: int | None = None,
         n_classes = int(labels.max()) + 1 if n else 0
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(f"labels must lie in [0, {n_classes})")
-    pairs = _canonical_edges(edges, n)
-    sym, mean = _normalized_adjacencies(pairs, n)
+    adj = _normalized_adjacency(_canonical_edges(edges, n), n)
     if masks is None:
         zeros = np.zeros(n, dtype=bool)
         masks = (zeros, zeros.copy(), zeros.copy())
@@ -160,8 +172,7 @@ def build_graph(edges, features, labels, n_classes: int | None = None,
     if (train & val).any() or (train & test).any() or (val & test).any():
         raise ValueError("train/val/test masks overlap")
     return Graph(n=n, n_classes=n_classes, features=features, labels=labels,
-                 raw_edges=pairs, adj=sym, mean_adj=mean,
-                 train_mask=train, val_mask=val, test_mask=test)
+                 adj=adj, train_mask=train, val_mask=val, test_mask=test)
 
 
 def generate_sbm(spec: SbmSpec) -> Graph:
@@ -211,9 +222,10 @@ def split_nodes(g: Graph, fractions: tuple[float, float, float], seed: int) -> G
 
 def edge_homophily(g: Graph) -> float:
     """Fraction of undirected edges whose endpoints share a label."""
-    if g.raw_edges.shape[0] == 0:
+    edges = g.raw_edges
+    if edges.shape[0] == 0:
         return 1.0
-    same = g.labels[g.raw_edges[:, 0]] == g.labels[g.raw_edges[:, 1]]
+    same = g.labels[edges[:, 0]] == g.labels[edges[:, 1]]
     return float(same.mean())
 
 

@@ -197,7 +197,9 @@ def adamw_step(params: ModelParams, grad: np.ndarray, state: AdamState,
                config: TrainConfig) -> None:
     """Bias-corrected Adam (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) with decoupled
     weight decay on ``params.flat`` in ADAM_BLOCK slices, from its float64
-    gradient. Where ``params.decayed`` is False the decay factor is exactly 1.0."""
+    gradient. Where ``params.decayed`` is False the decay factor is exactly 1.0.
+    A block whose update leaves the store's finite range (NaN included)
+    raises ValueError before it is written, so the store stays finite."""
     if grad.shape != params.flat.shape:
         raise ValueError(f"gradient has shape {grad.shape}, store {params.flat.shape}")
     state.step += 1
@@ -206,6 +208,7 @@ def adamw_step(params: ModelParams, grad: np.ndarray, state: AdamState,
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     rate = config.lr * config.weight_decay
+    limit = np.finfo(params.flat.dtype).max
     for lo in range(0, grad.size, ADAM_BLOCK):
         block = slice(lo, lo + ADAM_BLOCK)
         g, m, v = grad[block], state.m[block], state.v[block]
@@ -215,6 +218,9 @@ def adamw_step(params: ModelParams, grad: np.ndarray, state: AdamState,
         p64 = params.flat[block].astype(np.float64)
         p64 *= 1.0 - rate * params.decayed[block]
         p64 -= config.lr * update
+        if not -limit <= p64.min() <= p64.max() <= limit:
+            raise ValueError(f"adamw_step: update leaves the store's finite range in "
+                             f"elements [{lo}, {lo + p64.size})")
         params.flat[block] = p64
 
 

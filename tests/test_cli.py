@@ -8,6 +8,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -473,6 +474,46 @@ def test_ablate_rejects_zero_k_before_building_the_graph(tmp_path, capsys, monke
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == ["error: k must be >= 1, got 0"]
     assert not out.exists()
+
+
+def test_ablate_rejects_k_above_experts_before_any_fit(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached past the variant check")
+
+    monkeypatch.setattr(cli, "_obtain_graph", unreachable)
+    monkeypatch.setattr(cli, "run_ablation", unreachable)
+    out = tmp_path / "abl"
+    rc = main(["ablate", "--sbm", SBM_SMALL, "--variant", "full", "--variant", "static_topk",
+               "--k", "9", "--epochs", "1", "--seeds", "0", "--out-dir", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: k must be in [1, 4], got 9"]
+    assert "full:" not in captured.out
+    assert not out.exists()
+
+
+def test_train_checks_k_against_configured_experts(tmp_path, capsys, monkeypatch):
+    """The expert count a config file sets bounds --k as the flag would."""
+    monkeypatch.setattr(cli, "_obtain_graph", lambda *a: pytest.fail("built the graph"))
+    config = tmp_path / "cfg.json"
+    config.write_text('{"experts": 2}')
+    rc = main(["train", "--sbm", SBM_SMALL, "--config", str(config),
+               "--variant", "static_topk", "--k", "3", "--out-dir", str(tmp_path / "t")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: k must be in [1, 2], got 3"]
+
+
+def test_train_divergence_in_the_update_is_one_line_and_no_warning(tmp_path, capsys):
+    """A step size that takes the float32 store past its range is reported by
+    ``adamw_step`` before the store is written: no overflow warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["train", "--sbm", "10,2,2,0.1,0.1,1", "--lr", "1e300",
+                   "--out-dir", str(tmp_path / "t")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: training diverged at epoch 0: adamw_step: ")
 
 
 def test_ablate_rejects_empty_test_split(tmp_path, capsys):

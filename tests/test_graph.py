@@ -14,6 +14,7 @@ from d2moe.graph import (
     Graph,
     GraphFormatError,
     SbmSpec,
+    _canonical_edges,
     build_graph,
     edge_homophily,
     generate_sbm,
@@ -21,6 +22,8 @@ from d2moe.graph import (
     split_nodes,
     write_graph,
 )
+from d2moe.moe_core import ModelConfig
+from d2moe.training import TrainConfig, fit
 
 
 def two_cliques() -> Graph:
@@ -134,10 +137,38 @@ def test_pickle_carries_inputs_and_rebuilds_shared_pattern():
     assert np.shares_memory(h.adj.indptr, h.mean_adj.indptr)
     assert not h.adj.indices.flags.writeable and not h.adj.indptr.flags.writeable
     for f in dataclasses.fields(Graph):
-        if f.name not in ("adj", "mean_adj"):
+        if f.name != "adj":
             a, b = getattr(h, f.name), getattr(g, f.name)
             assert np.array_equal(a, b), f.name
             assert np.asarray(a).dtype == np.asarray(b).dtype, f.name
+    assert h.raw_edges.dtype == g.raw_edges.dtype == np.int64
+    assert np.array_equal(h.raw_edges, g.raw_edges)
+
+
+@pytest.mark.parametrize("edges, n", [
+    ([(0, 1), (1, 0), (0, 1), (1, 1), (3, 2), (2, 3), (4, 4)], 5),
+    ([], 5),
+    ([(0, 4), (4, 6), (6, 0)], 9),
+], ids=["duplicate-reversed-self", "edgeless", "isolated-nodes"])
+def test_topology_is_stored_once(edges, n):
+    """``Graph`` stores one pattern: the edge list is read off ``adj`` and
+    equals the canonical input edges, and the mean operator is built on
+    first use, once, over ``adj``'s index arrays; a GCN fit never builds it."""
+    assert not {f.name for f in dataclasses.fields(Graph)} & {"raw_edges", "mean_adj"}
+    labels = np.arange(n) % 2
+    g = split_nodes(build_graph(edges, np.arange(float(n))[:, None], labels),
+                    (0.5, 0.5, 0.0), seed=0)
+    want = _canonical_edges(np.asarray(edges, dtype=np.int64), n)
+    assert g.raw_edges.dtype == np.int64 and g.raw_edges.shape == want.shape
+    assert np.array_equal(g.raw_edges, want)
+    fit(g, ModelConfig(in_dim=1, hidden=4, classes=2, experts=2, layers=1),
+        TrainConfig(max_epochs=2, seed=0))
+    assert "mean_adj" not in vars(g)
+    mean = g.mean_adj
+    assert "mean_adj" in vars(g) and g.mean_adj is mean
+    assert np.shares_memory(mean.indices, g.adj.indices)
+    assert np.shares_memory(mean.indptr, g.adj.indptr)
+    assert "mean_adj" not in vars(pickle.loads(pickle.dumps(g)))
 
 
 def test_duplicate_and_reversed_edges_collapse():

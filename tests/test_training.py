@@ -871,16 +871,34 @@ def test_fit_stop_on_last_epoch_counts_as_early():
     assert state.best_epoch == 0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fit_divergence_raises():
-    """The first step's parameters overflow, so the scoring pass's router
-    scores are NaN in every row and its first mixture step raises."""
+    """The first step's update overflows float32, so ``adamw_step`` raises
+    before it writes the store, with no overflow warning on the way."""
     g = _sbm_graph(n=60, seed=7)
     with pytest.raises(TrainingDivergence) as err:
         fit(g, _model_cfg(dropout=0.0), TrainConfig(max_epochs=10, seed=0, lr=1e40))
     assert err.value.epoch == 0
-    assert str(err.value) == ("epoch 0: mix_experts: selected mass is zero, negative "
-                              "or NaN in 60 rows (first row 0: nan)")
+    assert str(err.value).startswith("epoch 0: adamw_step: update leaves the store's "
+                                     "finite range in elements [0, ")
+
+
+@pytest.mark.parametrize("grad_value, lr", [(1.0, 1e300), (np.nan, 0.1)],
+                         ids=["overflow", "nan-gradient"])
+def test_adamw_step_keeps_the_store_finite(monkeypatch, grad_value, lr):
+    """An update past float32's range, or a NaN one, raises naming
+    ``adamw_step`` and the slice it hit; slices before it are written and
+    the failing slice and those after it keep their bytes."""
+    monkeypatch.setattr("d2moe.training.ADAM_BLOCK", 8)
+    p = _one_wide_params()
+    grad = np.zeros(p.flat.size)
+    grad[10] = grad_value
+    before = p.flat.copy()
+    with pytest.raises(ValueError, match=r"^adamw_step: update leaves the store's finite "
+                                         r"range in elements \[8, 16\)$"):
+        adamw_step(p, grad, AdamState(p.flat.size), TrainConfig(lr=lr, weight_decay=0.0))
+    assert np.isfinite(p.flat).all()
+    assert p.flat[8:].tobytes() == before[8:].tobytes()
 
 
 def test_non_finite_gradient_raises_before_parameters_move(monkeypatch):

@@ -17,10 +17,17 @@ The output follows the committed ``BENCH_*.json`` schema: ``machine``,
 ``runs``, and per workload the seeds, the failed ops and failed runs of each
 side and, for every end-to-end metric of the parent's ``BENCHMARK.json``, both
 lists, the medians, the quartiles (``*_q1_q3``), ``change_better_pairs`` (in
-the metric's declared direction), ``tied_pairs`` and ``median_change_pct``;
-then one headline line per metric and every run's record. ``topic``,
-``parent``, ``change``, ``claim`` and ``claim_note`` are left null for the
-author. The file is rewritten after every pair, so an interrupted session
+the metric's declared direction), ``tied_pairs``, ``median_change_pct``,
+``median_paired_diff`` (change minus parent), ``claimable`` and
+``within_bound``; then one headline line per metric and every run's record.
+
+A metric is ``claimable`` when there are at least CLAIM_MIN_PAIRS pairs, the
+change is better in at least 9/10 of all of them (a tie counts for
+neither side), and the median paired difference is larger in size than the
+parent's interquartile range. It is ``within_bound`` when the change's median
+is worse than the parent's by no more than the metric's relative ``bound``.
+``topic``, ``parent``, ``change``, ``claim`` and ``claim_note`` are left null
+for the author. The file is rewritten after every pair, so an interrupted session
 keeps the pairs it finished. The tool reports and never gates; it imports
 nothing from ``perfbench/``.
 """
@@ -37,6 +44,7 @@ from pathlib import Path
 import numpy as np
 
 DIGITS = 4  # metric values, medians and quartiles are rounded to this many places
+CLAIM_MIN_PAIRS = 10
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -48,11 +56,12 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def end_to_end_metrics(checkout: Path) -> dict[str, str]:
-    """Each end-to-end metric of the checkout's BENCHMARK.json with the
-    direction that is better, ``lower`` or ``higher``."""
+def end_to_end_metrics(checkout: Path) -> dict[str, dict]:
+    """Each end-to-end metric of the checkout's BENCHMARK.json: its entry,
+    which names the better direction (``lower`` or ``higher``) and the
+    relative ``bound``."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m for m in spec["end_to_end"]}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float,
@@ -77,24 +86,33 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
             "machine": rec["machine"]}
 
 
-def metric_summary(parent: list[float], change: list[float], better: str) -> dict:
+def metric_summary(parent: list[float], change: list[float], better: str,
+                   bound: float) -> dict:
     """Both sides' values of one metric, pair by pair, and their comparison."""
     sign = 1.0 if better == "lower" else -1.0
     pm, cm = statistics.median(parent), statistics.median(change)
+    q1, q3 = np.percentile(parent, [25, 75])
+    diff = statistics.median(c - p for p, c in zip(parent, change))
+    better_pairs = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     return {
         "parent": parent,
         "change": change,
         "parent_median": round(pm, DIGITS),
-        "parent_q1_q3": [round(float(q), DIGITS) for q in np.percentile(parent, [25, 75])],
+        "parent_q1_q3": [round(float(q1), DIGITS), round(float(q3), DIGITS)],
         "change_median": round(cm, DIGITS),
         "change_q1_q3": [round(float(q), DIGITS) for q in np.percentile(change, [25, 75])],
-        "change_better_pairs": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
+        "change_better_pairs": better_pairs,
         "tied_pairs": sum(p == c for p, c in zip(parent, change)),
         "median_change_pct": round((cm / pm - 1.0) * 100.0, 2) if pm else None,
+        "median_paired_diff": round(diff, DIGITS),
+        "claimable": bool(len(parent) >= CLAIM_MIN_PAIRS
+                          and 10 * better_pairs >= 9 * len(parent)
+                          and abs(diff) > q3 - q1),
+        "within_bound": bool(sign * (cm - pm) <= bound * abs(pm)),
     }
 
 
-def workload_summary(parent: list[dict], change: list[dict], metrics: dict[str, str]) -> dict:
+def workload_summary(parent: list[dict], change: list[dict], metrics: dict[str, dict]) -> dict:
     """One workload's records, pair by pair (``parent[i]`` and ``change[i]``
     ran at the same seed). Only pairs in which both runs finished enter the
     metric lists."""
@@ -108,9 +126,10 @@ def workload_summary(parent: list[dict], change: list[dict], metrics: dict[str, 
                         for side, runs in (("parent", parent), ("change", change))},
     }
     if both:
-        for name, better in metrics.items():
+        for name, m in metrics.items():
             out[name] = metric_summary([p["end_to_end"][name] for p, _ in both],
-                                       [c["end_to_end"][name] for _, c in both], better)
+                                       [c["end_to_end"][name] for _, c in both],
+                                       m["better"], m["bound"])
     return out
 
 
@@ -120,11 +139,13 @@ def headline(summary: dict) -> str:
     return (f"{summary['parent_median']} -> {summary['change_median']} "
             f"({'n/a' if pct is None else f'{pct:+.2f}%'}), change better in "
             f"{summary['change_better_pairs']}/{len(summary['parent'])} pairs, "
-            f"parent IQR [{q1}, {q3}]")
+            f"parent IQR [{q1}, {q3}], "
+            f"claimable {'yes' if summary['claimable'] else 'no'}, "
+            f"within bound {'yes' if summary['within_bound'] else 'no'}")
 
 
 def report(results: dict[str, list[dict]], workloads: list[str], seconds: float,
-           metrics: dict[str, str], machine: dict | None) -> dict:
+           metrics: dict[str, dict], machine: dict | None) -> dict:
     """The BENCH file for the records made so far."""
     summary = {w: workload_summary([r for r in results["parent"] if r["workload"] == w],
                                    [r for r in results["change"] if r["workload"] == w],
