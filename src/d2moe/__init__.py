@@ -56,7 +56,6 @@ from .training import (
     EpochReport,
     FixedTopP,
     Full,
-    LossBreakdown,
     RandomTopP,
     TrainConfig,
     TrainingDivergence,
@@ -80,7 +79,6 @@ __all__ = [
     "Full",
     "Graph",
     "GraphFormatError",
-    "LossBreakdown",
     "ModelConfig",
     "ModelParams",
     "RandomTopP",

@@ -441,9 +441,9 @@ def test_forward_frees_values_no_backward_reads(monkeypatch, backbone, batch_nor
     fw, refs = run(hold=False)
     assert len(refs) >= 1 + 2 * 2
     assert all(ref() is None for ref in refs)
-    fw.tape.backward(losses_on_tape(fw, g, 1e-4, 1e-3)[1])
+    fw.tape.backward(losses_on_tape(fw, g, 1e-4, 1e-3)[0])
     held, _ = run(hold=True)
-    held.tape.backward(losses_on_tape(held, g, 1e-4, 1e-3)[1])
+    held.tape.backward(losses_on_tape(held, g, 1e-4, 1e-3)[0])
     for name, leaf in held.leaf_vars.items():
         assert leaf.grad.tobytes() == fw.leaf_vars[name].grad.tobytes(), name
 
@@ -454,7 +454,7 @@ def _objective_backward_peak(layers, n=500, hidden=32):
     tracemalloc.start()
     try:
         fw = forward(params, g, np.full(g.n, 0.5), mode="train", rng=RNG(3))
-        fw.tape.backward(losses_on_tape(fw, g, 1e-4, 1e-3)[1])
+        fw.tape.backward(losses_on_tape(fw, g, 1e-4, 1e-3)[0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -932,7 +932,7 @@ def test_leaves_alias_the_float32_store(backbone, layout, batch_norm):
         for name, leaf in fw.leaf_vars.items():
             assert leaf.value.dtype == store.flat.dtype, name
             assert np.shares_memory(leaf.value, store.flat), name
-        grad = fw.tape.backward(losses_on_tape(fw, g, 1e-4, 1e-3)[1])
+        grad = fw.tape.backward(losses_on_tape(fw, g, 1e-4, 1e-3)[0])
         assert grad.dtype == np.float64
         runs.append([scored.probs.value.tobytes(), fw.probs.value.tobytes(), grad.tobytes()])
     assert runs[0] == runs[1]

@@ -70,15 +70,15 @@ def _losses(layers, probs=None, labels=None, train_mask=None):
     fw = ForwardResult(probs=tape.leaf(probs), layer_pis=[tape.leaf(lt.pi) for lt in layers],
                        trace=RoutingTrace(layers), tape=tape, leaf_vars={})
     g = SimpleNamespace(labels=labels, mask_idx=lambda split: np.flatnonzero(train_mask))
-    return losses_on_tape(fw, g, lam1=1.0, lam2=1.0)[0]
+    return losses_on_tape(fw, g, lam1=1.0, lam2=1.0)
 
 
 def routing_entropy_loss(*layers):
-    return _losses(list(layers)).routing_entropy
+    return _losses(list(layers))[2]
 
 
 def load_balance_loss(*layers):
-    return _losses(list(layers)).load_balance
+    return _losses(list(layers))[3]
 
 
 def _sbm_graph(n=200, classes=4, dim=8, p_in=0.15, p_out=0.01, signal=3.0, seed=3):
@@ -160,7 +160,7 @@ def test_task_loss_hand_case():
     mask = np.array([True, True, False])
     expected = -(np.log(0.5) + np.log(0.75)) / 2.0
     uniform = _layer(np.full((3, 2), 0.5), np.ones((3, 2), bool))
-    assert _losses([uniform], probs, labels, mask).task == pytest.approx(expected, rel=1e-14)
+    assert _losses([uniform], probs, labels, mask)[1] == pytest.approx(expected, rel=1e-14)
 
 
 def test_task_loss_empty_mask_rejected():
@@ -187,21 +187,19 @@ def test_tape_losses_match_plain_values():
     layer K * sum_i f_i * Q_i summed over layers."""
     g, _, fw = _tiny_forward()
     lam1, lam2 = 0.01, 0.1
-    breakdown, total_var, task_var = losses_on_tape(fw, g, lam1=lam1, lam2=lam2)
+    total_var, task_loss, entropy_loss, balance_loss = losses_on_tape(fw, g, lam1=lam1,
+                                                                      lam2=lam2)
     idx = g.mask_idx("train")
     task = -np.log(fw.probs.value[idx, g.labels[idx]]).mean()
     pis = [lt.pi for lt in fw.trace.layers]
     entropy = -sum((p * np.log(p)).sum() for p in pis) / (g.n * len(pis))
     balance = sum(p.shape[1] * (lt.selected.mean(axis=0) * p.mean(axis=0)).sum()
                   for p, lt in zip(pis, fw.trace.layers))
-    assert breakdown.task == pytest.approx(task, rel=1e-12)
-    assert breakdown.routing_entropy == pytest.approx(entropy, rel=1e-12)
-    assert breakdown.load_balance == pytest.approx(balance, rel=1e-12)
-    assert breakdown.total == pytest.approx(
-        breakdown.task + lam1 * breakdown.routing_entropy + lam2 * breakdown.load_balance,
-        rel=1e-14)
-    assert breakdown.total == pytest.approx(total_var.item(), rel=1e-12)
-    assert task_var.item() == pytest.approx(breakdown.task, rel=1e-12)
+    assert task_loss == pytest.approx(task, rel=1e-12)
+    assert entropy_loss == pytest.approx(entropy, rel=1e-12)
+    assert balance_loss == pytest.approx(balance, rel=1e-12)
+    assert total_var.item() == pytest.approx(
+        task_loss + lam1 * entropy_loss + lam2 * balance_loss, rel=1e-14)
 
 
 @pytest.mark.parametrize("layers", [1, 2, 3], ids=lambda l: f"L={l}")
@@ -217,7 +215,8 @@ def test_zero_lambda_gradients_match_task_only():
     """With both weights at zero the regularizer branches contribute exact
     zeros, so parameter gradients equal a pure task backward bitwise."""
     g, params, fw = _tiny_forward(seed=4)
-    _, total_var, task_var = losses_on_tape(fw, g, lam1=0.0, lam2=0.0)
+    total_var = losses_on_tape(fw, g, lam1=0.0, lam2=0.0)[0]
+    task_var = fw.tape.masked_nll(fw.probs, g.labels, g.mask_idx("train"))
     fw.tape.backward(total_var)
     with_reg = {n: fw.leaf_vars[n].grad.copy() for n in params.tensors}
     fw.tape.backward(task_var)
@@ -664,7 +663,7 @@ def test_lazy_backward_matches_zero_filled_replay(monkeypatch, backbone, layout,
 
     monkeypatch.setattr(Tape, "_record", holding)
     fw = forward(params, g, np.full(g.n, 0.7), mode="train", rng=np.random.default_rng(1))
-    _, total, _ = losses_on_tape(fw, g, lam1=1e-3, lam2=1e-2)
+    total = losses_on_tape(fw, g, lam1=1e-3, lam2=1e-2)[0]
     tape = fw.tape
     assert [v._slot for v in outputs] == [slot for slot, _ in tape._steps]
     tape.backward(total)
@@ -745,7 +744,7 @@ def test_fit_holds_one_tape_at_a_time():
     def one_step():
         params = init_params(mcfg, np.random.default_rng(0))
         fw = forward(params, g, np.ones(g.n), mode="train", rng=np.random.default_rng(1))
-        fw.tape.backward(losses_on_tape(fw, g, lam1=1e-4, lam2=1e-3)[1])
+        fw.tape.backward(losses_on_tape(fw, g, lam1=1e-4, lam2=1e-3)[0])
 
     step_peak = _traced_peak(one_step)
     fit_peak = _traced_peak(lambda: fit(g, mcfg, TrainConfig(max_epochs=3, patience=3)))
@@ -938,6 +937,31 @@ def test_nan_reaching_train_forward_raises_divergence():
     assert err.value.epoch == 1
     assert str(err.value).startswith("epoch 1: mix_experts: selected mass is zero, "
                                      "negative or NaN in 60 rows")
+
+
+def _failing_on_call(fn, call):
+    """``fn``, except that its ``call``-th call (from 0) raises ValueError."""
+    calls = itertools.count()
+
+    def wrapper(*args, **kwargs):
+        if next(calls) == call:
+            raise ValueError("planted failure")
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("name, epoch", [("evaluate", 0), ("predictive_entropy", 2)],
+                         ids=["scoring-pass", "entropy"])
+def test_value_error_after_first_update_raises_divergence(monkeypatch, name, epoch):
+    """A ValueError from the scoring pass or the entropy pass comes after the
+    epoch's update, so it is a divergence at that epoch, epoch 0 included."""
+    monkeypatch.setattr(training, name, _failing_on_call(getattr(training, name), epoch))
+    g = _sbm_graph(n=60, seed=7)
+    with pytest.raises(TrainingDivergence) as err:
+        fit(g, _model_cfg(dropout=0.0), TrainConfig(max_epochs=4, seed=0))
+    assert err.value.epoch == epoch
+    assert str(err.value) == f"epoch {epoch}: planted failure"
 
 
 def test_batch_norm_train_step_keeps_running_stats_as_written(monkeypatch):
